@@ -9,10 +9,10 @@ g·(Q ⊗ Q_anc), with Q_anc the ancilla's position-like tridiagonal
 operator; the drive b(t) acts on the system position only (Q ⊗ I).
 
 Channel comparison uses the Frobenius distance between Choi matrices.
-Because the first-order gate is affine in the drive coefficients, the Choi
-matrix is quadratic in them and the distance objective quartic; the design
-routine therefore uses derivative-free coordinate descent with shrinking
-steps, exploiting the affine gate structure for fast candidate evaluation.
+Because the first-order gate is affine in the drive coefficients, so is
+each Kraus operator, and the Choi matrix is exactly quadratic in them; the
+design routine is therefore a small nonlinear least-squares problem with a
+closed-form Jacobian, solved by damped Gauss–Newton.
 """
 
 from __future__ import annotations
@@ -262,86 +262,84 @@ def synthesize_channel(
     horizon: float,
     n_harmonics: int,
     lam: float = 0.0,
-    step0: float = 0.25,
-    step_tol: float = 1e-9,
-    max_sweeps: int = 2000,
 ) -> tuple[ControlPulse, ChannelSynthesisReport]:
-    """Coordinate descent on |Choi(β) − target|_F² + λ·energy(β) from β = 0.
+    """Damped Gauss–Newton on |Choi(β) − target|_F² + λ·energy(β) from β = 0.
 
-    Candidate gates are assembled from the precomputed affine structure
-    vec U(β) = vec U0 + A β, so each evaluation costs a few small matrix
-    products.  ``converged`` is False when the sweep budget ran out before
-    the step size shrank below ``step_tol``.
+    The joint gate is affine in β, so the stacked Kraus vectors are too:
+    Choi(β) = C C† with C = C0 + Σ_j β_j C_j, and dChoi/dβ_j = C_j C† + C C_j†
+    exactly.  Each step is the minimum-norm least-squares step, halved until
+    the cost drops, so β never moves along directions the Choi matrix
+    ignores.  ``converged`` is False only when the iteration cap ran out
+    before the step shrank below 1e-10·(1 + |β|) or descent stopped.
     """
     target_choi = np.asarray(target_choi, dtype=complex)
     d = joint.sys_dim
     if target_choi.shape != (d * d, d * d):
         raise ValueError(f"target Choi shape {target_choi.shape} != ({d*d}, {d*d})")
+    if lam < 0:
+        raise ValueError(f"energy multiplier must be non-negative, got {lam!r}")
     spec = joint.spectrum()
     ctrl = joint.control_op()
     anc = joint.ground_ancilla() if anc_state is None else np.asarray(anc_state, dtype=complex)
     if abs(np.linalg.norm(anc) - 1.0) > 1e-8:
         raise ValueError("ancilla state must be normalized")
 
-    a = design_matrix(spec, horizon, n_harmonics, control=ctrl)
-    u0_vec = dyson.u0(spec, horizon).reshape(-1)
     v = spec.modes
     dim = joint.dim
+
+    def choi_factor(u_eig):
+        # columns are the Kraus vectors that choi() sums as outer products
+        u_prod = v @ u_eig.reshape(dim, dim) @ v.conj().T
+        ch = kraus_from_unitary(u_prod, anc, d_anc=joint.anc_dim, utol=None)
+        return np.stack([k.T.reshape(-1) for k in ch.kraus], axis=1)
+
+    a = design_matrix(spec, horizon, n_harmonics, control=ctrl)
+    c0 = choi_factor(dyson.u0(spec, horizon))
+    cs = np.array([choi_factor(col) for col in a.T])
     n_params = 2 * n_harmonics + 1
     w_energy = np.full(n_params, 0.5 * horizon)
     w_energy[0] = horizon
-
-    def channel_of(beta):
-        u_prod = v @ (u0_vec + a @ beta).reshape(dim, dim) @ v.conj().T
-        return kraus_from_unitary(u_prod, anc, d_anc=joint.anc_dim, utol=None)
+    sqrt_w = np.sqrt(lam * w_energy)
 
     evals = 0
 
-    def objective(beta):
+    def factor(beta):
+        return c0 + np.tensordot(beta, cs, axes=1)
+
+    def residual(beta):
         nonlocal evals
         evals += 1
-        dist = np.linalg.norm(choi(channel_of(beta)) - target_choi)
-        return dist * dist + lam * float(beta @ (w_energy * beta)), dist
+        c = factor(beta)
+        diff = (c @ c.conj().T - target_choi).reshape(-1)
+        return np.concatenate([diff.real, diff.imag, sqrt_w * beta])
 
-    # equalize coordinate sensitivities (columns of A differ in norm)
-    col_norms = np.linalg.norm(a, axis=0)
-    scale = 1.0 / np.maximum(col_norms, 1e-12)
-    scale /= scale.max()
+    def jacobian(beta):
+        m = cs @ factor(beta).conj().T
+        dchoi = (m + m.conj().transpose(0, 2, 1)).reshape(n_params, -1).T
+        return np.vstack([dchoi.real, dchoi.imag, np.diag(sqrt_w)])
 
     beta = np.zeros(n_params)
-    f_best, dist_best = objective(beta)
-    step = step0
-    sweeps = 0
-    while step >= step_tol and sweeps < max_sweeps:
-        sweeps += 1
-        improved = False
-        for j in range(n_params):
-            for sgn in (1.0, -1.0):
-                cand = beta.copy()
-                cand[j] += sgn * step * scale[j]
-                f_cand, dist_cand = objective(cand)
-                moved = False
-                walk = 0
-                # walk while the direction keeps paying (capped so the cost
-                # per sweep stays bounded when the step is already tiny)
-                while f_cand < f_best and walk < 30:
-                    beta, f_best, dist_best = cand, f_cand, dist_cand
-                    moved = improved = True
-                    walk += 1
-                    cand = beta.copy()
-                    cand[j] += sgn * step * scale[j]
-                    f_cand, dist_cand = objective(cand)
-                if moved:
-                    break
-        if not improved:
-            step *= 0.5
-    converged = step < step_tol
+    r = residual(beta)
+    converged = False
+    for _ in range(100):  # iteration cap; Gauss–Newton needs a handful
+        step = np.linalg.lstsq(jacobian(beta), -r, rcond=None)[0]
+        tol = 1e-10 * (1.0 + np.linalg.norm(beta))
+        while np.linalg.norm(step) > tol:
+            r_step = residual(beta + step)
+            if r_step @ r_step < r @ r:
+                break
+            step = 0.5 * step
+        else:  # step below tolerance, or no descent along it
+            converged = True
+            break
+        beta, r = beta + step, r_step
 
     pulse = ControlPulse(horizon, beta)
-    ch = channel_of(beta)
+    c = factor(beta)
+    ch = QuantumChannel(kraus=tuple(col.reshape(d, d).T for col in c.T), d_in=d, d_out=d)
     report = ChannelSynthesisReport(
         pulse=pulse,
-        distance=float(dist_best),
+        distance=float(np.linalg.norm(choi(ch) - target_choi)),
         tp_defect=ch.tp_defect(),
         cp_defect=ch.cp_defect(),
         energy=pulse.energy(),

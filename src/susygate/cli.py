@@ -324,7 +324,7 @@ def cmd_filter_sim(args, ws: Workspace) -> int:
     )
     if args.ensemble:
         mean, sem = filter_fit.ensemble_stats(
-            model, meas, args.eta, rho0, times, args.ensemble, seed, jobs=args.jobs
+            model, meas, args.eta, rho0, times, args.ensemble, seed
         )
         ws.save_json(
             "ensemble_mean.json",
@@ -548,7 +548,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ensemble", type=int, default=0,
                    help="also average this many trajectories")
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--out", default="trajectory.json", help="trajectory artifact name")
 
     p = add("filter-fit", cmd_filter_fit, help="filter a record and fit free parameters")
@@ -599,13 +598,12 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     # first pass only to locate --config for the chosen subcommand
     if argv and argv[0] in subparsers and "--config" in argv:
-        cfg_path = argv[argv.index("--config") + 1]
+        i = argv.index("--config") + 1
         try:
-            defaults = _load_config_file(cfg_path, subparsers[argv[0]])
-        except OSError as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        except ValueError as exc:
+            if i == len(argv):
+                raise ValueError("--config needs a file path")
+            defaults = _load_config_file(argv[i], subparsers[argv[0]])
+        except (OSError, ValueError) as exc:
             print(f"error: {exc}", file=sys.stderr)
             return 2
         sp = subparsers[argv[0]]

@@ -91,10 +91,6 @@ class ControlPulse:
         return pulse
 
 
-def pulse_eval(pulse: ControlPulse, t):
-    return pulse.evaluate(t)
-
-
 def _segment_transform(u, horizon: float):
     # ∫_0^T e^{iut} dt = T sinc(uT/2π) e^{iuT/2}; analytic in u, so the
     # removable singularity at u = 0 never meets a division.

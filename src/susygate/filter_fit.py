@@ -337,24 +337,17 @@ def ensemble_stats(
     times,
     n_traj: int,
     master_seed: int,
-    jobs: int = 1,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Mean and entrywise standard error of the mean over an ensemble of
-    measurement trajectories (seeds derived deterministically from
-    ``master_seed``)."""
+    ``n_traj >= 2`` measurement trajectories (seeds derived
+    deterministically from ``master_seed``)."""
+    if n_traj < 2:
+        raise ValueError(f"an ensemble needs at least 2 trajectories, got {n_traj}")
     times_arr, _ = _check_grid(times)
     seeds = [int(s) for s in np.random.SeedSequence(master_seed).generate_state(n_traj)]
-
-    def one(seed):
-        return sme_simulate(model, meas, eta, rho0, times_arr, seed).states
-
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
-
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            results = np.stack(list(pool.map(one, seeds)))
-    else:
-        results = np.stack([one(s) for s in seeds])
+    results = np.stack(
+        [sme_simulate(model, meas, eta, rho0, times_arr, s).states for s in seeds]
+    )
 
     mean = results.mean(axis=0)
     var = ((results.real - mean.real) ** 2 + (results.imag - mean.imag) ** 2).sum(axis=0)

@@ -233,17 +233,25 @@ def test_filter_sim_deterministic_artifacts(tmp_path):
     assert (out1 / "record.csv").read_bytes() == (out2 / "record.csv").read_bytes()
 
 
-def test_filter_sim_ensemble_with_jobs(tmp_path):
+def test_filter_sim_ensemble(tmp_path):
     model_path = write_damping_model(tmp_path / "model.json")
     assert run_cli(
         "filter-sim", "--model", model_path, "--eta", 0.5, "--dt", 5e-3,
-        "--T", 0.5, "--seed", 9, "--ensemble", 8, "--jobs", 2,
+        "--T", 0.5, "--seed", 9, "--ensemble", 8,
         "--out-dir", tmp_path,
     ) == 0
     ens = load_json(tmp_path / "ensemble_mean.json")
     assert ens["n_traj"] == 8
     mean_final = matrix_from_json(ens["mean_final"])
     assert np.trace(mean_final).real == pytest.approx(1.0, abs=1e-8)
+
+
+def test_filter_sim_single_member_ensemble_exits_2(tmp_path):
+    model_path = write_damping_model(tmp_path / "model.json")
+    assert run_cli(
+        "filter-sim", "--model", model_path, "--dt", 1e-2, "--T", 0.1,
+        "--seed", 9, "--ensemble", 1, "--out-dir", tmp_path,
+    ) == 2
 
 
 def test_filter_sim_seed_env_fallback(tmp_path, monkeypatch):
@@ -294,6 +302,11 @@ def test_config_file_defaults_and_override(tmp_path):
     out2 = tmp_path / "override"
     assert run_cli("spectrum", "--config", cfg, "--dim", 3, "--out-dir", out2) == 0
     assert load_json(out2 / "manifest.json")["config"]["dim"] == 3
+
+
+@pytest.mark.parametrize("name", sorted(cli.build_parser()[1]))
+def test_config_without_value_exits_2(name):
+    assert run_cli(name, "--config") == 2
 
 
 def test_config_unknown_key_rejected(tmp_path):

@@ -6,7 +6,6 @@ from susygate.dyson import (
     basis_transforms,
     dyson_gate,
     propagate_oracle,
-    pulse_eval,
     pulse_transform,
     u0,
 )
@@ -30,10 +29,10 @@ def test_pulse_eval_and_energy():
     p = ControlPulse(2.0, np.array([0.3, 0.1, -0.2]))
     t = np.array([0.0, 0.5, 1.0])
     expected = 0.3 + 0.1 * np.cos(np.pi * t) - 0.2 * np.sin(np.pi * t)
-    assert np.allclose(pulse_eval(p, t), expected)
+    assert np.allclose(p.evaluate(t), expected)
     # closed-form energy vs quadrature
     ts = np.linspace(0, 2.0, 20001)
-    quad = np.trapezoid(pulse_eval(p, ts) ** 2, ts)
+    quad = np.trapezoid(p.evaluate(ts) ** 2, ts)
     assert p.energy() == pytest.approx(quad, rel=1e-6)
 
 

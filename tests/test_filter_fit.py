@@ -134,6 +134,13 @@ def test_ensemble_mean_consistent_with_lindblad():
         assert gap <= 3.0 * np.sqrt(np.sum(sem[i] ** 2))
 
 
+@pytest.mark.parametrize("n_traj", [1, 0, -3])
+def test_ensemble_too_small_rejected(n_traj):
+    with pytest.raises(ValueError, match="at least 2"):
+        ensemble_stats(damping_model(0.5), 0, 0.5, RHO_EXCITED, grid(0.1, 1e-2),
+                       n_traj, master_seed=1)
+
+
 # --- filtering -----------------------------------------------------------------
 
 def test_filter_self_consistency():
