@@ -303,6 +303,10 @@ def _load_family(path) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, 
 
 
 def _times(horizon: float, dt: float) -> np.ndarray:
+    if not (np.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be positive and finite, got {dt!r}")
+    if not np.isfinite(horizon / dt):
+        raise ValueError(f"horizon/dt must be finite, got T={horizon!r}, dt={dt!r}")
     n = int(round(horizon / dt))
     if abs(n * dt - horizon) > 1e-9 * max(horizon, 1.0):
         raise ValueError("horizon must be an integer multiple of dt")
@@ -343,6 +347,9 @@ def _read_record(path) -> np.ndarray:
         rows = list(csv.reader(fh))
     if not rows or rows[0][:2] != ["t", "dY"]:
         raise ValueError(f"{path}: expected CSV with header t,dY")
+    for line_no, row in enumerate(rows[1:], 2):
+        if len(row) < 2:
+            raise ValueError(f"{path}:{line_no}: expected columns t,dY")
     return np.asarray([float(r[1]) for r in rows[1:]])
 
 

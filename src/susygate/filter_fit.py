@@ -7,17 +7,17 @@ Deterministic evolution integrates
 
 with a fixed-step classic Runge-Kutta scheme on the vectorized state (the
 generator is assembled once as a d²×d² matrix).  The diffusive unraveling
-under continuous monitoring of one channel L with efficiency η uses
-Euler-Maruyama:
+under continuous monitoring of one channel L with efficiency η takes the
+completely positive Kraus-form step of Rouchon & Ralph, PRA 91, 012118
+(2015):
 
-    dρ = 𝓛(ρ) dt + √η ( Lρ + ρL† − tr((L+L†)ρ) ρ ) dW,
-    dY = √η tr((L+L†)ρ) dt + dW,
+    M  = I − (iH + ½ sum_k L_k†L_k) dt + √η L dY,
+    ρ ↦ ( MρM† + sum_k c_k dt L_k ρ L_k† ) / tr(·),
 
-and the filter propagates the same equation driven by the innovation
-dW̃ = dY − √η tr((L+L†)ρ̂) dt computed from its own state.  After every
-stochastic step the state is projected to the nearest PSD trace-one matrix
-(eigenvalue clipping plus renormalization); clipped weight is tracked so
-silent distortion stays visible.
+with c_k = 1 − η for the measured channel and 1 for every other one.  The
+simulator draws dY = √η tr((L+L†)ρ) dt + dW and records it; the filter
+takes dY from a record and is otherwise the same step.  Each step is a
+positive map, so states stay positive semidefinite by construction.
 
 Fixed steps everywhere: runs are bitwise reproducible for a given seed.
 """
@@ -237,35 +237,10 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
     return Trajectory(times=times, states=states, record=None, seed=None)
 
 
-def _project_psd(rho: np.ndarray) -> tuple[np.ndarray, float]:
-    """Nearest PSD trace-one matrix: clip negative eigenvalues, renormalize.
-
-    Two-level states get the closed-form eigenvalue clip (the hot path of
-    the stochastic integrators); larger states go through eigh.
-    """
-    if rho.shape[0] == 2:
-        a = rho[0, 0].real
-        d = rho[1, 1].real
-        b = rho[0, 1]
-        half_gap = np.sqrt(max(0.25 * (a - d) ** 2 + (b * b.conjugate()).real, 0.0))
-        mid = 0.5 * (a + d)
-        lo = mid - half_gap
-        hi = mid + half_gap
-        if lo >= 0.0:
-            return rho / (a + d), 0.0
-        if hi > 0.0:
-            # clipped state is hi * P_hi, so the renormalized state is P_hi
-            return (rho - lo * np.eye(2)) / (hi - lo), -lo
-    w, v = np.linalg.eigh(rho)
-    clipped = np.clip(w, 0.0, None)
-    lost = float(-np.minimum(w, 0.0).sum())
-    rho = (v * clipped) @ v.conj().T
-    return rho / np.trace(rho).real, lost
-
-
 def _sme_run(model, meas, eta, rho0, times, increments, record_out):
-    """Shared Euler-Maruyama core: `increments[i]` supplies dW for step i
-    when simulating, or the recorded dY when filtering (record_out=None)."""
+    """Shared Kraus-form core: `increments[i]` supplies dW for step i
+    when simulating (dY is written to `record_out`), or the recorded dY
+    when filtering (record_out=None)."""
     times, dt = _check_grid(times)
     d = model.dim
     rho0 = _check_state(rho0, d)
@@ -273,31 +248,28 @@ def _sme_run(model, meas, eta, rho0, times, increments, record_out):
         raise ValueError("efficiency must satisfy 0 < eta <= 1")
     if not (0 <= meas < len(model.lindblads)):
         raise ValueError("measurement index outside the model's Lindblad list")
-    l_op = model.lindblads[meas]
-    l_dag = l_op.conj().T.copy()
-    l_sum_t = (l_op + l_dag).T.copy()  # tr(l_sum @ rho) == sum(l_sum_t * rho)
-    s = liouvillian(model)
-    sq_eta = np.sqrt(eta)
+    ops = model.lindblads
+    m0 = np.eye(d) - dt * (1j * model.hamiltonian + 0.5 * sum(l.conj().T @ l for l in ops))
+    sq_eta_l = np.sqrt(eta) * ops[meas]
+    l_sum_t = (sq_eta_l + sq_eta_l.conj().T).T.copy()  # sum(l_sum_t * rho) == √η tr((L+L†)ρ)
+    jumps = [np.sqrt(((1.0 - eta) if k == meas else 1.0) * dt) * l for k, l in enumerate(ops)]
+    jumps = [(j, j.conj().T.copy()) for j in jumps if np.any(j)]  # drops (1 − η)·L at η = 1
 
     rho = rho0.copy()
     states = np.empty((times.size, d, d), dtype=complex)
     states[0] = rho0
-    total_clip = 0.0
-    filtering = record_out is None
     for i in range(times.size - 1):
-        m = (l_sum_t * rho).sum().real
-        if filtering:
-            dw = increments[i] - sq_eta * m * dt
+        if record_out is None:
+            dy = increments[i]
         else:
-            dw = increments[i]
-            record_out[i] = sq_eta * m * dt + dw
-        drift = (s @ rho.reshape(-1)).reshape(d, d)
-        innovation = l_op @ rho + rho @ l_dag - m * rho
-        rho = rho + dt * drift + (sq_eta * dw) * innovation
-        rho, lost = _project_psd(rho)
-        total_clip += lost
+            dy = (l_sum_t * rho).sum().real * dt + increments[i]
+            record_out[i] = dy
+        m = m0 + dy * sq_eta_l
+        new = m @ rho @ m.conj().T
+        for j, j_dag in jumps:
+            new += j @ rho @ j_dag
+        rho = new / np.trace(new).real
         states[i + 1] = rho
-    logger.debug("sme step loop: total clipped eigenvalue weight %.3e", total_clip)
     return times, states
 
 
@@ -317,8 +289,8 @@ def sme_simulate(
 def filter_estimate(
     model: LindbladModel, record, meas: int, eta: float, rho0, times
 ) -> Trajectory:
-    """State filter: propagate the diffusive master equation driven by the
-    innovations computed from the filter's own state."""
+    """State filter: the same Kraus-form step as :func:`sme_simulate`,
+    driven by the recorded increments dY."""
     times_arr, _ = _check_grid(times)
     record = np.asarray(record, dtype=float)
     if record.shape != (times_arr.size - 1,):
@@ -378,7 +350,8 @@ def _golden_min(f, lo, hi, xtol):
     c = b - invphi * (b - a)
     d = a + invphi * (b - a)
     fc, fd = f(c), f(d)
-    while (b - a) > xtol:
+    # stop also once rounding leaves no interior points (a tiny xtol)
+    while (b - a) > xtol and a < c < d < b:
         if fc < fd:
             b, d, fd = d, c, fc
             c = b - invphi * (b - a)
@@ -409,6 +382,8 @@ def fit_parameters(
     """
     import itertools
 
+    if not (np.isfinite(xtol) and xtol > 0):
+        raise ValueError(f"xtol must be positive and finite, got {xtol!r}")
     grid = [np.asarray(g, dtype=float) for g in grid]
     if len(grid) != family.n_params:
         raise ValueError(f"grid must supply {family.n_params} parameter ranges")

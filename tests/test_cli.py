@@ -1,7 +1,11 @@
 import csv
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susygate import cli
 from susygate.dyson import ControlPulse, u0
@@ -290,6 +294,56 @@ def test_filter_fit_external_record(tmp_path):
         "--eta", 0.6, "--dt", 2e-3, "--T", 1.0, "--out-dir", tmp_path,
     ) == 0
     assert (tmp_path / "fitted_trajectory.json").exists()
+
+
+@pytest.mark.parametrize(
+    "horizon, dt",
+    [(1.0, 0.0), (1.0, -1e-3), (1.0, "nan"), (1.0, "inf"), ("inf", 1e-3),
+     ("nan", 1e-3), (1e300, 1e-300)],
+)
+def test_filter_sim_bad_grid_exits_2(tmp_path, horizon, dt):
+    model_path = write_damping_model(tmp_path / "model.json")
+    assert run_cli("filter-sim", "--model", model_path, f"--T={horizon}", f"--dt={dt}",
+                   "--seed", 1, "--out-dir", tmp_path) == 2
+
+
+@pytest.mark.parametrize("xtol", [0, -1])
+def test_filter_fit_bad_xtol_exits_2(tmp_path, xtol):
+    model_path = write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 3))
+    assert run_cli("filter-fit", "--model", model_path, "--dt", 1e-2, "--T", 0.2,
+                   f"--xtol={xtol}", "--seed", 1, "--out-dir", tmp_path) == 2
+
+
+def test_filter_fit_short_record_row_exits_2(tmp_path, capsys):
+    model_path = write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 3))
+    record = tmp_path / "record.csv"
+    record.write_text("t,dY\n0.0\n")
+    assert run_cli("filter-fit", "--model", model_path, "--record", record,
+                   "--dt", 1e-2, "--T", 0.01, "--out-dir", tmp_path) == 2
+    assert f"{record}:2" in capsys.readouterr().err
+
+
+# Edge values plus valid ones; valid grids stay at or below 100 steps.
+_EDGES = [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    command=st.sampled_from(["filter-sim", "filter-fit"]),
+    horizon=st.sampled_from(_EDGES + [0.1, 0.5]),
+    dt=st.sampled_from(_EDGES + [5e-3, 1e-2, 3e-2]),
+    eta=st.sampled_from(_EDGES + [0.3, 1.0]),
+    xtol=st.sampled_from(_EDGES + [1e-3, 1e-300]),
+)
+def test_filter_exit_code_contract(command, horizon, dt, eta, xtol):
+    with tempfile.TemporaryDirectory() as tmp:
+        tmp = Path(tmp)
+        model_path = write_damping_model(tmp / "model.json", grid=(0.3, 1.1, 3))
+        argv = [command, "--model", model_path, f"--T={horizon}", f"--dt={dt}",
+                f"--eta={eta}", "--seed", 1, "--out-dir", tmp / "out"]
+        if command == "filter-fit":
+            argv.append(f"--xtol={xtol}")
+        assert run_cli(*argv) in (0, 2, 3)
 
 
 @pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")

@@ -24,6 +24,17 @@ def damping_model(gamma: float, drive: float = 0.0) -> LindbladModel:
     return LindbladModel(0.5 * drive * SX, (np.sqrt(gamma) * LOWER,))
 
 
+LOWER3 = np.diag([1.0, np.sqrt(2.0)], k=1).astype(complex)
+RHO_TOP3 = np.diag([0.0, 0.0, 1.0]).astype(complex)
+
+
+def qutrit_model() -> LindbladModel:
+    # driven three-level ladder with damping (index 0) and a number
+    # measurement channel (index 1), so the unmeasured jump term is live
+    h = 0.5 * (LOWER3 + LOWER3.conj().T) + np.diag([0.0, 0.3, 0.8])
+    return LindbladModel(h, (np.sqrt(0.5) * LOWER3, np.sqrt(0.3) * np.diag([0.0, 1.0, 2.0])))
+
+
 def grid(horizon, dt):
     return np.arange(0, horizon + dt / 2, dt)
 
@@ -88,12 +99,31 @@ def test_trajectory_json_roundtrip():
 
 # --- stochastic unraveling ----------------------------------------------------
 
-def test_small_eta_limit_matches_deterministic():
+@pytest.mark.parametrize(
+    "model, meas, rho0",
+    [(damping_model(0.7, drive=1.0), 0, RHO_EXCITED), (qutrit_model(), 1, RHO_TOP3)],
+    ids=["qubit", "qutrit"],
+)
+def test_small_eta_limit_matches_deterministic(model, meas, rho0):
     times = grid(2.0, 1e-3)
-    det = lindblad_evolve(damping_model(0.7, drive=1.0), RHO_EXCITED, times)
-    sme = sme_simulate(damping_model(0.7, drive=1.0), 0, 1e-8, RHO_EXCITED, times, seed=7)
+    det = lindblad_evolve(model, rho0, times)
+    sme = sme_simulate(model, meas, 1e-8, rho0, times, seed=7)
     gap = np.max(np.linalg.norm(det.states - sme.states, axis=(1, 2)))
-    assert gap < 5e-3  # Euler-Maruyama drift bias at this step size
+    assert gap < 5e-3  # first-order drift bias of the stochastic step at this step size
+
+
+@pytest.mark.parametrize(
+    "model, meas, rho0",
+    [(damping_model(0.7, drive=1.0), 0, RHO_EXCITED), (qutrit_model(), 1, RHO_TOP3)],
+    ids=["qubit", "qutrit"],
+)
+def test_coarse_step_stays_positive(model, meas, rho0):
+    sim = sme_simulate(model, meas, 1.0, rho0, grid(4.0, 0.05), seed=17)
+    est = filter_estimate(model, sim.record, meas, 1.0, rho0, sim.times)
+    for traj in (sim, est):
+        assert np.linalg.eigvalsh(traj.states).min() >= -1e-12
+        traj.validate()
+    assert np.array_equal(sim.states, est.states)  # one step, fed the same dY
 
 
 def test_fixed_seed_reproduces_bitwise():
@@ -144,7 +174,7 @@ def test_ensemble_too_small_rejected(n_traj):
 # --- filtering -----------------------------------------------------------------
 
 def test_filter_self_consistency():
-    # truth model + own record: innovations reproduce the driving noise
+    # truth model + own record: the filter repeats the simulator's steps
     model = damping_model(0.7, drive=1.0)
     times = grid(2.0, 1e-3)
     sim = sme_simulate(model, 0, 0.5, RHO_EXCITED, times, seed=42)
@@ -228,6 +258,24 @@ def test_fit_skips_non_integrable_points():
     fit = fit_parameters(est, family, g, refine=False)
     assert fit.theta[0] == 0.7
     assert len(fit.skipped) == 1
+
+
+@pytest.mark.parametrize("xtol", [0.0, -1.0, np.nan, np.inf])
+def test_fit_bad_xtol_rejected(xtol):
+    family = damping_family()
+    times = grid(0.5, 1e-2)
+    est = lindblad_evolve(family.at([0.7]), RHO_EXCITED, times)
+    with pytest.raises(ValueError, match="xtol"):
+        fit_parameters(est, family, [np.linspace(0.2, 1.4, 7)], xtol=xtol)
+
+
+def test_fit_tiny_xtol_terminates():
+    # below float resolution the golden-section bracket stops shrinking
+    family = damping_family()
+    times = grid(0.5, 1e-2)
+    est = lindblad_evolve(family.at([0.7]), RHO_EXCITED, times)
+    fit = fit_parameters(est, family, [np.linspace(0.2, 1.4, 7)], xtol=1e-300)
+    assert abs(fit.theta[0] - 0.7) <= 1e-6
 
 
 def test_fit_empty_grid_rejected():
