@@ -28,6 +28,9 @@ from .errors import NUMERICAL_ERRORS
 from .plotting import line_plot_svg
 from .serialize import load_json, matrix_from_json, matrix_to_json, save_json
 
+# largest time grid the filter subcommands accept; each step stores a d×d state
+MAX_STEPS = 10**7
+
 # dests whose CLI flag is not just underscores-to-dashes
 _DEST_TO_FLAG = {"lam": "lambda"}
 
@@ -308,6 +311,8 @@ def _times(horizon: float, dt: float) -> np.ndarray:
     if not np.isfinite(horizon / dt):
         raise ValueError(f"horizon/dt must be finite, got T={horizon!r}, dt={dt!r}")
     n = int(round(horizon / dt))
+    if n > MAX_STEPS:
+        raise ValueError(f"T/dt = {n} steps exceeds the limit of {MAX_STEPS}")
     if abs(n * dt - horizon) > 1e-9 * max(horizon, 1.0):
         raise ValueError("horizon must be an integer multiple of dt")
     return np.arange(n + 1) * dt
@@ -380,6 +385,7 @@ def cmd_filter_fit(args, ws: Workspace) -> int:
             "cost": fit.cost,
             "n_evaluations": len(fit.curve),
             "skipped": [list(t) for t in fit.skipped],
+            "fitted_diagnostics": fitted.diagnostics,
         },
     )
     ws.save_csv(

@@ -278,6 +278,10 @@ def test_filter_fit_subcommand(tmp_path):
     report = load_json(tmp_path / "fit_report.json")
     assert report["param_names"] == ["gamma"]
     assert 0.2 < report["theta_star"][0] < 1.3
+    diag = report["fitted_diagnostics"]
+    assert 0.0 <= diag["max_trace_drift"] < 1e-12
+    assert diag["min_eigenvalue"] > -1e-12
+    assert "diagnostics" not in load_json(tmp_path / "fitted_trajectory.json")
     with open(tmp_path / "cost_curve.csv") as fh:
         rows = list(csv.reader(fh))
     assert rows[0] == ["gamma", "cost"]
@@ -304,6 +308,21 @@ def test_filter_fit_external_record(tmp_path):
 def test_filter_sim_bad_grid_exits_2(tmp_path, horizon, dt):
     model_path = write_damping_model(tmp_path / "model.json")
     assert run_cli("filter-sim", "--model", model_path, f"--T={horizon}", f"--dt={dt}",
+                   "--seed", 1, "--out-dir", tmp_path) == 2
+
+
+@pytest.mark.parametrize("horizon", [1e15, (cli.MAX_STEPS + 1) * 1e-3])
+def test_filter_sim_too_many_steps_exits_2(tmp_path, monkeypatch, horizon):
+    arange = np.arange
+
+    def no_huge_grid(*args, **kwargs):
+        assert not (args and np.ndim(args[0]) == 0 and args[0] > cli.MAX_STEPS + 1), \
+            "the time grid was allocated"
+        return arange(*args, **kwargs)
+
+    monkeypatch.setattr(np, "arange", no_huge_grid)
+    model_path = write_damping_model(tmp_path / "model.json")
+    assert run_cli("filter-sim", "--model", model_path, f"--T={horizon!r}", "--dt=1e-3",
                    "--seed", 1, "--out-dir", tmp_path) == 2
 
 

@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
 
 from susygate.errors import StepSizeError
 from susygate.filter_fit import (
+    POSITIVITY_FLOOR,
     LindbladModel,
     ModelFamily,
     Trajectory,
+    _block_len,
     _rk4_step,
     ensemble_stats,
     filter_estimate,
@@ -81,6 +85,88 @@ def test_positivity_abort_advises_refinement():
     times = grid(2.0, 0.5)  # absurdly coarse step destabilizes RK4
     with pytest.raises(StepSizeError, match="step size"):
         lindblad_evolve(damping_model(8.0), RHO_EXCITED, times)
+
+
+def stepwise_evolve(model, rho0, times):
+    """Reference integrator: one RK4 step and one trace renormalization at
+    a time; stops with StepSizeError at the first state below the
+    positivity floor."""
+    s = liouvillian(model)
+    d = model.dim
+    dt = times[1] - times[0]
+    y = np.asarray(rho0, dtype=complex).reshape(-1)
+    states = [y.reshape(d, d)]
+    for t in times[1:]:
+        y = _rk4_step(s, y, dt)
+        y = y / y[:: d + 1].sum().real
+        low = np.linalg.eigvalsh(y.reshape(d, d)).min()
+        if low < POSITIVITY_FLOOR:
+            raise StepSizeError(
+                f"eigenvalue {low:.3e} below {POSITIVITY_FLOOR} at t={t:.6g}; "
+                "reduce the step size"
+            )
+        states.append(y.reshape(d, d))
+    return np.stack(states)
+
+
+# (multiple of the block length, extra points): 1 step, a block less one
+# step, one full block, a block and one step, and 2000 steps (partial tail)
+_GRID_POINTS = [(0, 2), (1, 0), (1, 1), (1, 2), (0, 2001)]
+
+
+@pytest.mark.parametrize("blocks, extra", _GRID_POINTS, ids=["2", "B", "B+1", "B+2", "2001"])
+@pytest.mark.parametrize(
+    "model, rho0",
+    [(damping_model(0.7, drive=1.0), RHO_EXCITED), (qutrit_model(), RHO_TOP3)],
+    ids=["qubit", "qutrit"],
+)
+def test_blocked_matches_stepwise_reference(model, rho0, blocks, extra):
+    n_points = blocks * _block_len(model.dim) + extra
+    times = np.arange(n_points) * 1e-3
+    ref = stepwise_evolve(model, rho0, times)
+    traj = lindblad_evolve(model, rho0, times)
+    assert traj.states.shape == ref.shape
+    assert np.max(np.abs(traj.states - ref)) <= 1e-12
+    diag = traj.diagnostics
+    assert diag["min_eigenvalue"] == pytest.approx(
+        np.linalg.eigvalsh(ref[1:]).min(), abs=1e-12
+    )
+    assert 0.0 <= diag["max_trace_drift"] <= 1e-10 * 1e-3
+
+
+@pytest.mark.parametrize(
+    "gamma, times, t_abort",
+    [(8.0, grid(2.0, 0.5), "0.5"), (2000.0, grid(1.0, 1e-2), "0.01")],
+    ids=["gamma8-dt0.5", "gamma2000-dt0.01"],
+)
+def test_abort_names_first_offending_step(gamma, times, t_abort):
+    # gamma = 2000 at dt = 1e-2 grows about 5.5e3 per step, so the stacked
+    # powers of the step matrix reach 1e239; no overflow warning may escape
+    model = damping_model(gamma)
+    with pytest.raises(StepSizeError) as ref:
+        stepwise_evolve(model, RHO_EXCITED, times)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(StepSizeError) as got:
+            lindblad_evolve(model, RHO_EXCITED, times)
+    assert str(got.value) == str(ref.value)
+    assert f"at t={t_abort};" in str(got.value)
+
+
+def test_non_finite_step_aborts():
+    # the RK4 step matrix of a 1e100 Hamiltonian at dt = 1 overflows
+    model = LindbladModel(1e100 * SX, ())
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(StepSizeError, match=r"non-finite state at t=1;.*step size"):
+            lindblad_evolve(model, RHO_EXCITED, grid(2.0, 1.0))
+
+
+def test_diagnostics_stay_out_of_json():
+    traj = lindblad_evolve(damping_model(1.0), RHO_EXCITED, grid(0.5, 1e-2))
+    assert set(traj.diagnostics) == {"max_trace_drift", "min_eigenvalue"}
+    assert "diagnostics" not in traj.to_json()
+    assert Trajectory.from_json(traj.to_json()).diagnostics == {}
 
 
 def test_nonuniform_grid_rejected():
