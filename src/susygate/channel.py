@@ -24,10 +24,9 @@ import numpy as np
 
 from . import dyson
 from .dyson import ControlPulse
-from .fock import is_psd, is_unitary, momentum_op, position_op
-from .gate_synth import design_matrix
+from .fock import is_psd, is_unitary, position_op
 from .serialize import matrix_from_json, matrix_to_json
-from .spectrum import Spectrum, diagonalize
+from .spectrum import Spectrum, build_h0, diagonalize
 
 
 @dataclass(frozen=True)
@@ -153,13 +152,16 @@ def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
+def _kraus_columns(kraus) -> np.ndarray:
+    # column k is vec(K_k) over the composite index (input i, output x),
+    # row-major, so the Choi matrix is C C†
+    return np.stack([k.T.reshape(-1) for k in kraus], axis=1)
+
+
 def choi(ch: QuantumChannel) -> np.ndarray:
     """Choi matrix J = sum_ij |i><j| ⊗ Φ(|i><j|); trace d_in, PSD iff CP."""
-    j = np.zeros((ch.d_in * ch.d_out, ch.d_in * ch.d_out), dtype=complex)
-    for k in ch.kraus:
-        v = k.T.reshape(-1)  # composite index (input i, output x), row-major
-        j += np.outer(v, v.conj())
-    return j
+    c = _kraus_columns(ch.kraus)
+    return c @ c.conj().T
 
 
 def channel_distance(ch1: QuantumChannel, ch2: QuantumChannel) -> float:
@@ -173,9 +175,9 @@ def channel_distance(ch1: QuantumChannel, ch2: QuantumChannel) -> float:
 class JointSystem:
     """System ⊗ ancilla model used for channel design.
 
-    The system factor is the driven anharmonic mode truncated at the gate
-    dimension itself: the joint model is treated as a concrete finite
-    system, not as a further truncation of something larger.
+    The system factor is the driven anharmonic mode, ``build_h0`` truncated
+    at the gate dimension itself: the joint model is treated as a concrete
+    finite system, not as a further truncation of something larger.
     """
 
     sys_dim: int
@@ -194,14 +196,11 @@ class JointSystem:
         return self.sys_dim * self.anc_dim
 
     def hamiltonian(self) -> np.ndarray:
-        q = position_op(self.sys_dim)
-        p = momentum_op(self.sys_dim)
-        q2 = q @ q
-        h_sys = 0.5 * (p @ p + q2) + self.c1 * (q2 @ q) + self.c2 * (q2 @ q2)
+        h_sys = build_h0(self.c1, self.c2, self.sys_dim)
         h_anc = np.diag(self.anc_freq * np.arange(self.anc_dim)).astype(complex)
         h = np.kron(h_sys, np.eye(self.anc_dim)) + np.kron(np.eye(self.sys_dim), h_anc)
         if self.anc_dim > 1:
-            h = h + self.coupling * np.kron(q, position_op(self.anc_dim))
+            h = h + self.coupling * np.kron(position_op(self.sys_dim), position_op(self.anc_dim))
         return h
 
     def control_op(self) -> np.ndarray:
@@ -217,6 +216,13 @@ class JointSystem:
         return v
 
 
+def _traced(spec: Spectrum, u_eig: np.ndarray, anc: np.ndarray, d_anc: int) -> QuantumChannel:
+    # rotate a joint gate from the eigenbasis to the Fock basis, then trace
+    # out the ancilla; first-order gates are only approximately unitary
+    u_fock = spec.modes @ u_eig @ spec.modes.conj().T
+    return kraus_from_unitary(u_fock, anc, d_anc=d_anc, utol=None)
+
+
 def dyson_channel(
     joint: JointSystem, pulse: ControlPulse, anc_state: np.ndarray | None = None
 ) -> QuantumChannel:
@@ -227,8 +233,7 @@ def dyson_channel(
     spec = joint.spectrum()
     anc = joint.ground_ancilla() if anc_state is None else np.asarray(anc_state, dtype=complex)
     u_eig = dyson.dyson_gate(spec, pulse, control=joint.control_op())
-    u_prod = spec.modes @ u_eig @ spec.modes.conj().T
-    return kraus_from_unitary(u_prod, anc, d_anc=joint.anc_dim, utol=None)
+    return _traced(spec, u_eig, anc, joint.anc_dim)
 
 
 @dataclass
@@ -284,22 +289,16 @@ def synthesize_channel(
     if abs(np.linalg.norm(anc) - 1.0) > 1e-8:
         raise ValueError("ancilla state must be normalized")
 
-    v = spec.modes
     dim = joint.dim
 
     def choi_factor(u_eig):
-        # columns are the Kraus vectors that choi() sums as outer products
-        u_prod = v @ u_eig.reshape(dim, dim) @ v.conj().T
-        ch = kraus_from_unitary(u_prod, anc, d_anc=joint.anc_dim, utol=None)
-        return np.stack([k.T.reshape(-1) for k in ch.kraus], axis=1)
+        return _kraus_columns(_traced(spec, u_eig.reshape(dim, dim), anc, joint.anc_dim).kraus)
 
-    a = design_matrix(spec, horizon, n_harmonics, control=ctrl)
+    a = dyson.design_matrix(spec, horizon, n_harmonics, control=ctrl)
     c0 = choi_factor(dyson.u0(spec, horizon))
     cs = np.array([choi_factor(col) for col in a.T])
     n_params = 2 * n_harmonics + 1
-    w_energy = np.full(n_params, 0.5 * horizon)
-    w_energy[0] = horizon
-    sqrt_w = np.sqrt(lam * w_energy)
+    sqrt_w = np.sqrt(lam * dyson.energy_weights(horizon, n_harmonics))
 
     evals = 0
 
@@ -335,8 +334,7 @@ def synthesize_channel(
         beta, r = beta + step, r_step
 
     pulse = ControlPulse(horizon, beta)
-    c = factor(beta)
-    ch = QuantumChannel(kraus=tuple(col.reshape(d, d).T for col in c.T), d_in=d, d_out=d)
+    ch = dyson_channel(joint, pulse, anc)
     report = ChannelSynthesisReport(
         pulse=pulse,
         distance=float(np.linalg.norm(choi(ch) - target_choi)),

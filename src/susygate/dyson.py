@@ -31,6 +31,17 @@ from .errors import OracleConvergenceError
 from .fock import position_op
 from .spectrum import Spectrum, build_h0
 
+# midpoint steps whose exponentials are formed per batched eigh call
+MIDPOINT_CHUNK = 4096
+
+
+def energy_weights(horizon: float, n_harmonics: int) -> np.ndarray:
+    """Weights w with ∫_0^T b(t)² dt = Σ_j w_j β_j², exactly: T for the
+    constant term and T/2 for each cosine and sine."""
+    w = np.full(2 * n_harmonics + 1, 0.5 * horizon)
+    w[0] = horizon
+    return w
+
 
 @dataclass(frozen=True)
 class ControlPulse:
@@ -70,8 +81,7 @@ class ControlPulse:
 
     def energy(self) -> float:
         """∫_0^T b(t)² dt in closed form (harmonics are orthogonal)."""
-        c = self.coeffs
-        return float(self.horizon * (c[0] ** 2 + 0.5 * np.sum(c[1:] ** 2)))
+        return float(energy_weights(self.horizon, self.n_harmonics) @ self.coeffs**2)
 
     def scaled(self, factor: float) -> "ControlPulse":
         return ControlPulse(self.horizon, self.coeffs * factor)
@@ -154,6 +164,23 @@ def control_in_eigenbasis(spec: Spectrum, control: np.ndarray | None = None) -> 
     return full[: spec.cutoff_kept, : spec.cutoff_kept]
 
 
+def design_matrix(
+    spec: Spectrum,
+    horizon: float,
+    n_harmonics: int,
+    control: np.ndarray | None = None,
+) -> np.ndarray:
+    """Complex matrix A with vec U(β) = vec U0(T) + A β for the first-order
+    gate; column j is the gate derivative along coefficient j."""
+    e = spec.kept_energies
+    q = control_in_eigenbasis(spec, control)
+    omega = e[:, None] - e[None, :]
+    bt = basis_transforms(horizon, n_harmonics, omega)  # (k, k, 2K+1)
+    core = -1j * np.exp(-1j * e * horizon)[:, None, None] * q[:, :, None] * bt
+    k = spec.cutoff_kept
+    return core.reshape(k * k, 2 * n_harmonics + 1)
+
+
 def dyson_gate(
     spec: Spectrum, pulse: ControlPulse, control: np.ndarray | None = None
 ) -> np.ndarray:
@@ -162,11 +189,9 @@ def dyson_gate(
     Not exactly unitary: the defect is O(|b|²) (quantified against
     ``propagate_oracle`` in tests).
     """
-    e = spec.kept_energies
-    q = control_in_eigenbasis(spec, control)
-    bhat = pulse_transform(pulse, e[:, None] - e[None, :])
-    row_phase = np.exp(-1j * e * pulse.horizon)
-    return np.diag(row_phase) - 1j * bhat * row_phase[:, None] * q
+    k = spec.cutoff_kept
+    a = design_matrix(spec, pulse.horizon, pulse.n_harmonics, control)
+    return u0(spec, pulse.horizon) + (a @ pulse.coeffs).reshape(k, k)
 
 
 def _ordered_product(mats: np.ndarray) -> np.ndarray:
@@ -182,15 +207,15 @@ def _ordered_product(mats: np.ndarray) -> np.ndarray:
 
 
 def _midpoint_product(
-    h0: np.ndarray, ctrl: np.ndarray, pulse: ControlPulse, steps: int, chunk: int = 4096
+    h0: np.ndarray, ctrl: np.ndarray, pulse: ControlPulse, steps: int
 ) -> np.ndarray:
     dim = h0.shape[0]
     dt = pulse.horizon / steps
     t_mid = (np.arange(steps) + 0.5) * dt
     b = np.atleast_1d(pulse.evaluate(t_mid))
     u = np.eye(dim, dtype=complex)
-    for start in range(0, steps, chunk):
-        bb = b[start : start + chunk]
+    for start in range(0, steps, MIDPOINT_CHUNK):
+        bb = b[start : start + MIDPOINT_CHUNK]
         h = h0[None, :, :] + bb[:, None, None] * ctrl[None, :, :]
         w, v = np.linalg.eigh(h)
         factors = np.matmul(

@@ -133,7 +133,7 @@ class Trajectory:
     seed: int | None = None
     diagnostics: dict = field(default_factory=dict)
 
-    def validate(self, trace_tol: float = 1e-8, eig_tol: float = 1e-6) -> None:
+    def validate(self) -> None:
         from .fock import is_hermitian, is_psd
 
         if self.states.shape[0] != self.times.shape[0]:
@@ -143,16 +143,16 @@ class Trajectory:
         for rho in self.states:
             if not is_hermitian(rho, tol=1e-8):
                 raise ValueError("state not Hermitian")
-            if abs(np.trace(rho).real - 1.0) > trace_tol:
+            if abs(np.trace(rho).real - 1.0) > 1e-8:
                 raise ValueError("state trace differs from 1")
-            if not is_psd(rho, tol=eig_tol):
+            if not is_psd(rho, tol=1e-6):
                 raise ValueError("state has a negative eigenvalue beyond tolerance")
 
     def to_json(self) -> dict:
         return {
-            "times": [float(t) for t in self.times],
+            "times": self.times.tolist(),
             "states": [matrix_to_json(s) for s in self.states],
-            "record": None if self.record is None else [float(x) for x in self.record],
+            "record": None if self.record is None else self.record.tolist(),
             "seed": self.seed,
         }
 
@@ -378,7 +378,7 @@ def ensemble_stats(
 class FitResult:
     theta: np.ndarray
     cost: float
-    curve: list  # (theta tuple, cost) pairs in evaluation order
+    curve: list  # (theta tuple, cost) per distinct point, in evaluation order
     skipped: list
 
     def to_json(self) -> dict:
@@ -410,22 +410,16 @@ def _golden_min(f, lo, hi, xtol):
     return (a + b) / 2.0
 
 
-def fit_parameters(
-    est: Trajectory,
-    family: ModelFamily,
-    grid,
-    checkpoints=None,
-    refine: bool = True,
-    xtol: float = 1e-4,
-) -> FitResult:
+def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-4) -> FitResult:
     """Match a model family to an estimated trajectory.
 
-    cost(θ) = sum_k |ρ_θ(t_k) − ρ_est(t_k)|_F² over checkpoint indices
-    (all grid times by default), with ρ_θ integrated deterministically from
-    the same initial state on the same grid.  A coarse scan over the
-    Cartesian parameter grid is followed by coordinate-wise golden-section
-    refinement inside the best grid cell.  Non-finite costs (integrator
-    failures at extreme θ) are skipped and reported.
+    cost(θ) = sum_k |ρ_θ(t_k) − ρ_est(t_k)|_F² over all grid times, with
+    ρ_θ integrated deterministically from the same initial state on the
+    same grid.  A coarse scan over the Cartesian parameter grid is followed
+    by two coordinate-wise golden-section passes inside the best grid cell.
+    Each distinct θ is integrated once: ``curve`` and ``skipped`` list
+    distinct points in first-evaluation order.  Non-finite costs
+    (integrator failures at extreme θ) are skipped and reported.
     """
     import itertools
 
@@ -438,23 +432,21 @@ def fit_parameters(
         raise ValueError("empty parameter grid")
     times = est.times
     rho0 = est.states[0]
-    idx = np.arange(times.size) if checkpoints is None else np.asarray(checkpoints)
-    ref = est.states[idx]
 
-    curve: list = []
-    skipped: list = []
+    costs: dict = {}  # distinct θ -> cost (inf if skipped), in evaluation order
 
     def cost(theta):
         theta = np.asarray(theta, dtype=float)
-        try:
-            traj = lindblad_evolve(family.at(theta), rho0, times)
-        except (StepSizeError, FloatingPointError, ValueError):
-            skipped.append(tuple(theta))
-            logger.info("fit: skipped non-integrable point %s", theta)
-            return np.inf
-        c = float(np.sum(np.abs(traj.states[idx] - ref) ** 2))
-        curve.append((tuple(float(x) for x in theta), c))
-        return c
+        key = tuple(float(x) for x in theta)
+        if key not in costs:
+            try:
+                traj = lindblad_evolve(family.at(theta), rho0, times)
+            except (StepSizeError, FloatingPointError, ValueError):
+                logger.info("fit: skipped non-integrable point %s", theta)
+                costs[key] = np.inf
+            else:
+                costs[key] = float(np.sum(np.abs(traj.states - est.states) ** 2))
+        return costs[key]
 
     best_theta, best_cost = None, np.inf
     for combo in itertools.product(*grid):
@@ -465,26 +457,27 @@ def fit_parameters(
     if best_theta is None or not np.isfinite(best_cost):
         raise ValueError("no parameter point produced a finite cost")
 
-    if refine:
-        theta = best_theta.copy()
-        for _ in range(2):  # two coordinate passes
-            for j, g in enumerate(grid):
-                if g.size < 2:
-                    continue
-                i = int(np.argmin(np.abs(g - theta[j])))
-                lo = g[max(i - 1, 0)]
-                hi = g[min(i + 1, g.size - 1)]
-                if hi <= lo:
-                    continue
+    theta = best_theta.copy()
+    for _ in range(2):  # two coordinate passes
+        for j, g in enumerate(grid):
+            if g.size < 2:
+                continue
+            i = int(np.argmin(np.abs(g - theta[j])))
+            lo = g[max(i - 1, 0)]
+            hi = g[min(i + 1, g.size - 1)]
+            if hi <= lo:
+                continue
 
-                def along(x, j=j):
-                    t = theta.copy()
-                    t[j] = x
-                    return cost(t)
+            def along(x, j=j):
+                t = theta.copy()
+                t[j] = x
+                return cost(t)
 
-                theta[j] = _golden_min(along, lo, hi, xtol)
-        final = cost(theta)
-        if final < best_cost:
-            best_theta, best_cost = theta, final
+            theta[j] = _golden_min(along, lo, hi, xtol)
+    final = cost(theta)
+    if final < best_cost:
+        best_theta, best_cost = theta, final
 
+    curve = [(t, c) for t, c in costs.items() if np.isfinite(c)]
+    skipped = [t for t, c in costs.items() if not np.isfinite(c)]
     return FitResult(theta=best_theta, cost=best_cost, curve=curve, skipped=skipped)

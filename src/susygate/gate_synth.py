@@ -8,10 +8,10 @@ field), which is enforced by solving the stacked real system
 [Re A; Im A] β ≈ [Re r; Im r]: the optimizer output is real by
 construction, never by rounding.
 
-The pulse-energy constraint ∫ b² dt = βᵀ W β (W diagonal, exact) enters
-either as a fixed penalty multiplier or as a hard budget; the budget form
-finds its multiplier by monotone bisection on the energy-vs-multiplier
-curve.
+The pulse-energy constraint ∫ b² dt = Σ_j w_j β_j² (exact weights from
+``dyson.energy_weights``) enters either as a fixed penalty multiplier or
+as a hard budget; the budget form finds its multiplier by monotone
+bisection on the energy-vs-multiplier curve.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .dyson import ControlPulse, basis_transforms, control_in_eigenbasis, propagate_oracle, u0
+from .dyson import ControlPulse, design_matrix, energy_weights, propagate_oracle, u0
 from .fock import is_unitary
 from .spectrum import Spectrum
 
@@ -88,36 +88,12 @@ class SynthesisReport:
         }
 
 
-def energy_form(horizon: float, n_harmonics: int) -> np.ndarray:
-    """Diagonal quadratic form W with βᵀWβ = ∫_0^T b(t)² dt, exactly."""
-    w = np.full(2 * n_harmonics + 1, 0.5 * horizon)
-    w[0] = horizon
-    return np.diag(w)
-
-
-def design_matrix(
-    spec: Spectrum,
-    horizon: float,
-    n_harmonics: int,
-    control: np.ndarray | None = None,
-) -> np.ndarray:
-    """Complex matrix A with vec U(β) = vec U0(T) + A β for the first-order
-    gate; column j is the gate derivative along coefficient j."""
-    e = spec.kept_energies
-    q = control_in_eigenbasis(spec, control)
-    omega = e[:, None] - e[None, :]
-    bt = basis_transforms(horizon, n_harmonics, omega)  # (k, k, 2K+1)
-    core = -1j * np.exp(-1j * e * horizon)[:, None, None] * q[:, :, None] * bt
-    k = spec.cutoff_kept
-    return core.reshape(k * k, 2 * n_harmonics + 1)
-
-
-def _ridge_solve(a_real, r_real, w_diag, lam):
+def _ridge_solve(a_real, r_real, w, lam):
     # Augmented least squares: rows sqrt(lam*w) implement the ridge term;
     # lstsq gives the minimum-norm solution on rank deficiency.
     if lam > 0:
-        aug = np.vstack([a_real, np.diag(np.sqrt(lam * w_diag))])
-        rhs = np.concatenate([r_real, np.zeros(w_diag.size)])
+        aug = np.vstack([a_real, np.diag(np.sqrt(lam * w))])
+        rhs = np.concatenate([r_real, np.zeros(w.size)])
     else:
         aug, rhs = a_real, r_real
     beta, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
@@ -142,16 +118,16 @@ def synthesize(prob: SynthesisProblem, oracle_check: bool = False) -> SynthesisR
 
     a_real = np.vstack([a.real, a.imag])
     r_real = np.concatenate([r.real, r.imag])
-    w_diag = np.diag(energy_form(t_h, n_k))
+    w = energy_weights(t_h, n_k)
 
     note = ""
     if prob.budget is not None:
-        beta, lam, note = _solve_budget(a_real, r_real, w_diag, t_h, prob.budget)
+        beta, lam, note = _solve_budget(a_real, r_real, w, prob.budget)
     else:
         lam = float(prob.lam)
-        beta = _ridge_solve(a_real, r_real, w_diag, lam)
+        beta = _ridge_solve(a_real, r_real, w, lam)
 
-    normal = a_real.T @ a_real + lam * np.diag(w_diag)
+    normal = a_real.T @ a_real + np.diag(lam * w)
     conditioning = float(np.linalg.cond(normal))
     if conditioning > CONDITION_WARN:
         warnings.warn(
@@ -179,10 +155,10 @@ def synthesize(prob: SynthesisProblem, oracle_check: bool = False) -> SynthesisR
     return report
 
 
-def _solve_budget(a_real, r_real, w_diag, horizon, budget):
+def _solve_budget(a_real, r_real, w, budget):
     def energy_at(lam):
-        beta = _ridge_solve(a_real, r_real, w_diag, lam)
-        return beta, ControlPulse(horizon, beta).energy()
+        beta = _ridge_solve(a_real, r_real, w, lam)
+        return beta, float(w @ beta**2)
 
     beta0, e0 = energy_at(0.0)
     if e0 <= budget:
@@ -206,13 +182,7 @@ def _solve_budget(a_real, r_real, w_diag, horizon, budget):
     return beta, hi, ""
 
 
-def sweep(
-    prob: SynthesisProblem, lam_grid, oracle_check: bool = False
-) -> list[SynthesisReport]:
+def sweep(prob: SynthesisProblem, lam_grid) -> list[SynthesisReport]:
     """One synthesis per multiplier; energies are non-increasing and
     residuals non-decreasing along an increasing grid (ridge trade-off)."""
-    reports = []
-    for lam in lam_grid:
-        p = replace(prob, lam=float(lam), budget=None)
-        reports.append(synthesize(p, oracle_check=oracle_check))
-    return reports
+    return [synthesize(replace(prob, lam=float(lam), budget=None)) for lam in lam_grid]

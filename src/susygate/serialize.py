@@ -15,14 +15,14 @@ import numpy as np
 
 def matrix_to_json(a: np.ndarray) -> dict:
     """Encode a (possibly complex) 2-D array into the matrix schema."""
-    a = np.atleast_2d(np.asarray(a))
+    a = np.atleast_2d(np.asarray(a, dtype=complex))
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {a.shape}")
     return {
         "rows": int(a.shape[0]),
         "cols": int(a.shape[1]),
-        "re": [float(x) for x in a.real.reshape(-1)],
-        "im": [float(x) for x in a.imag.reshape(-1)],
+        "re": a.real.ravel().tolist(),
+        "im": a.imag.ravel().tolist(),
     }
 
 

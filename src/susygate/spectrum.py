@@ -38,8 +38,6 @@ def default_raw_dim(kept: int) -> int:
 
 def build_h0(c1: float, c2: float, cutoff: int) -> np.ndarray:
     """Assemble (P² + Q²)/2 + c1·Q³ + c2·Q⁴ at the given truncation."""
-    if cutoff < 4:
-        raise ValueError("cutoff must be >= 4 (quartic term needs reach)")
     if c2 < 0 or (c1 != 0 and c2 == 0):
         warnings.warn(
             "potential unbounded below (c2 < 0 or pure cubic tilt); "
@@ -151,6 +149,8 @@ def compute_spectrum(
     if raw < kept:
         raise ValueError("raw_dim must be >= kept")
     if basis == "exact":
+        if raw < 4:
+            raise ValueError("raw_dim must be >= 4 (quartic term needs reach)")
         return diagonalize(build_h0(c1, c2, raw), kept, c1, c2)
     if basis == "pt":
         energies = perturbative_energies(c1, c2, raw - 1)

@@ -162,8 +162,8 @@ def _pair_at(w_coeffs: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]
     return kinetic + 0.5 * wpp, kinetic - 0.5 * wpp  # (h_plus, h_minus)
 
 
-def susy_pair(w_coeffs, cutoff: int, check_convergence: bool = True) -> SusyPair:
-    """Build the partner pair; optionally verify that the lowest levels are
+def susy_pair(w_coeffs, cutoff: int) -> SusyPair:
+    """Build the partner pair and verify that the lowest levels are
     cutoff-converged (compared against a 1.5× larger truncation)."""
     w = np.asarray(w_coeffs, dtype=float).reshape(-1)
     if w.size < 3:
@@ -171,19 +171,18 @@ def susy_pair(w_coeffs, cutoff: int, check_convergence: bool = True) -> SusyPair
     if cutoff < 8:
         raise ValueError("cutoff too small for a meaningful pair")
     h_plus, h_minus = _pair_at(w, cutoff)
-    if check_convergence:
-        bigger = int(np.ceil(1.5 * cutoff))
-        hp2, hm2 = _pair_at(w, bigger)
-        n_check = 6
-        for h_small, h_big, name in ((h_plus, hp2, "+"), (h_minus, hm2, "-")):
-            e_small = np.linalg.eigvalsh(h_small)[:n_check]
-            e_big = np.linalg.eigvalsh(h_big)[:n_check]
-            drift = float(np.max(np.abs(e_small - e_big)))
-            if drift >= 1e-6:
-                raise CutoffError(
-                    f"sector {name}: lowest-{n_check} levels drift {drift:.2e} "
-                    f"between cutoffs {cutoff} and {bigger}; raise the cutoff"
-                )
+    bigger = int(np.ceil(1.5 * cutoff))
+    hp2, hm2 = _pair_at(w, bigger)
+    n_check = 6
+    for h_small, h_big, name in ((h_plus, hp2, "+"), (h_minus, hm2, "-")):
+        e_small = np.linalg.eigvalsh(h_small)[:n_check]
+        e_big = np.linalg.eigvalsh(h_big)[:n_check]
+        drift = float(np.max(np.abs(e_small - e_big)))
+        if drift >= 1e-6:
+            raise CutoffError(
+                f"sector {name}: lowest-{n_check} levels drift {drift:.2e} "
+                f"between cutoffs {cutoff} and {bigger}; raise the cutoff"
+            )
     return SusyPair(w_coeffs=w, cutoff=cutoff, h_plus=h_plus, h_minus=h_minus)
 
 

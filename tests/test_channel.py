@@ -15,6 +15,8 @@ from susygate.channel import (
     synthesize_channel,
 )
 from susygate.dyson import ControlPulse
+from susygate.fock import position_op
+from susygate.spectrum import MetastableWarning, build_h0
 
 
 # --- partial trace ----------------------------------------------------------
@@ -163,6 +165,24 @@ def test_channel_json_roundtrip(rng):
 
 
 # --- joint-system channel design ---------------------------------------------
+
+@pytest.mark.parametrize("sys_dim", [2, 3])
+def test_joint_hamiltonian_uses_anharmonic_builder(sys_dim):
+    joint = JointSystem(sys_dim=sys_dim, anc_dim=2, anc_freq=1.3, coupling=0.15,
+                        c1=0.02, c2=0.01)
+    h_anc = np.diag([0.0, 1.3]).astype(complex)
+    expected = (
+        np.kron(build_h0(0.02, 0.01, sys_dim), np.eye(2))
+        + np.kron(np.eye(sys_dim), h_anc)
+        + 0.15 * np.kron(position_op(sys_dim), position_op(2))
+    )
+    assert np.array_equal(joint.hamiltonian(), expected)
+
+
+def test_joint_pure_cubic_tilt_warns():
+    with pytest.warns(MetastableWarning):
+        JointSystem(sys_dim=3, anc_dim=2, c1=0.05, c2=0.0).hamiltonian()
+
 
 def test_trivial_ancilla_channel_matches_free_propagator():
     joint = JointSystem(sys_dim=3, anc_dim=1)

@@ -1,4 +1,8 @@
 import csv
+import json
+import os
+import subprocess
+import sys
 import tempfile
 from pathlib import Path
 
@@ -7,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import susygate
 from susygate import cli
 from susygate.dyson import ControlPulse, u0
 from susygate.gate_synth import design_matrix
@@ -96,6 +101,10 @@ def test_malformed_json_exits_2(tmp_path):
 
 def test_validation_error_exits_2(tmp_path):
     assert run_cli("spectrum", "--dim", 6, "--raw-dim", 2, "--out-dir", tmp_path) == 2
+
+
+def test_raw_dim_without_reach_exits_2(tmp_path):
+    assert run_cli("spectrum", "--dim", 2, "--raw-dim", 3, "--out-dir", tmp_path) == 2
 
 
 def test_numerical_failure_exits_3(tmp_path):
@@ -419,3 +428,47 @@ def test_demo_seed_stability(tmp_path):
         thetas.append(load_json(out / "demo_report.json")["theta_star"][0])
     assert thetas[0] != thetas[1]
     assert all(abs(t - 0.7) < 0.35 for t in thetas)
+
+
+# --- import footprint ---------------------------------------------------------------
+
+SCIPY_SUBMODULES = ("scipy.optimize", "scipy.linalg", "scipy.integrate", "scipy.sparse")
+
+
+def test_cli_imports_no_scipy_submodules(tmp_path):
+    # each of these SciPy submodules adds resident memory at import; the
+    # design and filter subcommands run on NumPy alone
+    from susygate.channel import JointSystem, choi, dyson_channel
+
+    save_json(tmp_path / "target.json",
+              matrix_to_json(u0(compute_spectrum(0.03, 0.01, kept=4), 2.0)))
+    joint = JointSystem(sys_dim=2, anc_dim=2)
+    target = choi(dyson_channel(joint, ControlPulse(2.0, np.array([0.1, 0.05, 0.0]))))
+    save_json(tmp_path / "choi.json", {**matrix_to_json(target), "d_in": 2, "d_out": 2})
+    model_path = write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 3))
+    runs = [
+        ["spectrum", "--c1", "0.03", "--c2", "0.01", "--dim", "4"],
+        ["synth", "--target", "target.json", "--spectrum", "spectrum.json",
+         "--T", "2", "--K", "2", "--lambda", "0", "--no-oracle-check"],
+        ["channel", "--target", "choi.json", "--T", "2", "--K", "1"],
+        ["filter-fit", "--model", str(model_path), "--dt", "1e-2", "--T", "0.5",
+         "--seed", "1"],
+    ]
+    script = (
+        "import json, sys\n"
+        "from susygate import cli\n"
+        "codes = [cli.main(argv + ['--out-dir', '.']) for argv in json.loads(sys.argv[1])]\n"
+        "loaded = [m for m in json.loads(sys.argv[2]) if m in sys.modules]\n"
+        "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
+    )
+    src = str(Path(susygate.__file__).resolve().parents[1])
+    env = {**os.environ,
+           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-c", script, json.dumps(runs), json.dumps(SCIPY_SUBMODULES)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout.splitlines()[-1])
+    assert result["codes"] == [0, 0, 0, 0]
+    assert result["loaded"] == []

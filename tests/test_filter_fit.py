@@ -321,7 +321,7 @@ def test_self_fit_recovers_grid_point_exactly():
     est = lindblad_evolve(family.at([0.7]), RHO_EXCITED, times)
     g = [np.linspace(0.1, 1.5, 8)]  # 0.7 is the 4th grid point? ensure inclusion
     g = [np.array([0.1, 0.3, 0.5, 0.7, 0.9, 1.1])]
-    fit = fit_parameters(est, family, g, refine=False)
+    fit = fit_parameters(est, family, g)
     assert fit.theta[0] == 0.7
     assert fit.cost <= 1e-12
 
@@ -341,9 +341,22 @@ def test_fit_skips_non_integrable_points():
     times = grid(2.0, 1e-2)
     est = lindblad_evolve(family.at([0.7]), RHO_EXCITED, times)
     g = [np.array([0.7, 2000.0])]  # second point destabilizes the integrator
-    fit = fit_parameters(est, family, g, refine=False)
-    assert fit.theta[0] == 0.7
-    assert len(fit.skipped) == 1
+    fit = fit_parameters(est, family, g)
+    assert fit.theta[0] == 0.7  # cost 0 there; the refinement cannot beat it
+    assert (2000.0,) in fit.skipped
+    assert len(set(fit.skipped)) == len(fit.skipped)
+
+
+def test_one_parameter_fit_integrates_each_point_once():
+    # truth 0.75 stays nearest the grid point 0.7, so the second coordinate
+    # pass of this 1-parameter fit brackets and probes exactly as the first
+    family = damping_family()
+    times = grid(2.0, 1e-2)
+    est = lindblad_evolve(family.at([0.75]), RHO_EXCITED, times)
+    fit = fit_parameters(est, family, [np.linspace(0.1, 1.5, 8)], xtol=1e-4)
+    assert abs(fit.theta[0] - 0.75) <= 1e-3
+    thetas = [t for t, _ in fit.curve]
+    assert len(set(thetas)) == len(thetas)
 
 
 @pytest.mark.parametrize("xtol", [0.0, -1.0, np.nan, np.inf])

@@ -79,8 +79,10 @@ def test_metastable_warnings():
 
 
 def test_build_h0_needs_reach():
-    with pytest.raises(ValueError):
-        build_h0(0.0, 0.0, 3)
+    # the check sits where a user picks the truncation; build_h0 itself also
+    # serves the small joint-system factors
+    with pytest.raises(ValueError, match="reach"):
+        compute_spectrum(0.0, 0.0, kept=2, raw_dim=3)
 
 
 # --- diagonalize -----------------------------------------------------------
