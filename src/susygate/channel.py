@@ -26,6 +26,7 @@ from . import dyson
 from .dyson import ControlPulse
 from .fock import is_psd, is_unitary, position_op
 from .serialize import matrix_from_json, matrix_to_json
+from .solver import gauss_newton
 from .spectrum import Spectrum, build_h0, diagonalize
 
 
@@ -272,10 +273,10 @@ def synthesize_channel(
 
     The joint gate is affine in β, so the stacked Kraus vectors are too:
     Choi(β) = C C† with C = C0 + Σ_j β_j C_j, and dChoi/dβ_j = C_j C† + C C_j†
-    exactly.  Each step is the minimum-norm least-squares step, halved until
-    the cost drops, so β never moves along directions the Choi matrix
-    ignores.  ``converged`` is False only when the iteration cap ran out
-    before the step shrank below 1e-10·(1 + |β|) or descent stopped.
+    exactly.  :func:`~susygate.solver.gauss_newton` takes minimum-norm
+    least-squares steps, so β never moves along directions the Choi matrix
+    ignores; it stops at a step below 1e-10·(1 + |β|), and ``converged`` is
+    False only when its iteration cap ran out.
     """
     target_choi = np.asarray(target_choi, dtype=complex)
     d = joint.sys_dim
@@ -302,36 +303,20 @@ def synthesize_channel(
 
     evals = 0
 
-    def factor(beta):
-        return c0 + np.tensordot(beta, cs, axes=1)
-
-    def residual(beta):
+    def evaluate(beta):
         nonlocal evals
         evals += 1
-        c = factor(beta)
+        c = c0 + np.tensordot(beta, cs, axes=1)
         diff = (c @ c.conj().T - target_choi).reshape(-1)
-        return np.concatenate([diff.real, diff.imag, sqrt_w * beta])
 
-    def jacobian(beta):
-        m = cs @ factor(beta).conj().T
-        dchoi = (m + m.conj().transpose(0, 2, 1)).reshape(n_params, -1).T
-        return np.vstack([dchoi.real, dchoi.imag, np.diag(sqrt_w)])
+        def jacobian():
+            m = cs @ c.conj().T
+            dchoi = (m + m.conj().transpose(0, 2, 1)).reshape(n_params, -1).T
+            return np.vstack([dchoi.real, dchoi.imag, np.diag(sqrt_w)])
 
-    beta = np.zeros(n_params)
-    r = residual(beta)
-    converged = False
-    for _ in range(100):  # iteration cap; Gauss–Newton needs a handful
-        step = np.linalg.lstsq(jacobian(beta), -r, rcond=None)[0]
-        tol = 1e-10 * (1.0 + np.linalg.norm(beta))
-        while np.linalg.norm(step) > tol:
-            r_step = residual(beta + step)
-            if r_step @ r_step < r @ r:
-                break
-            step = 0.5 * step
-        else:  # step below tolerance, or no descent along it
-            converged = True
-            break
-        beta, r = beta + step, r_step
+        return np.concatenate([diff.real, diff.imag, sqrt_w * beta]), jacobian
+
+    beta, converged = gauss_newton(evaluate, np.zeros(n_params), 1e-10)
 
     pulse = ControlPulse(horizon, beta)
     ch = dyson_channel(joint, pulse, anc)

@@ -23,6 +23,9 @@ simulator draws dY = √η tr((L+L†)ρ) dt + dW and records it; the filter
 takes dY from a record and is otherwise the same step.  Each step is a
 positive map, so states stay positive semidefinite by construction.
 
+Fitting scans a parameter grid, then runs damped Gauss–Newton from the
+best grid point with exact trajectory sensitivities as its Jacobian.
+
 Fixed steps everywhere: runs are bitwise reproducible for a given seed.
 """
 
@@ -35,6 +38,7 @@ import numpy as np
 
 from .errors import StepSizeError
 from .serialize import matrix_from_json, matrix_to_json
+from .solver import gauss_newton
 
 logger = logging.getLogger(__name__)
 
@@ -215,9 +219,19 @@ def _rk4_step(s: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
     return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
 
 
-def _block_len(d: int) -> int:
-    """Steps per block of :func:`lindblad_evolve` for a d-level model."""
-    return max(1, min(BLOCK_STEPS, STACK_BYTES // (16 * d**4)))
+def _block_len(n: int) -> int:
+    """Steps per block for a linear step on vectors of length n."""
+    return max(1, min(BLOCK_STEPS, STACK_BYTES // (16 * n * n)))
+
+
+def _stacked_powers(r: np.ndarray, b: int) -> np.ndarray:
+    """R¹…R^b stacked as one (b·n, n) matrix, so stack[: k·n] @ y holds
+    the next k states of y ↦ R y."""
+    powers = np.empty((b, *r.shape), dtype=complex)
+    powers[0] = r
+    for k in range(1, b):
+        powers[k] = r @ powers[k - 1]
+    return powers.reshape(b * r.shape[0], r.shape[1])
 
 
 def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
@@ -238,7 +252,7 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
     n = d * d
     rho0 = _check_state(rho0, d)
     n_steps = times.size - 1
-    b = min(_block_len(d), n_steps)
+    b = min(_block_len(n), n_steps)
     diag_idx = np.arange(d) * (d + 1)
 
     states = np.empty((times.size, d, d), dtype=complex)
@@ -246,12 +260,7 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
     max_drift, min_eig = 0.0, np.inf
     # an unstable step overflows the powers; non-finite states are caught below
     with np.errstate(all="ignore"):
-        r = _rk4_step(liouvillian(model), np.eye(n), dt)
-        powers = np.empty((b, n, n), dtype=complex)
-        powers[0] = r
-        for k in range(1, b):
-            powers[k] = r @ powers[k - 1]
-        stack = powers.reshape(b * n, n)
+        stack = _stacked_powers(_rk4_step(liouvillian(model), np.eye(n), dt), b)
 
         y = rho0.reshape(-1)
         for i in range(0, n_steps, b):
@@ -380,6 +389,8 @@ class FitResult:
     cost: float
     curve: list  # (theta tuple, cost) per distinct point, in evaluation order
     skipped: list
+    trajectory: Trajectory  # lindblad_evolve of theta, as integrated by the fit
+    converged: bool
 
     def to_json(self) -> dict:
         return {
@@ -387,27 +398,40 @@ class FitResult:
             "cost": self.cost,
             "curve": [{"theta": list(t), "cost": c} for t, c in self.curve],
             "skipped": [list(t) for t in self.skipped],
+            "converged": self.converged,
         }
 
 
-def _golden_min(f, lo, hi, xtol):
-    # Golden-section search on [lo, hi]; deterministic, no external state.
-    invphi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c = b - invphi * (b - a)
-    d = a + invphi * (b - a)
-    fc, fd = f(c), f(d)
-    # stop also once rounding leaves no interior points (a tiny xtol)
-    while (b - a) > xtol and a < c < d < b:
-        if fc < fd:
-            b, d, fd = d, c, fc
-            c = b - invphi * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + invphi * (b - a)
-            fd = f(d)
-    return (a + b) / 2.0
+def _tangents(family: ModelFamily, theta, states: np.ndarray, dt: float) -> np.ndarray:
+    """Exact derivatives dρ_k/dθ_j, shape (n_params, n_times, d, d), of the
+    :func:`lindblad_evolve` trajectory ``states`` of ``family.at(theta)``.
+
+    The generator is affine in θ, so the RK4 step of the block generator
+    [[S, 0], [S_j, S]] is [[R, 0], [dR/dθ_j, R]] (Van Loan, IEEE TAC 23,
+    395 (1978)) and the tangents obey Y_{k+1} = R Y_k + (dR/dθ_j) ρ_k.
+    One generator carries every θ_j; its stacked powers advance all
+    tangents a block at a time from the block's stored state.
+    """
+    d = states.shape[1]
+    n, p = d * d, family.n_params
+    terms = [LindbladModel(h, ()) for h in family.h_terms]
+    terms += [LindbladModel(np.zeros((d, d)), (base,)) for base in family.rate_bases]
+    size = (p + 1) * n
+    gen = np.kron(np.eye(p + 1), liouvillian(family.at(theta)))
+    gen[n:, :n] = np.concatenate([liouvillian(t) for t in terms])
+    n_steps = states.shape[0] - 1
+    b = min(_block_len(size), n_steps)
+    # keep the tangent rows [dR^m/dθ_j, R^m] of each power m = 1..b
+    stack = _stacked_powers(_rk4_step(gen, np.eye(size), dt), b).reshape(b, size, size)
+    stack = stack[:, n:].reshape(b * p * n, size)
+
+    flat = states.reshape(-1, n)
+    tangents = np.zeros((states.shape[0], p * n), dtype=complex)
+    for i in range(0, n_steps, b):
+        k = min(b, n_steps - i)
+        y = np.concatenate([flat[i], tangents[i]])
+        tangents[i + 1 : i + 1 + k] = (stack[: k * p * n] @ y).reshape(k, p * n)
+    return tangents.reshape(-1, p, d, d).transpose(1, 0, 2, 3)
 
 
 def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-4) -> FitResult:
@@ -415,11 +439,15 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
 
     cost(θ) = sum_k |ρ_θ(t_k) − ρ_est(t_k)|_F² over all grid times, with
     ρ_θ integrated deterministically from the same initial state on the
-    same grid.  A coarse scan over the Cartesian parameter grid is followed
-    by two coordinate-wise golden-section passes inside the best grid cell.
-    Each distinct θ is integrated once: ``curve`` and ``skipped`` list
-    distinct points in first-evaluation order.  Non-finite costs
-    (integrator failures at extreme θ) are skipped and reported.
+    same grid.  A scan over the Cartesian parameter grid picks the start of
+    :func:`~susygate.solver.gauss_newton` with step tolerance ``xtol``; its
+    Jacobian comes from the exact trajectory sensitivities of
+    :func:`_tangents`.  A θ outside the grid's hull is a failed step and is
+    never integrated, so θ* stays inside the declared ranges.  Each
+    distinct θ is integrated once: ``curve`` and ``skipped`` list distinct
+    points in evaluation order, grid points first.  Non-finite costs
+    (integrator failures at extreme θ) are skipped and reported.  The
+    result is the lowest-cost point evaluated, with its trajectory.
     """
     import itertools
 
@@ -430,54 +458,49 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
         raise ValueError(f"grid must supply {family.n_params} parameter ranges")
     if any(g.size == 0 for g in grid):
         raise ValueError("empty parameter grid")
-    times = est.times
+    times, dt = _check_grid(est.times)
     rho0 = est.states[0]
+    lo, hi = np.array([[g.min(), g.max()] for g in grid]).T
 
     costs: dict = {}  # distinct θ -> cost (inf if skipped), in evaluation order
+    best = {"cost": np.inf}  # lowest-cost point: key, cost, trajectory, evaluation
+    failed = (np.full(1, np.inf), None)
 
-    def cost(theta):
-        theta = np.asarray(theta, dtype=float)
+    def evaluate(theta):
         key = tuple(float(x) for x in theta)
-        if key not in costs:
-            try:
-                traj = lindblad_evolve(family.at(theta), rho0, times)
-            except (StepSizeError, FloatingPointError, ValueError):
-                logger.info("fit: skipped non-integrable point %s", theta)
-                costs[key] = np.inf
-            else:
-                costs[key] = float(np.sum(np.abs(traj.states - est.states) ** 2))
-        return costs[key]
+        if key == best.get("key"):
+            return best["eval"]
+        # each step starts from the best point so far, which no point seen
+        # before can beat
+        if key in costs or not np.all((lo <= theta) & (theta <= hi)):
+            return failed
+        try:
+            traj = lindblad_evolve(family.at(theta), rho0, times)
+        except (StepSizeError, FloatingPointError, ValueError):
+            logger.info("fit: skipped non-integrable point %s", theta)
+            costs[key] = np.inf
+            return failed
+        diff = (traj.states - est.states).reshape(-1)
+        r = np.concatenate([diff.real, diff.imag])
+        costs[key] = float(r @ r)
 
-    best_theta, best_cost = None, np.inf
+        def jacobian():
+            y = _tangents(family, theta, traj.states, dt).reshape(family.n_params, -1)
+            return np.concatenate([y.real, y.imag], axis=1).T
+
+        if costs[key] < best["cost"]:
+            best.update(key=key, cost=costs[key], traj=traj, eval=(r, jacobian))
+        return r, jacobian
+
     for combo in itertools.product(*grid):
-        c = cost(np.asarray(combo))
-        if c < best_cost:
-            best_theta, best_cost = np.asarray(combo, dtype=float), c
-
-    if best_theta is None or not np.isfinite(best_cost):
+        evaluate(np.asarray(combo))
+    if "key" not in best:
         raise ValueError("no parameter point produced a finite cost")
-
-    theta = best_theta.copy()
-    for _ in range(2):  # two coordinate passes
-        for j, g in enumerate(grid):
-            if g.size < 2:
-                continue
-            i = int(np.argmin(np.abs(g - theta[j])))
-            lo = g[max(i - 1, 0)]
-            hi = g[min(i + 1, g.size - 1)]
-            if hi <= lo:
-                continue
-
-            def along(x, j=j):
-                t = theta.copy()
-                t[j] = x
-                return cost(t)
-
-            theta[j] = _golden_min(along, lo, hi, xtol)
-    final = cost(theta)
-    if final < best_cost:
-        best_theta, best_cost = theta, final
+    _, converged = gauss_newton(evaluate, best["key"], xtol)
 
     curve = [(t, c) for t, c in costs.items() if np.isfinite(c)]
     skipped = [t for t, c in costs.items() if not np.isfinite(c)]
-    return FitResult(theta=best_theta, cost=best_cost, curve=curve, skipped=skipped)
+    return FitResult(
+        theta=np.asarray(best["key"]), cost=best["cost"], curve=curve, skipped=skipped,
+        trajectory=best["traj"], converged=converged,
+    )

@@ -287,6 +287,7 @@ def test_filter_fit_subcommand(tmp_path):
     report = load_json(tmp_path / "fit_report.json")
     assert report["param_names"] == ["gamma"]
     assert 0.2 < report["theta_star"][0] < 1.3
+    assert report["converged"] is True
     diag = report["fitted_diagnostics"]
     assert 0.0 <= diag["max_trace_drift"] < 1e-12
     assert diag["min_eigenvalue"] > -1e-12

@@ -1,8 +1,11 @@
+import json
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from susygate import filter_fit
 from susygate.errors import StepSizeError
 from susygate.filter_fit import (
     POSITIVITY_FLOOR,
@@ -11,6 +14,7 @@ from susygate.filter_fit import (
     Trajectory,
     _block_len,
     _rk4_step,
+    _tangents,
     ensemble_stats,
     filter_estimate,
     fit_parameters,
@@ -121,7 +125,7 @@ _GRID_POINTS = [(0, 2), (1, 0), (1, 1), (1, 2), (0, 2001)]
     ids=["qubit", "qutrit"],
 )
 def test_blocked_matches_stepwise_reference(model, rho0, blocks, extra):
-    n_points = blocks * _block_len(model.dim) + extra
+    n_points = blocks * _block_len(model.dim ** 2) + extra
     times = np.arange(n_points) * 1e-3
     ref = stepwise_evolve(model, rho0, times)
     traj = lindblad_evolve(model, rho0, times)
@@ -343,20 +347,55 @@ def test_fit_skips_non_integrable_points():
     g = [np.array([0.7, 2000.0])]  # second point destabilizes the integrator
     fit = fit_parameters(est, family, g)
     assert fit.theta[0] == 0.7  # cost 0 there; the refinement cannot beat it
-    assert (2000.0,) in fit.skipped
-    assert len(set(fit.skipped)) == len(fit.skipped)
+    assert fit.skipped == [(2000.0,)]
 
 
-def test_one_parameter_fit_integrates_each_point_once():
-    # truth 0.75 stays nearest the grid point 0.7, so the second coordinate
-    # pass of this 1-parameter fit brackets and probes exactly as the first
+def test_fit_returns_lowest_cost_point():
     family = damping_family()
     times = grid(2.0, 1e-2)
-    est = lindblad_evolve(family.at([0.75]), RHO_EXCITED, times)
+    est = lindblad_evolve(family.at([0.7]), RHO_EXCITED, times)
+    fit = fit_parameters(est, family, [np.linspace(0.2, 1.4, 7)], xtol=1e-4)
+    theta_min, cost_min = min(fit.curve, key=lambda tc: tc[1])
+    assert fit.cost == cost_min
+    assert tuple(fit.theta) == theta_min
+    assert np.array_equal(
+        fit.trajectory.states, lindblad_evolve(family.at(fit.theta), RHO_EXCITED, times).states
+    )
+
+
+@pytest.mark.parametrize("points", [[0.1, 0.3, 0.5], [0.9, 1.1, 1.3]], ids=["below", "above"])
+def test_fit_stays_inside_grid_hull(points):
+    # truth 0.7 lies outside the hull; steps toward it leave the hull, fail
+    # without being integrated, and halve down to the tolerance
+    family = damping_family()
+    times = grid(2.0, 1e-2)
+    est = lindblad_evolve(family.at([0.7]), RHO_EXCITED, times)
+    fit = fit_parameters(est, family, [np.array(points)], xtol=1e-4)
+    near = points[-1] if points[-1] < 0.7 else points[0]
+    assert fit.theta[0] == near
+    evaluated = [t for t, _ in fit.curve] + fit.skipped
+    assert all(points[0] <= t[0] <= points[-1] for t in evaluated)
+
+
+def test_one_parameter_fit_integrates_each_point_once(monkeypatch):
+    # every θ the fit evaluates, grid point or Gauss–Newton trial, is
+    # integrated exactly once and listed once
+    calls = []
+    evolve = filter_fit.lindblad_evolve
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return evolve(*args, **kwargs)
+
+    monkeypatch.setattr(filter_fit, "lindblad_evolve", counting)
+    family = damping_family()
+    times = grid(2.0, 1e-2)
+    est = evolve(family.at([0.75]), RHO_EXCITED, times)
     fit = fit_parameters(est, family, [np.linspace(0.1, 1.5, 8)], xtol=1e-4)
     assert abs(fit.theta[0] - 0.75) <= 1e-3
     thetas = [t for t, _ in fit.curve]
     assert len(set(thetas)) == len(thetas)
+    assert len(calls) == len(fit.curve) + len(fit.skipped)
 
 
 @pytest.mark.parametrize("xtol", [0.0, -1.0, np.nan, np.inf])
@@ -369,7 +408,8 @@ def test_fit_bad_xtol_rejected(xtol):
 
 
 def test_fit_tiny_xtol_terminates():
-    # below float resolution the golden-section bracket stops shrinking
+    # below float resolution a halved step no longer moves θ; the fit then
+    # halves without integrating until the step falls under the tolerance
     family = damping_family()
     times = grid(0.5, 1e-2)
     est = lindblad_evolve(family.at([0.7]), RHO_EXCITED, times)
@@ -397,3 +437,55 @@ def test_two_parameter_fit():
     )
     assert abs(fit.theta[0] - 1.0) < 5e-3
     assert abs(fit.theta[1] - 0.6) < 5e-3
+
+
+PILOT = json.loads((Path(__file__).parent / "fixtures" / "filter_fit_pilot.json").read_text())
+
+
+def test_noisy_fit_within_half_xtol_of_minimizer():
+    # a fit stopped at the pilot's xtol lies within xtol/2 of the minimizer
+    # of the discrete cost, approximated by the same fit at xtol = 1e-12
+    design = PILOT["design"]
+    family = damping_family()
+    times = grid(design["horizon"], design["dt"])
+    model = family.at([design["gamma_truth"]])
+    record = sme_simulate(model, 0, design["eta"], RHO_EXCITED, times,
+                          seed=PILOT["pinned"]["ci_seed"]).record
+    est = filter_estimate(model, record, 0, design["eta"], RHO_EXCITED, times)
+    g = [np.linspace(design["grid"]["lo"], design["grid"]["hi"], design["grid"]["points"])]
+    fit = fit_parameters(est, family, g, xtol=design["xtol"])
+    ref = fit_parameters(est, family, g, xtol=1e-12)
+    assert fit.converged and ref.converged
+    assert abs(fit.theta[0] - ref.theta[0]) <= design["xtol"] / 2
+    assert ref.cost <= fit.cost
+
+
+def _two_term_family(d):
+    # one Hamiltonian term and one rate term on a driven ladder
+    lower = np.diag(np.sqrt(np.arange(1.0, d)), k=1).astype(complex)
+    return ModelFamily(
+        h0=np.diag(0.3 * np.arange(d) ** 2).astype(complex),
+        h_terms=(0.5 * (lower + lower.conj().T),),
+        rate_bases=(lower,),
+        lindblads=(np.sqrt(0.2) * np.diag(np.arange(d)).astype(complex),),
+    )
+
+
+@pytest.mark.parametrize("d", [2, 3], ids=["qubit", "qutrit"])
+def test_tangents_match_central_differences(d):
+    family = _two_term_family(d)
+    rho0 = np.zeros((d, d), dtype=complex)
+    rho0[-1, -1] = 1.0
+    times = grid(2.0, 1e-2)  # 200 steps: several blocks and a partial one
+    theta = np.array([0.8, 0.6])
+    traj = lindblad_evolve(family.at(theta), rho0, times)
+    tangents = _tangents(family, theta, traj.states, 1e-2)
+    assert tangents.shape == (2, times.size, d, d)
+    h = 1e-5
+    for j in range(2):
+        e = np.eye(2)[j] * h
+        up = lindblad_evolve(family.at(theta + e), rho0, times).states
+        down = lindblad_evolve(family.at(theta - e), rho0, times).states
+        fd = (up - down) / (2 * h)
+        assert np.max(np.abs(tangents[j] - fd)) <= 1e-8
+        assert np.max(np.abs(fd)) > 0.1  # the parameter moves the trajectory
