@@ -113,22 +113,18 @@ def _warn_if_not_state(rho, tol=1e-6):
 
 
 def kraus_from_unitary(
-    u: np.ndarray,
-    anc_state: np.ndarray,
-    d_anc: int | None = None,
-    utol: float | None = 1e-8,
+    u: np.ndarray, anc_state: np.ndarray, utol: float | None = 1e-8
 ) -> QuantumChannel:
     """Channel obtained by conjugating with a joint unitary and tracing the
-    ancilla prepared in ``anc_state``: K_i = (I ⊗ <i|) U (I ⊗ |anc>).
+    ancilla prepared in ``anc_state``: K_i = (I ⊗ <i|) U (I ⊗ |anc>).  The
+    ancilla dimension is the length of ``anc_state``.
 
     ``utol=None`` skips the unitarity check; use it for approximately
     unitary gates, whose TP defect is then reported instead of hidden.
     """
     u = np.asarray(u, dtype=complex)
     anc_state = np.asarray(anc_state, dtype=complex).reshape(-1)
-    d_anc = anc_state.size if d_anc is None else int(d_anc)
-    if anc_state.size != d_anc:
-        raise ValueError("ancilla state length != ancilla dimension")
+    d_anc = anc_state.size
     if abs(np.linalg.norm(anc_state) - 1.0) > 1e-8:
         raise ValueError("ancilla state must be normalized")
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % d_anc:
@@ -217,24 +213,21 @@ class JointSystem:
         return v
 
 
-def _traced(spec: Spectrum, u_eig: np.ndarray, anc: np.ndarray, d_anc: int) -> QuantumChannel:
+def _traced(spec: Spectrum, u_eig: np.ndarray, anc: np.ndarray) -> QuantumChannel:
     # rotate a joint gate from the eigenbasis to the Fock basis, then trace
     # out the ancilla; first-order gates are only approximately unitary
     u_fock = spec.modes @ u_eig @ spec.modes.conj().T
-    return kraus_from_unitary(u_fock, anc, d_anc=d_anc, utol=None)
+    return kraus_from_unitary(u_fock, anc, utol=None)
 
 
-def dyson_channel(
-    joint: JointSystem, pulse: ControlPulse, anc_state: np.ndarray | None = None
-) -> QuantumChannel:
+def dyson_channel(joint: JointSystem, pulse: ControlPulse) -> QuantumChannel:
     """Channel realized by the first-order joint gate followed by tracing
-    out the ancilla.  The gate is only approximately unitary, so the
-    returned channel carries a TP defect of the same order; inspect it via
-    ``tp_defect`` rather than expecting exact trace preservation."""
+    out the ancilla from its ground state.  The gate is only approximately
+    unitary, so the channel carries a TP defect of the same order; inspect
+    it via ``tp_defect`` rather than expecting exact trace preservation."""
     spec = joint.spectrum()
-    anc = joint.ground_ancilla() if anc_state is None else np.asarray(anc_state, dtype=complex)
     u_eig = dyson.dyson_gate(spec, pulse, control=joint.control_op())
-    return _traced(spec, u_eig, anc, joint.anc_dim)
+    return _traced(spec, u_eig, joint.ground_ancilla())
 
 
 @dataclass
@@ -264,12 +257,12 @@ class ChannelSynthesisReport:
 def synthesize_channel(
     target_choi: np.ndarray,
     joint: JointSystem,
-    anc_state: np.ndarray | None,
     horizon: float,
     n_harmonics: int,
     lam: float = 0.0,
 ) -> tuple[ControlPulse, ChannelSynthesisReport]:
-    """Damped Gauss–Newton on |Choi(β) − target|_F² + λ·energy(β) from β = 0.
+    """Damped Gauss–Newton on |Choi(β) − target|_F² + λ·energy(β) from β = 0,
+    with the ancilla prepared in its ground state (as in :func:`dyson_channel`).
 
     The joint gate is affine in β, so the stacked Kraus vectors are too:
     Choi(β) = C C† with C = C0 + Σ_j β_j C_j, and dChoi/dβ_j = C_j C† + C C_j†
@@ -286,14 +279,11 @@ def synthesize_channel(
         raise ValueError(f"energy multiplier must be non-negative, got {lam!r}")
     spec = joint.spectrum()
     ctrl = joint.control_op()
-    anc = joint.ground_ancilla() if anc_state is None else np.asarray(anc_state, dtype=complex)
-    if abs(np.linalg.norm(anc) - 1.0) > 1e-8:
-        raise ValueError("ancilla state must be normalized")
-
+    anc = joint.ground_ancilla()
     dim = joint.dim
 
     def choi_factor(u_eig):
-        return _kraus_columns(_traced(spec, u_eig.reshape(dim, dim), anc, joint.anc_dim).kraus)
+        return _kraus_columns(_traced(spec, u_eig.reshape(dim, dim), anc).kraus)
 
     a = dyson.design_matrix(spec, horizon, n_harmonics, control=ctrl)
     c0 = choi_factor(dyson.u0(spec, horizon))
@@ -319,7 +309,7 @@ def synthesize_channel(
     beta, converged = gauss_newton(evaluate, np.zeros(n_params), 1e-10)
 
     pulse = ControlPulse(horizon, beta)
-    ch = dyson_channel(joint, pulse, anc)
+    ch = dyson_channel(joint, pulse)
     report = ChannelSynthesisReport(
         pulse=pulse,
         distance=float(np.linalg.norm(choi(ch) - target_choi)),

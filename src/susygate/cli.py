@@ -18,7 +18,7 @@ import hashlib
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -86,7 +86,6 @@ class Workspace:
             "versions": {
                 "susygate": __version__,
                 "numpy": np.__version__,
-                "scipy": __import__("scipy").__version__,
                 "python": sys.version.split()[0],
             },
             "wall_time_s": round(time.monotonic() - t0, 6),
@@ -235,9 +234,7 @@ def cmd_channel(args, ws: Workspace) -> int:
         c1=args.c1,
         c2=args.c2,
     )
-    pulse, report = channel.synthesize_channel(
-        target, joint, None, args.T, args.K, lam=args.lam
-    )
+    pulse, report = channel.synthesize_channel(target, joint, args.T, args.K, lam=args.lam)
     ws.save_json("pulse.json", pulse.to_json())
     ws.save_json("channel_report.json", report.to_json())
     print(
@@ -280,7 +277,7 @@ def cmd_vev(args, ws: Workspace) -> int:
     )
     a = susy_toy.vev_control(v)
     ws.save_json("control.json", {"a": [float(x) for x in a]})
-    print(f"vev: control coefficients {list(np.round(a, 12))}")
+    print(f"vev: control coefficients {np.round(a, 12).tolist()}")
     return 0
 
 
@@ -359,12 +356,17 @@ def _read_record(path) -> np.ndarray:
 
 
 def _filter_and_fit(family, rho0, truth, meas, grids, eta, times, seed, xtol, record=None):
-    """Filter a record (simulated from the truth model when None) with the
-    truth model, then fit the family to the filter estimate."""
+    """Filter estimate of a record under the truth model, then the family
+    fitted to it.  With no record, the simulated trajectory is the estimate."""
     truth_model = family.at(truth)
     if record is None:
-        record = filter_fit.sme_simulate(truth_model, meas, eta, rho0, times, seed).record
-    est = filter_fit.filter_estimate(truth_model, record, meas, eta, rho0, times)
+        # filtering the simulated record with the same model, eta and rho0
+        # repeats the simulator's Kraus steps bit for bit, so skip the replay;
+        # like every filter estimate, it carries no seed
+        sim = filter_fit.sme_simulate(truth_model, meas, eta, rho0, times, seed)
+        est = replace(sim, seed=None)
+    else:
+        est = filter_fit.filter_estimate(truth_model, record, meas, eta, rho0, times)
     return est, filter_fit.fit_parameters(est, family, grids, xtol=xtol)
 
 
@@ -400,7 +402,7 @@ def cmd_filter_fit(args, ws: Workspace) -> int:
         list(family.param_names) + ["cost"],
         [tuple(repr(float(x)) for x in t) + (repr(float(c)),) for t, c in fit.curve],
     )
-    print(f"filter-fit: theta* = {list(np.round(fit.theta, 6))} (cost {fit.cost:.3e})")
+    print(f"filter-fit: theta* = {np.round(fit.theta, 6).tolist()} (cost {fit.cost:.3e})")
     return 0
 
 

@@ -33,6 +33,8 @@ from .spectrum import Spectrum, build_h0
 
 # midpoint steps whose exponentials are formed per batched eigh call
 MIDPOINT_CHUNK = 4096
+# Frobenius gap between successive grid doublings at which the oracle stops
+ORACLE_TOL = 1e-8
 
 
 def energy_weights(horizon: float, n_harmonics: int) -> np.ndarray:
@@ -226,36 +228,23 @@ def _midpoint_product(
 
 
 def propagate_oracle(
-    spec: Spectrum,
-    pulse: ControlPulse,
-    control: np.ndarray | None = None,
-    h0: np.ndarray | None = None,
-    steps: int = 64,
-    tol: float = 1e-8,
-    max_doublings: int = 14,
+    spec: Spectrum, pulse: ControlPulse, steps: int = 64, max_doublings: int = 14
 ) -> np.ndarray:
     """Brute-force propagator: midpoint-rule product of step exponentials.
 
     Integrates at the full raw dimension (exactly unitary there), then
     projects to the kept block of the eigenbasis.  The grid is doubled until
-    two successive refinements agree to ``tol`` in Frobenius norm, starting
-    from ``steps``; failure to converge within ``max_doublings`` raises
-    :class:`OracleConvergenceError`.
+    two successive refinements agree to ``ORACLE_TOL`` in Frobenius norm,
+    starting from ``steps``; failure to converge within ``max_doublings``
+    raises :class:`OracleConvergenceError`.
 
-    By default the Hamiltonian is rebuilt from the spectrum's recorded
-    (c1, c2) at the raw cutoff, independent of the stored eigen-data, and
-    the control operator is the position operator.  Pass ``h0``/``control``
-    explicitly for joint (system ⊗ ancilla) models.
+    The Hamiltonian is rebuilt from the spectrum's recorded (c1, c2) at the
+    raw cutoff, independent of the stored eigen-data, and the control
+    operator is the position operator.
     """
     m = spec.cutoff_raw
-    if h0 is None:
-        h0 = build_h0(spec.c1, spec.c2, m)
-    h0 = np.asarray(h0, dtype=complex)
-    if h0.shape != (m, m):
-        raise ValueError(f"h0 shape {h0.shape} != raw dim {m}")
-    ctrl = position_op(m) if control is None else np.asarray(control, dtype=complex)
-    if ctrl.shape != (m, m):
-        raise ValueError(f"control shape {ctrl.shape} != raw dim {m}")
+    h0 = build_h0(spec.c1, spec.c2, m)
+    ctrl = position_op(m)
 
     def project(u_full):
         rotated = spec.modes.conj().T @ u_full @ spec.modes
@@ -265,9 +254,9 @@ def propagate_oracle(
     for _ in range(max_doublings):
         steps *= 2
         cur = project(_midpoint_product(h0, ctrl, pulse, steps))
-        if np.linalg.norm(cur - prev) < tol:
+        if np.linalg.norm(cur - prev) < ORACLE_TOL:
             return cur
         prev = cur
     raise OracleConvergenceError(
-        f"midpoint product not Cauchy to {tol:g} after {steps} steps"
+        f"midpoint product not Cauchy to {ORACLE_TOL:g} after {steps} steps"
     )

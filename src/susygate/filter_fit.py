@@ -392,15 +392,6 @@ class FitResult:
     trajectory: Trajectory  # lindblad_evolve of theta, as integrated by the fit
     converged: bool
 
-    def to_json(self) -> dict:
-        return {
-            "theta": [float(x) for x in self.theta],
-            "cost": self.cost,
-            "curve": [{"theta": list(t), "cost": c} for t, c in self.curve],
-            "skipped": [list(t) for t in self.skipped],
-            "converged": self.converged,
-        }
-
 
 def _tangents(family: ModelFamily, theta, states: np.ndarray, dt: float) -> np.ndarray:
     """Exact derivatives dρ_k/dθ_j, shape (n_params, n_times, d, d), of the

@@ -168,8 +168,6 @@ def _solve_budget(a_real, r_real, w, budget):
     while e_hi > budget:
         lo, hi = hi, hi * 10.0
         beta, e_hi = energy_at(hi)
-        if hi > 1e18:  # energy(lam) -> 0, so this cannot trigger for budget > 0
-            return beta, hi, "budget bisection hit multiplier cap"
     for _ in range(200):
         mid = 0.5 * (lo + hi)
         beta_mid, e_mid = energy_at(mid)

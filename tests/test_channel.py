@@ -195,7 +195,7 @@ def test_trivial_ancilla_channel_matches_free_propagator():
 def test_zero_pulse_optimal_for_free_target():
     joint = JointSystem(sys_dim=3, anc_dim=1)
     target = choi(dyson_channel(joint, ControlPulse(2.0, np.zeros(5))))
-    pulse, report = synthesize_channel(target, joint, None, 2.0, 2, lam=0.0)
+    pulse, report = synthesize_channel(target, joint, 2.0, 2, lam=0.0)
     assert report.distance < 1e-6
     assert np.max(np.abs(pulse.coeffs)) < 1e-6
 
@@ -210,7 +210,7 @@ def test_planted_channel_recovery(sys_dim, n_harmonics):
     beta_star = rng.normal(size=2 * n_harmonics + 1)
     beta_star *= 0.03 / np.linalg.norm(beta_star)
     target = choi(dyson_channel(joint, ControlPulse(6.0, beta_star)))
-    pulse, report = synthesize_channel(target, joint, None, 6.0, n_harmonics, lam=0.0)
+    pulse, report = synthesize_channel(target, joint, 6.0, n_harmonics, lam=0.0)
     assert report.converged
     assert report.distance <= 1e-6
     if sys_dim == 3:
@@ -224,14 +224,14 @@ def test_planted_channel_recovery(sys_dim, n_harmonics):
 def test_large_penalty_freezes_pulse():
     joint = JointSystem(sys_dim=2, anc_dim=2)
     target = choi(dyson_channel(joint, ControlPulse(1.5, np.array([0.2, 0.1, 0.0]))))
-    pulse, report = synthesize_channel(target, joint, None, 1.5, 1, lam=1e6)
+    pulse, report = synthesize_channel(target, joint, 1.5, 1, lam=1e6)
     assert np.max(np.abs(pulse.coeffs)) < 1e-5
 
 
 def test_synthesis_report_defects_visible():
     joint = JointSystem(sys_dim=2, anc_dim=2, coupling=0.2)
     target = choi(dyson_channel(joint, ControlPulse(1.5, np.array([0.3, 0.0, 0.0]))))
-    _, report = synthesize_channel(target, joint, None, 1.5, 1, lam=0.0)
+    _, report = synthesize_channel(target, joint, 1.5, 1, lam=0.0)
     assert report.tp_defect >= 0.0
     assert report.cp_defect >= 0.0
     assert report.n_evaluations > 0

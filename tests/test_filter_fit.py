@@ -263,14 +263,19 @@ def test_ensemble_too_small_rejected(n_traj):
 
 # --- filtering -----------------------------------------------------------------
 
-def test_filter_self_consistency():
-    # truth model + own record: the filter repeats the simulator's steps
-    model = damping_model(0.7, drive=1.0)
+@pytest.mark.parametrize("eta", [0.1, 0.4, 1.0])
+@pytest.mark.parametrize(
+    "model, meas, rho0",
+    [(damping_model(0.7, drive=1.0), 0, RHO_EXCITED), (qutrit_model(), 1, RHO_TOP3)],
+    ids=["qubit", "qutrit"],
+)
+def test_filter_self_consistency(model, meas, rho0, eta):
+    # truth model + own record: the filter repeats the simulator's steps bit
+    # for bit, which is why the CLI uses a simulation as its own estimate
     times = grid(2.0, 1e-3)
-    sim = sme_simulate(model, 0, 0.5, RHO_EXCITED, times, seed=42)
-    est = filter_estimate(model, sim.record, 0, 0.5, RHO_EXCITED, times)
-    gap = np.max(np.linalg.norm(sim.states - est.states, axis=(1, 2)))
-    assert gap <= 1e-10
+    sim = sme_simulate(model, meas, eta, rho0, times, seed=42)
+    est = filter_estimate(model, sim.record, meas, eta, rho0, times)
+    assert np.array_equal(sim.states, est.states)
 
 
 def test_filter_contracts_wrong_initial_state():
