@@ -187,6 +187,8 @@ class JointSystem:
     def __post_init__(self):
         if self.sys_dim < 2 or self.anc_dim < 1:
             raise ValueError("need sys_dim >= 2 and anc_dim >= 1")
+        if not (np.isfinite(self.anc_freq) and np.isfinite(self.coupling)):
+            raise ValueError("anc_freq and coupling must be finite")
 
     @property
     def dim(self) -> int:
@@ -275,8 +277,10 @@ def synthesize_channel(
     d = joint.sys_dim
     if target_choi.shape != (d * d, d * d):
         raise ValueError(f"target Choi shape {target_choi.shape} != ({d*d}, {d*d})")
-    if lam < 0:
-        raise ValueError(f"energy multiplier must be non-negative, got {lam!r}")
+    if not 0 <= lam < np.inf:
+        raise ValueError(f"energy multiplier must be finite and non-negative, got {lam!r}")
+    if not 0 < horizon < np.inf or n_harmonics < 0:
+        raise ValueError("bad horizon or harmonic count")
     spec = joint.spectrum()
     ctrl = joint.control_op()
     anc = joint.ground_ancilla()
@@ -309,7 +313,7 @@ def synthesize_channel(
     beta, converged = gauss_newton(evaluate, np.zeros(n_params), 1e-10)
 
     pulse = ControlPulse(horizon, beta)
-    ch = dyson_channel(joint, pulse)
+    ch = _traced(spec, dyson.u0(spec, horizon) + (a @ pulse.coeffs).reshape(dim, dim), anc)
     report = ChannelSynthesisReport(
         pulse=pulse,
         distance=float(np.linalg.norm(choi(ch) - target_choi)),

@@ -3,7 +3,10 @@
 Artifacts are JSON (matrices use the shared schema) plus CSV tables and
 static SVG plots; each run also writes ``manifest.json`` recording the
 resolved configuration, input hashes, package versions, seed and wall
-time, so any artifact can be regenerated from its manifest alone.
+time, so any artifact can be regenerated from its manifest alone.  Input
+hashes are of the bytes that were parsed.  ``--config FILE`` lines
+``key=value`` become ``--key=value`` right after the subcommand name, so
+argparse reads them and any flag on the command line wins.
 
 Exit codes: 0 success, 2 validation error (bad flags, unreadable or
 malformed inputs), 3 numerical failure (non-convergence, step-size abort).
@@ -15,6 +18,7 @@ from __future__ import annotations
 import argparse
 import csv
 import hashlib
+import io
 import os
 import sys
 import time
@@ -26,17 +30,13 @@ import numpy as np
 from . import __version__, channel, dyson, filter_fit, gate_synth, spectrum, susy_toy
 from .errors import NUMERICAL_ERRORS
 from .plotting import line_plot_svg
-from .serialize import load_json, matrix_from_json, matrix_to_json, save_json
+from .serialize import matrix_from_json, matrix_to_json, parse_json, save_json
 
 # largest time grid the filter subcommands accept; each step stores a d×d state
 MAX_STEPS = 10**7
 
 # dests whose CLI flag is not just underscores-to-dashes
 _DEST_TO_FLAG = {"lam": "lambda"}
-
-
-def _flag_of(dest: str) -> str:
-    return "--" + _DEST_TO_FLAG.get(dest, dest).replace("_", "-")
 
 
 @dataclass
@@ -51,30 +51,30 @@ class Workspace:
         self.out_dir = Path(self.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
-    def register_input(self, path):
-        p = Path(path)
-        self.inputs[str(p)] = hashlib.sha256(p.read_bytes()).hexdigest()
+    def read(self, path) -> bytes:
+        """The bytes of an input file; their SHA-256 goes into the manifest."""
+        data = Path(path).read_bytes()
+        self.inputs[str(Path(path))] = hashlib.sha256(data).hexdigest()
+        return data
 
-    def save_json(self, name: str, obj) -> Path:
-        path = self.out_dir / name
-        save_json(path, obj)
+    def load_json(self, path):
+        return parse_json(self.read(path), path)
+
+    def _artifact(self, name: str) -> Path:
         self.artifacts.append(name)
-        return path
+        return self.out_dir / name
 
-    def save_csv(self, name: str, header, rows) -> Path:
-        path = self.out_dir / name
-        with open(path, "w", newline="") as fh:
+    def save_json(self, name: str, obj) -> None:
+        save_json(self._artifact(name), obj)
+
+    def save_csv(self, name: str, header, rows) -> None:
+        with open(self._artifact(name), "w", newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(header)
             writer.writerows(rows)
-        self.artifacts.append(name)
-        return path
 
-    def save_svg(self, name: str, series, **kwargs) -> Path:
-        path = self.out_dir / name
-        line_plot_svg(path, series, **kwargs)
-        self.artifacts.append(name)
-        return path
+    def save_svg(self, name: str, series, **kwargs) -> None:
+        line_plot_svg(self._artifact(name), series, **kwargs)
 
     def write_manifest(self, command: str, config: dict, seed, t0: float) -> None:
         manifest = {
@@ -99,7 +99,7 @@ def config_to_argv(command: str, config: dict) -> list[str]:
     for dest, value in sorted(config.items()):
         if value is None or value is False:
             continue
-        flag = _flag_of(dest)
+        flag = "--" + _DEST_TO_FLAG.get(dest, dest).replace("_", "-")
         if value is True:
             argv.append(flag)
         else:
@@ -107,16 +107,10 @@ def config_to_argv(command: str, config: dict) -> list[str]:
     return argv
 
 
-def _resolve_seed(args, default: int = 0) -> int:
-    if getattr(args, "seed", None) is not None:
-        return int(args.seed)
-    env = os.environ.get("SUSYGATE_SEED")
-    return int(env) if env else default
-
-
-def _public_config(args) -> dict:
-    drop = {"command", "func", "config"}
-    return {k: v for k, v in vars(args).items() if k not in drop}
+def _resolve_seed(args) -> int:
+    if args.seed is not None:
+        return args.seed
+    return int(os.environ.get("SUSYGATE_SEED") or 0)
 
 
 # --------------------------------------------------------------------------
@@ -138,10 +132,8 @@ def cmd_spectrum(args, ws: Workspace) -> int:
 
 
 def cmd_gate(args, ws: Workspace) -> int:
-    ws.register_input(args.spectrum)
-    ws.register_input(args.pulse)
-    spec = spectrum.Spectrum.from_json(load_json(args.spectrum))
-    pulse = dyson.ControlPulse.from_json(load_json(args.pulse))
+    spec = spectrum.Spectrum.from_json(ws.load_json(args.spectrum))
+    pulse = dyson.ControlPulse.from_json(ws.load_json(args.pulse))
     gate = dyson.dyson_gate(spec, pulse)
     ws.save_json("gate.json", matrix_to_json(gate))
     k = spec.cutoff_kept
@@ -168,19 +160,15 @@ def _parse_grid(text: str) -> np.ndarray:
 
 
 def cmd_synth(args, ws: Workspace) -> int:
-    ws.register_input(args.target)
-    ws.register_input(args.spectrum)
-    spec = spectrum.Spectrum.from_json(load_json(args.spectrum))
-    target = matrix_from_json(load_json(args.target))
-    lam = args.lam
-    if lam is None and args.budget is None:
-        lam = 0.0  # sweep replaces it per grid point anyway
+    target = matrix_from_json(ws.load_json(args.target))
+    spec = spectrum.Spectrum.from_json(ws.load_json(args.spectrum))
     prob = gate_synth.SynthesisProblem(
         target=target,
         spec=spec,
         horizon=args.T,
         n_harmonics=args.K,
-        lam=lam if args.budget is None else None,
+        # with neither flag the sweep replaces lam per grid point anyway
+        lam=0.0 if args.lam is None and args.budget is None else args.lam,
         budget=args.budget,
         allow_nonunitary=args.allow_nonunitary,
         match_phase=args.match_phase,
@@ -220,8 +208,7 @@ def cmd_synth(args, ws: Workspace) -> int:
 
 
 def cmd_channel(args, ws: Workspace) -> int:
-    ws.register_input(args.target)
-    obj = load_json(args.target)
+    obj = ws.load_json(args.target)
     target = matrix_from_json(obj)
     d_in, d_out = int(obj["d_in"]), int(obj["d_out"])
     if d_in != d_out:
@@ -268,8 +255,7 @@ def cmd_susy(args, ws: Workspace) -> int:
 
 
 def cmd_vev(args, ws: Workspace) -> int:
-    ws.register_input(args.d2)
-    d2 = np.asarray(load_json(args.d2), dtype=float)
+    d2 = np.asarray(ws.load_json(args.d2), dtype=float)
     v = susy_toy.VevControl(
         d2=d2,
         p_vev=[float(x) for x in args.pvev.split(",")],
@@ -281,8 +267,7 @@ def cmd_vev(args, ws: Workspace) -> int:
     return 0
 
 
-def _load_family(path) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, int, list]:
-    obj = load_json(path)
+def _load_family(obj) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, int, list]:
     rho0 = matrix_from_json(obj["rho0"])
     h_specs = obj.get("h_terms", [])
     r_specs = obj.get("rate_terms", [])
@@ -316,8 +301,7 @@ def _times(horizon: float, dt: float) -> np.ndarray:
 
 
 def cmd_filter_sim(args, ws: Workspace) -> int:
-    ws.register_input(args.model)
-    family, rho0, truth, meas, _ = _load_family(args.model)
+    family, rho0, truth, meas, _ = _load_family(ws.load_json(args.model))
     model = family.at(truth)
     times = _times(args.T, args.dt)
     seed = args.seed = _resolve_seed(args)
@@ -344,9 +328,8 @@ def cmd_filter_sim(args, ws: Workspace) -> int:
     return 0
 
 
-def _read_record(path) -> np.ndarray:
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+def _read_record(text: str, path) -> np.ndarray:
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows or rows[0][:2] != ["t", "dY"]:
         raise ValueError(f"{path}: expected CSV with header t,dY")
     for line_no, row in enumerate(rows[1:], 2):
@@ -371,14 +354,12 @@ def _filter_and_fit(family, rho0, truth, meas, grids, eta, times, seed, xtol, re
 
 
 def cmd_filter_fit(args, ws: Workspace) -> int:
-    ws.register_input(args.model)
-    family, rho0, truth, meas, grids = _load_family(args.model)
+    family, rho0, truth, meas, grids = _load_family(ws.load_json(args.model))
     times = _times(args.T, args.dt)
     seed = args.seed = _resolve_seed(args)
     record = None
     if args.record:
-        ws.register_input(args.record)
-        record = _read_record(args.record)
+        record = _read_record(ws.read(args.record).decode(), args.record)
     est, fit = _filter_and_fit(
         family, rho0, truth, meas, grids, args.eta, times, seed, args.xtol, record
     )
@@ -422,10 +403,9 @@ def default_demo_model() -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray
     return family, rho0, truth, 0, grids
 
 
-def demo_pipeline(out_dir, seed: int, horizon: float = 4.0, dt: float = 1e-3, eta: float = 0.4):
+def demo_pipeline(ws: Workspace, seed: int, horizon: float, dt: float, eta: float) -> dict:
     """Measurement record -> filter -> parameter fit -> refit trajectory,
-    with a side-by-side comparison table.  Returns the report dict."""
-    ws = Workspace(Path(out_dir))
+    with a side-by-side comparison table in ``ws``.  Returns the report."""
     family, rho0, truth, meas, grids = default_demo_model()
     times = _times(horizon, dt)
     est, fit = _filter_and_fit(family, rho0, truth, meas, grids, eta, times, seed, 1e-4)
@@ -474,13 +454,12 @@ def demo_pipeline(out_dir, seed: int, horizon: float = 4.0, dt: float = 1e-3, et
         "final_gap_grid_high": final_gap(grids[0][-1]),
     }
     ws.save_json("demo_report.json", report)
-    return ws, report
+    return report
 
 
 def cmd_demo(args, ws: Workspace) -> int:
     seed = args.seed = _resolve_seed(args)
-    inner, report = demo_pipeline(ws.out_dir, seed, args.T, args.dt, args.eta)
-    ws.artifacts.extend(inner.artifacts)
+    report = demo_pipeline(ws, seed, args.T, args.dt, args.eta)
     print(
         f"demo: gamma* = {report['theta_star'][0]:.4f} (truth {report['truth'][0]}), "
         f"final gap {report['final_gap_fit']:.4f}"
@@ -500,17 +479,39 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
-    def add(name, func, **kwargs):
-        p = sub.add_parser(name, **kwargs)
+    # flags shared by several subcommands, one factory per group
+    def trajectory():
+        g = argparse.ArgumentParser(add_help=False)
+        g.add_argument("--eta", type=float, default=1.0)
+        g.add_argument("--dt", type=float, default=1e-3)
+        g.add_argument("--T", type=float, default=2.0)
+        g.add_argument("--seed", type=int, default=None)
+        return g
+
+    def design():
+        g = argparse.ArgumentParser(add_help=False)
+        g.add_argument("--target", required=True)
+        g.add_argument("--T", type=float, required=True)
+        g.add_argument("--K", type=int, required=True)
+        return g
+
+    def anharmonic():
+        g = argparse.ArgumentParser(add_help=False)
+        g.add_argument("--c1", type=float, default=0.0)
+        g.add_argument("--c2", type=float, default=0.0)
+        return g
+
+    def add(name, func, *groups, **kwargs):
+        # a fresh copy of each group: parents share their action objects, so
+        # demo's set_defaults would otherwise change the other defaults too
+        p = sub.add_parser(name, parents=[group() for group in groups], **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--out-dir", default=".", help="artifact directory")
-        p.add_argument("--config", default=None, help="key=value defaults file")
+        p.add_argument("--config", default=None, help="key=value option file")
         subparsers[name] = p
         return p
 
-    p = add("spectrum", cmd_spectrum, help="diagonalize the anharmonic Hamiltonian")
-    p.add_argument("--c1", type=float, default=0.0)
-    p.add_argument("--c2", type=float, default=0.0)
+    p = add("spectrum", cmd_spectrum, anharmonic, help="diagonalize the anharmonic Hamiltonian")
     p.add_argument("--dim", type=int, required=True, help="kept levels (gate dimension)")
     p.add_argument("--raw-dim", type=int, default=None)
     p.add_argument("--basis", choices=["exact", "pt"], default="exact")
@@ -522,13 +523,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--oracle", type=int, default=None, metavar="STEPS",
                    help="also run the brute-force propagator from this grid size")
 
-    p = add("synth", cmd_synth, help="least-squares pulse design for a target gate")
-    p.add_argument("--target", required=True)
+    p = add("synth", cmd_synth, design, help="least-squares pulse design for a target gate")
     p.add_argument("--spectrum", required=True)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--K", type=int, required=True)
-    p.add_argument("--lambda", dest="lam", type=float, default=None)
-    p.add_argument("--budget", type=float, default=None)
+    penalty = p.add_mutually_exclusive_group()
+    penalty.add_argument("--lambda", dest="lam", type=float, default=None)
+    penalty.add_argument("--budget", type=float, default=None)
     p.add_argument("--lambda-grid", default=None, metavar="LO,HI,N",
                    help="log-spaced multiplier sweep (writes a Pareto table)")
     p.add_argument("--match-phase", action="store_true")
@@ -536,15 +535,11 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--no-oracle-check", action="store_true",
                    help="skip the brute-force fidelity post-validation")
 
-    p = add("channel", cmd_channel, help="pulse design against a target Choi matrix")
-    p.add_argument("--target", required=True)
+    p = add("channel", cmd_channel, design, anharmonic,
+            help="pulse design against a target Choi matrix")
     p.add_argument("--anc-dim", type=int, default=2)
     p.add_argument("--anc-freq", type=float, default=1.3)
     p.add_argument("--coupling", type=float, default=0.1)
-    p.add_argument("--c1", type=float, default=0.0)
-    p.add_argument("--c2", type=float, default=0.0)
-    p.add_argument("--T", type=float, required=True)
-    p.add_argument("--K", type=int, required=True)
     p.add_argument("--lambda", dest="lam", type=float, default=0.0)
 
     p = add("susy", cmd_susy, help="partner Hamiltonians and index for a superpotential")
@@ -558,82 +553,61 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--pvev", required=True)
     p.add_argument("--qvev", required=True)
 
-    p = add("filter-sim", cmd_filter_sim, help="simulate a monitored trajectory")
+    p = add("filter-sim", cmd_filter_sim, trajectory, help="simulate a monitored trajectory")
     p.add_argument("--model", required=True)
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--T", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--ensemble", type=int, default=0,
                    help="also average this many trajectories")
     p.add_argument("--out", default="trajectory.json", help="trajectory artifact name")
 
-    p = add("filter-fit", cmd_filter_fit, help="filter a record and fit free parameters")
+    p = add("filter-fit", cmd_filter_fit, trajectory,
+            help="filter a record and fit free parameters")
     p.add_argument("--model", required=True)
     p.add_argument("--record", default=None, help="CSV (t,dY); simulated when omitted")
-    p.add_argument("--eta", type=float, default=1.0)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--T", type=float, default=2.0)
-    p.add_argument("--seed", type=int, default=None)
     p.add_argument("--xtol", type=float, default=1e-4,
                    help="Gauss–Newton step tolerance, relative to 1 + |theta|")
 
-    p = add("demo", cmd_demo, help="end-to-end record -> filter -> fit showcase")
-    p.add_argument("--eta", type=float, default=0.4)
-    p.add_argument("--dt", type=float, default=1e-3)
-    p.add_argument("--T", type=float, default=4.0)
-    p.add_argument("--seed", type=int, default=None)
+    p = add("demo", cmd_demo, trajectory, help="end-to-end record -> filter -> fit showcase")
+    p.set_defaults(eta=0.4, T=4.0)
 
     return parser, subparsers
 
 
-def _load_config_file(path: str, subparser) -> dict:
-    flag_to_dest = {}
-    for action in subparser._actions:
-        for opt in action.option_strings:
-            flag_to_dest[opt.lstrip("-")] = (action.dest, action.type, action.const)
-    out = {}
+def _config_argv(path: str, subparser: argparse.ArgumentParser) -> list[str]:
+    """Option tokens for the ``key=value`` lines of a config file."""
+    actions = {opt.lstrip("-"): a for a in subparser._actions for opt in a.option_strings}
+    argv = []
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise ValueError(f"{path}:{line_no}: expected key=value")
-        key, _, value = line.partition("=")
-        key = key.strip()
-        if key not in flag_to_dest:
+        key, _, value = (part.strip() for part in line.partition("="))
+        if key not in actions:
             raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
-        dest, typ, const = flag_to_dest[key]
-        value = value.strip()
-        if const is True:  # store_true flag
-            out[dest] = value.lower() in ("1", "true", "yes")
-        else:
-            out[dest] = typ(value) if typ else value
-    return out
+        if actions[key].const is not True:
+            argv.append(f"--{key}={value}")
+        elif value.lower() in ("1", "true", "yes"):  # store_true switch
+            argv.append(f"--{key}")
+    return argv
 
 
 def main(argv=None) -> int:
     parser, subparsers = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
-    # first pass only to locate --config for the chosen subcommand
-    if argv and argv[0] in subparsers and "--config" in argv:
-        i = argv.index("--config") + 1
-        try:
-            if i == len(argv):
-                raise ValueError("--config needs a file path")
-            defaults = _load_config_file(argv[i], subparsers[argv[0]])
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 2
-        sp = subparsers[argv[0]]
-        sp.set_defaults(**defaults)
-        for action in sp._actions:  # config satisfies required options
-            if action.dest in defaults:
-                action.required = False
     try:
+        if argv and argv[0] in subparsers:
+            finder = argparse.ArgumentParser(prog=f"susygate {argv[0]}", add_help=False)
+            finder.add_argument("--config")
+            path = finder.parse_known_args(argv[1:])[0].config
+            if path is not None:
+                argv[1:1] = _config_argv(path, subparsers[argv[0]])
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    except (OSError, ValueError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
     t0 = time.monotonic()
     ws = Workspace(Path(args.out_dir))
@@ -645,7 +619,8 @@ def main(argv=None) -> int:
     except (ValueError, KeyError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    ws.write_manifest(args.command, _public_config(args), getattr(args, "seed", None), t0)
+    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+    ws.write_manifest(args.command, config, getattr(args, "seed", None), t0)
     return status
 
 

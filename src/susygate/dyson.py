@@ -58,8 +58,8 @@ class ControlPulse:
     coeffs: np.ndarray
 
     def __post_init__(self):
-        if self.horizon <= 0:
-            raise ValueError("horizon must be positive")
+        if not 0 < self.horizon < np.inf:
+            raise ValueError("horizon must be positive and finite")
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValueError("coeffs must be 1-D of odd length (b0 plus cos/sin pairs)")
@@ -242,6 +242,8 @@ def propagate_oracle(
     raw cutoff, independent of the stored eigen-data, and the control
     operator is the position operator.
     """
+    if steps < 1:
+        raise ValueError(f"oracle grid needs at least one step, got {steps}")
     m = spec.cutoff_raw
     h0 = build_h0(spec.c1, spec.c2, m)
     ctrl = position_op(m)

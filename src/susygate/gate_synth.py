@@ -56,11 +56,11 @@ class SynthesisProblem:
             raise ValueError("target is not unitary to 1e-8 (set allow_nonunitary)")
         if (self.lam is None) == (self.budget is None):
             raise ValueError("set exactly one of lam and budget")
-        if self.lam is not None and self.lam < 0:
-            raise ValueError("penalty multiplier must be >= 0")
-        if self.budget is not None and self.budget <= 0:
-            raise ValueError("energy budget must be > 0")
-        if self.horizon <= 0 or self.n_harmonics < 0:
+        if self.lam is not None and not 0 <= self.lam < np.inf:
+            raise ValueError("penalty multiplier must be finite and >= 0")
+        if self.budget is not None and not 0 < self.budget < np.inf:
+            raise ValueError("energy budget must be finite and > 0")
+        if not 0 < self.horizon < np.inf or self.n_harmonics < 0:
             raise ValueError("bad horizon or harmonic count")
 
 

@@ -47,8 +47,12 @@ def save_json(path: str | Path, obj) -> None:
     Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
 
 
-def load_json(path: str | Path):
+def parse_json(data: str | bytes, source):
     try:
-        return json.loads(Path(path).read_text())
+        return json.loads(data)
     except json.JSONDecodeError as exc:
-        raise ValueError(f"{path}: invalid JSON ({exc})") from exc
+        raise ValueError(f"{source}: invalid JSON ({exc})") from exc
+
+
+def load_json(path: str | Path):
+    return parse_json(Path(path).read_text(), path)

@@ -38,6 +38,8 @@ def default_raw_dim(kept: int) -> int:
 
 def build_h0(c1: float, c2: float, cutoff: int) -> np.ndarray:
     """Assemble (P² + Q²)/2 + c1·Q³ + c2·Q⁴ at the given truncation."""
+    if not (np.isfinite(c1) and np.isfinite(c2)):
+        raise ValueError(f"c1 and c2 must be finite, got {c1!r}, {c2!r}")
     if c2 < 0 or (c1 != 0 and c2 == 0):
         warnings.warn(
             "potential unbounded below (c2 < 0 or pure cubic tilt); "
@@ -176,7 +178,7 @@ def perturbative_energies(
     evaluated from truncated operator matrices; the cutoff only needs to
     clear the ±3/±4 level reach of the matrix elements.
     """
-    if abs(c1) > PERTURBATIVE_COEFF_MAX or abs(c2) > PERTURBATIVE_COEFF_MAX:
+    if not (abs(c1) <= PERTURBATIVE_COEFF_MAX and abs(c2) <= PERTURBATIVE_COEFF_MAX):
         raise ValueError(
             f"|c1|, |c2| must be <= {PERTURBATIVE_COEFF_MAX} for the "
             "perturbative branch"

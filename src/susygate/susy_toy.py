@@ -44,6 +44,8 @@ class VevControl:
                 f"tensor extents {d2.shape} inconsistent with vev lengths "
                 f"{p.size}, {q.size}"
             )
+        if not all(np.isfinite(x).all() for x in (d2, p, q)):
+            raise ValueError("coupling tensor and vevs must be finite")
         object.__setattr__(self, "d2", d2)
         object.__setattr__(self, "p_vev", p)
         object.__setattr__(self, "q_vev", q)
@@ -168,6 +170,8 @@ def susy_pair(w_coeffs, cutoff: int) -> SusyPair:
     w = np.asarray(w_coeffs, dtype=float).reshape(-1)
     if w.size < 3:
         raise ValueError("superpotential degree must be >= 2")
+    if not np.isfinite(w).all():
+        raise ValueError("superpotential coefficients must be finite")
     if cutoff < 8:
         raise ValueError("cutoff too small for a meaningful pair")
     h_plus, h_minus = _pair_at(w, cutoff)
@@ -222,8 +226,8 @@ def witten_index(pair: SusyPair, zero_tol: float = 1e-6) -> WittenIndexReport:
     [tol/10, tol·10] trigger an ambiguity warning since the count then
     depends on the threshold choice.
     """
-    if zero_tol <= 0:
-        raise ValueError("zero_tol must be positive")
+    if not 0 < zero_tol < np.inf:
+        raise ValueError("zero_tol must be positive and finite")
     ev_minus = np.linalg.eigvalsh(pair.h_minus)
     ev_plus = np.linalg.eigvalsh(pair.h_plus)
 

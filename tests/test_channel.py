@@ -235,3 +235,49 @@ def test_synthesis_report_defects_visible():
     assert report.tp_defect >= 0.0
     assert report.cp_defect >= 0.0
     assert report.n_evaluations > 0
+
+
+def test_synthesis_diagonalizes_and_builds_design_once(monkeypatch):
+    # the report channel reuses the solve's spectrum and design matrix
+    from susygate import channel, dyson
+
+    joint = JointSystem(sys_dim=2, anc_dim=2, coupling=0.2)
+    target = choi(dyson_channel(joint, ControlPulse(1.5, np.array([0.3, 0.0, 0.0]))))
+    calls = {"diagonalize": 0, "design_matrix": 0}
+
+    def counted(module, name):
+        original = getattr(module, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, wrapper)
+
+    counted(channel, "diagonalize")
+    counted(dyson, "design_matrix")
+    pulse, report = synthesize_channel(target, joint, 1.5, 1, lam=0.0)
+    assert calls == {"diagonalize": 1, "design_matrix": 1}
+    monkeypatch.undo()
+    assert report.distance == float(np.linalg.norm(choi(dyson_channel(joint, pulse)) - target))
+
+
+@pytest.mark.parametrize(
+    "kwargs",
+    [{"anc_freq": float("nan")}, {"coupling": float("inf")}, {"c1": float("nan")}],
+)
+def test_joint_system_rejects_non_finite(kwargs):
+    with pytest.raises(ValueError, match="finite"):
+        JointSystem(sys_dim=2, anc_dim=2, **kwargs).hamiltonian()
+
+
+@pytest.mark.parametrize(
+    "horizon, n_harmonics, lam",
+    [(1.5, 1, float("nan")), (1.5, 1, float("inf")), (0.0, 1, 0.0), (float("nan"), 1, 0.0),
+     (1.5, -1, 0.0)],
+)
+def test_synthesis_rejects_bad_horizon_and_multiplier(horizon, n_harmonics, lam):
+    joint = JointSystem(sys_dim=2, anc_dim=2)
+    target = choi(dyson_channel(joint, ControlPulse(1.5, np.zeros(3))))
+    with pytest.raises(ValueError):
+        synthesize_channel(target, joint, horizon, n_harmonics, lam=lam)

@@ -1,4 +1,7 @@
+import builtins
 import csv
+import hashlib
+import io
 import json
 import os
 import subprocess
@@ -444,6 +447,47 @@ def test_config_file_defaults_and_override(tmp_path):
     assert load_json(out2 / "manifest.json")["config"]["dim"] == 3
 
 
+@pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
+@pytest.mark.parametrize("spelling", [["--config={cfg}"], ["--conf", "{cfg}"]],
+                         ids=["equals", "prefix"])
+def test_config_spellings_apply_the_file(tmp_path, spelling):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c1=0.02\n")
+    argv = [a.format(cfg=cfg) for a in spelling]
+    assert run_cli("spectrum", *argv, "--dim", 3, "--out-dir", tmp_path) == 0
+    assert load_json(tmp_path / "manifest.json")["config"]["c1"] == 0.02
+
+
+@pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
+def test_flag_before_config_still_wins(tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("dim=6\nc1=0.02\n")
+    assert run_cli("spectrum", "--c1", 0.01, "--config", cfg, "--out-dir", tmp_path) == 0
+    config = load_json(tmp_path / "manifest.json")["config"]
+    assert (config["c1"], config["dim"]) == (0.01, 6)
+
+
+def test_config_switch_and_choice_go_through_argparse(tmp_path, stored_spectrum):
+    spec = Spectrum.from_json(load_json(stored_spectrum))
+    save_json(tmp_path / "target.json", matrix_to_json(u0(spec, 2.0)))
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"target={tmp_path / 'target.json'}\nspectrum={stored_spectrum}\n"
+                   "T=2\nK=1\nlambda=0\nno-oracle-check=yes\nmatch-phase=0\n")
+    assert run_cli("synth", "--config", cfg, "--out-dir", tmp_path) == 0
+    config = load_json(tmp_path / "manifest.json")["config"]
+    assert (config["no_oracle_check"], config["match_phase"], config["K"]) == (True, False, 1)
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("dim=3\nbasis=fourier\n")
+    assert run_cli("spectrum", "--config", bad, "--out-dir", tmp_path) == 2
+
+
+def test_config_missing_equals_names_the_line(tmp_path, capsys):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("# comment\ndim 3\n")
+    assert run_cli("spectrum", "--config", cfg, "--out-dir", tmp_path) == 2
+    assert f"{cfg}:2: expected key=value" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("name", sorted(cli.build_parser()[1]))
 def test_config_without_value_exits_2(name):
     assert run_cli(name, "--config") == 2
@@ -537,3 +581,221 @@ def test_cli_imports_no_scipy_submodules(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(runs)
     assert result["loaded"] == []
+
+
+# --- one parser, one read per input ---------------------------------------------------
+
+def test_synth_lambda_and_budget_are_exclusive(tmp_path, stored_spectrum):
+    spec = Spectrum.from_json(load_json(stored_spectrum))
+    save_json(tmp_path / "target.json", matrix_to_json(u0(spec, 2.0)))
+    assert run_cli("synth", "--target", tmp_path / "target.json", "--spectrum", stored_spectrum,
+                   "--T", 2.0, "--K", 1, "--lambda", 0.5, "--budget", 1e-3,
+                   "--no-oracle-check", "--out-dir", tmp_path) == 2
+    assert not (tmp_path / "manifest.json").exists()
+
+
+def count_opens(monkeypatch, paths):
+    """Count every open of the given files, through Path methods or open()."""
+    wanted = {Path(p).resolve(): 0 for p in paths}
+    real_open = io.open
+
+    def counting_open(file, *args, **kwargs):
+        if isinstance(file, (str, os.PathLike)) and Path(file).resolve() in wanted:
+            wanted[Path(file).resolve()] += 1
+        return real_open(file, *args, **kwargs)
+
+    monkeypatch.setattr(io, "open", counting_open)
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return wanted
+
+
+def test_gate_reads_each_input_once(tmp_path, stored_spectrum, monkeypatch):
+    pulse_path = tmp_path / "pulse.json"
+    save_json(pulse_path, ControlPulse(2.0, np.array([0.05, 0.02, 0.0])).to_json())
+    opens = count_opens(monkeypatch, [stored_spectrum, pulse_path])
+    assert run_cli("gate", "--spectrum", stored_spectrum, "--pulse", pulse_path,
+                   "--out-dir", tmp_path / "out") == 0
+    assert list(opens.values()) == [1, 1]
+    inputs = load_json(tmp_path / "out" / "manifest.json")["inputs"]
+    assert inputs[str(pulse_path)] == hashlib.sha256(pulse_path.read_bytes()).hexdigest()
+
+
+def test_filter_fit_reads_model_and_record_once(tmp_path, monkeypatch):
+    model_path = write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 3))
+    grid = ["--eta", 0.6, "--dt", 1e-2, "--T", 0.5, "--seed", 4]
+    assert run_cli("filter-sim", "--model", model_path, *grid, "--out-dir", tmp_path / "sim") == 0
+    record = tmp_path / "sim" / "record.csv"
+    opens = count_opens(monkeypatch, [model_path, record])
+    assert run_cli("filter-fit", "--model", model_path, "--record", record, *grid,
+                   "--out-dir", tmp_path / "fit") == 0
+    assert list(opens.values()) == [1, 1]
+    inputs = load_json(tmp_path / "fit" / "manifest.json")["inputs"]
+    assert inputs[str(record)] == hashlib.sha256(record.read_bytes()).hexdigest()
+
+
+def test_demo_manifest_lists_each_artifact_once(tmp_path):
+    assert run_cli("demo", "--seed", 1, "--T", 0.5, "--dt", 1e-2, "--out-dir", tmp_path) == 0
+    artifacts = load_json(tmp_path / "manifest.json")["artifacts"]
+    written = sorted(p.name for p in tmp_path.iterdir() if p.name != "manifest.json")
+    assert sorted(artifacts) == written
+    assert len(set(artifacts)) == len(artifacts)
+
+
+def test_artifacts_are_written_through_module_writers(tmp_path, stored_spectrum, monkeypatch):
+    # a tracer rebinds cli.save_json and cli.line_plot_svg to time the writes
+    spec = Spectrum.from_json(load_json(stored_spectrum))
+    save_json(tmp_path / "target.json", matrix_to_json(u0(spec, 2.0)))
+    written = []
+
+    def recording(writer):
+        def wrapper(path, *args, **kwargs):
+            written.append((writer.__name__, Path(path).name))
+            return writer(path, *args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(cli, "save_json", recording(cli.save_json))
+    monkeypatch.setattr(cli, "line_plot_svg", recording(cli.line_plot_svg))
+    assert run_cli("synth", "--target", tmp_path / "target.json", "--spectrum", stored_spectrum,
+                   "--T", 2.0, "--K", 1, "--lambda-grid", "1e-4,1e4,3",
+                   "--out-dir", tmp_path / "out") == 0
+    assert sorted(written) == [
+        ("line_plot_svg", "pareto.svg"),
+        ("save_json", "manifest.json"),
+        ("save_json", "pulse.json"),
+        ("save_json", "reports.json"),
+    ]
+
+
+# --- non-finite and non-positive inputs -----------------------------------------------
+
+def write_edge_inputs(tmp_path):
+    """Tiny input files for every subcommand that reads one."""
+    from susygate.channel import JointSystem, choi, dyson_channel
+
+    spec = compute_spectrum(0.03, 0.01, kept=2, raw_dim=6)
+    save_json(tmp_path / "spectrum.json", spec.to_json())
+    save_json(tmp_path / "target.json", matrix_to_json(u0(spec, 2.0)))
+    save_json(tmp_path / "pulse.json", ControlPulse(2.0, np.array([0.05, 0.02, 0.0])).to_json())
+    target = choi(dyson_channel(JointSystem(sys_dim=2, anc_dim=2), ControlPulse(2.0, np.zeros(3))))
+    save_json(tmp_path / "choi.json", {**matrix_to_json(target), "d_in": 2, "d_out": 2})
+    save_json(tmp_path / "d2.json", [[[1.0], [0.0]], [[0.0], [2.0]]])
+    return tmp_path
+
+
+@pytest.fixture
+def edge_inputs(tmp_path):
+    return write_edge_inputs(tmp_path)
+
+
+def assert_exit_2_quietly(capfd, argv):
+    assert run_cli(*argv) == 2
+    out, err = capfd.readouterr()
+    assert "error:" in err
+    # LAPACK prints its own complaint about a non-finite input to stdout
+    assert "On entry to" not in out + err
+
+
+@pytest.mark.parametrize("steps", [0, -5])
+def test_gate_oracle_without_steps_exits_2(edge_inputs, capfd, steps):
+    assert_exit_2_quietly(capfd, ["gate", "--spectrum", edge_inputs / "spectrum.json",
+                                  "--pulse", edge_inputs / "pulse.json", "--oracle", steps,
+                                  "--out-dir", edge_inputs / "out"])
+
+
+@pytest.mark.parametrize("flag, value", [("--c1", "nan"), ("--c2", "inf")])
+def test_spectrum_non_finite_coefficient_exits_2(tmp_path, capfd, flag, value):
+    assert_exit_2_quietly(capfd, ["spectrum", "--dim", 3, flag, value, "--out-dir", tmp_path])
+
+
+@pytest.mark.parametrize(
+    "extra",
+    [["--budget", "nan"], ["--lambda", "nan"], ["--lambda", "inf"],
+     ["--T", "nan", "--lambda", 0]],
+    ids=["budget-nan", "lambda-nan", "lambda-inf", "T-nan"],
+)
+def test_synth_non_finite_exits_2(edge_inputs, capfd, extra):
+    argv = ["synth", "--target", edge_inputs / "target.json",
+            "--spectrum", edge_inputs / "spectrum.json", "--T", 2.0, "--K", 1,
+            "--no-oracle-check", "--out-dir", edge_inputs / "out"]
+    assert_exit_2_quietly(capfd, argv + extra)
+
+
+@pytest.mark.parametrize(
+    "flag, value",
+    [("--lambda", "nan"), ("--anc-freq", "nan"), ("--coupling", "inf"), ("--T", 0)],
+)
+def test_channel_non_finite_exits_2(edge_inputs, capfd, flag, value):
+    argv = ["channel", "--target", edge_inputs / "choi.json", "--T", 2.0, "--K", 1,
+            flag, value, "--out-dir", edge_inputs / "out"]
+    assert_exit_2_quietly(capfd, argv)
+
+
+@pytest.mark.parametrize("zero_tol", ["nan", "inf", 0])
+def test_susy_bad_zero_tol_exits_2(tmp_path, capfd, zero_tol):
+    assert_exit_2_quietly(capfd, ["susy", "--superpotential", "0,0,0.5", "--dim", 32,
+                                  "--zero-tol", zero_tol, "--out-dir", tmp_path])
+
+
+def reject_non_finite(name):
+    raise AssertionError(f"non-finite number {name} in a JSON artifact")
+
+
+_BAD_FLOATS = ["0", "-1", "nan", "inf", "-inf"]
+
+
+def _draw_argv(draw, inputs):
+    # each value is valid four times in five, so whole runs often succeed
+    # and their artifacts get checked too
+    def pick(valid, bad):
+        return draw(st.sampled_from(list(valid) * 4 * len(bad) + list(bad)))
+
+    def num(valid):
+        return pick([valid], _BAD_FLOATS)
+
+    command = draw(st.sampled_from(["spectrum", "gate", "synth", "channel", "susy", "vev"]))
+    if command == "spectrum":
+        return ["spectrum", "--dim", pick([2, 3], [-1, 0]), "--raw-dim", pick([4, 8], [-1, 0]),
+                "--basis", draw(st.sampled_from(["exact", "pt"])),
+                f"--c1={num('0.03')}", f"--c2={num('0.01')}"]
+    if command == "gate":
+        return ["gate", "--spectrum", inputs / "spectrum.json", "--pulse", inputs / "pulse.json",
+                "--oracle", pick([1, 64], [-1, 0])]
+    if command == "synth":
+        argv = ["synth", "--target", inputs / "target.json", "--spectrum", inputs / "spectrum.json",
+                f"--T={num('2.0')}", "--K", pick([0, 1, 2], [-1])]
+        penalty = draw(st.sampled_from(["--lambda", "--budget", None]))
+        if penalty:
+            argv.append(f"{penalty}={num('1e-3')}")
+        if draw(st.booleans()):
+            argv.append("--no-oracle-check")
+        return argv
+    if command == "channel":
+        return ["channel", "--target", inputs / "choi.json", f"--T={num('2.0')}",
+                "--K", pick([0, 1, 2], [-1]), "--anc-dim", pick([1, 2], [0]),
+                f"--lambda={num('1e-3')}", f"--anc-freq={num('1.3')}",
+                f"--coupling={num('0.1')}", f"--c1={num('0.02')}", f"--c2={num('0.01')}"]
+    if command == "susy":
+        return ["susy", "--superpotential", "0,0,0.5", "--dim", pick([8, 16], [-1, 0]),
+                f"--zero-tol={num('1e-6')}"]
+    return ["vev", "--d2", inputs / "d2.json", "--pvev", f"{num('1')},{num('2')}",
+            f"--qvev={num('3')}"]
+
+
+@pytest.fixture(scope="module")
+def shared_edge_inputs(tmp_path_factory):
+    return write_edge_inputs(tmp_path_factory.mktemp("inputs"))
+
+
+@pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
+@pytest.mark.filterwarnings("ignore:normal matrix condition")
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_every_subcommand_exit_code_contract(shared_edge_inputs, data):
+    argv = _draw_argv(data.draw, shared_edge_inputs)
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        status = run_cli(*argv, "--out-dir", out)
+        assert status in (0, 2, 3)
+        if status == 0:
+            for path in out.glob("*.json"):
+                json.loads(path.read_text(), parse_constant=reject_non_finite)
