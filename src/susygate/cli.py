@@ -167,7 +167,7 @@ def cmd_synth(args, ws: Workspace) -> int:
         spec=spec,
         horizon=args.T,
         n_harmonics=args.K,
-        # with neither flag the sweep replaces lam per grid point anyway
+        # λ = 0 unless --budget is given (a sweep sets its own multipliers)
         lam=0.0 if args.lam is None and args.budget is None else args.lam,
         budget=args.budget,
         allow_nonunitary=args.allow_nonunitary,
@@ -528,8 +528,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     penalty = p.add_mutually_exclusive_group()
     penalty.add_argument("--lambda", dest="lam", type=float, default=None)
     penalty.add_argument("--budget", type=float, default=None)
-    p.add_argument("--lambda-grid", default=None, metavar="LO,HI,N",
-                   help="log-spaced multiplier sweep (writes a Pareto table)")
+    penalty.add_argument("--lambda-grid", default=None, metavar="LO,HI,N",
+                         help="log-spaced multiplier sweep (writes a Pareto table)")
     p.add_argument("--match-phase", action="store_true")
     p.add_argument("--allow-nonunitary", action="store_true")
     p.add_argument("--no-oracle-check", action="store_true",
@@ -616,7 +616,7 @@ def main(argv=None) -> int:
     except NUMERICAL_ERRORS as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError) as exc:
+    except (ValueError, KeyError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}

@@ -16,12 +16,18 @@ from dataclasses import dataclass
 
 import numpy as np
 
+# largest truncation any operator is built at; a dense complex matrix of this
+# size already takes 256 MiB
+MAX_CUTOFF = 4096
+
 
 def annihilation_op(cutoff: int) -> np.ndarray:
     """Annihilation operator on the lowest ``cutoff`` number states:
     entry (n, n+1) = sqrt(n+1)."""
     if cutoff < 1:
         raise ValueError("cutoff must be >= 1")
+    if cutoff > MAX_CUTOFF:
+        raise ValueError(f"cutoff {cutoff} exceeds the limit of {MAX_CUTOFF}")
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1).astype(complex)
 
 

@@ -9,15 +9,16 @@ field), which is enforced by solving the stacked real system
 construction, never by rounding.
 
 The pulse-energy constraint ∫ b² dt = Σ_j w_j β_j² (exact weights from
-``dyson.energy_weights``) enters either as a fixed penalty multiplier or
-as a hard budget; the budget form finds its multiplier by monotone
-bisection on the energy-vs-multiplier curve.
+``dyson.energy_weights``) enters either as a fixed penalty multiplier λ or
+as a hard budget B.  One SVD of A W^{-1/2} gives every multiplier's pulse
+in closed form (standard-form Tikhonov); the budget form finds its
+multiplier by Newton's method on the secular equation |W^{1/2}β(λ)|⁻¹ = B^{-1/2}.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,6 +27,7 @@ from .fock import is_unitary
 from .spectrum import Spectrum
 
 CONDITION_WARN = 1e12
+NEWTON_MAX_ITER = 100  # budget multiplier; about a dozen steps reach the root
 
 
 @dataclass(frozen=True)
@@ -88,21 +90,11 @@ class SynthesisReport:
         }
 
 
-def _ridge_solve(a_real, r_real, w, lam):
-    # Augmented least squares: rows sqrt(lam*w) implement the ridge term;
-    # lstsq gives the minimum-norm solution on rank deficiency.
-    if lam > 0:
-        aug = np.vstack([a_real, np.diag(np.sqrt(lam * w))])
-        rhs = np.concatenate([r_real, np.zeros(w.size)])
-    else:
-        aug, rhs = a_real, r_real
-    beta, *_ = np.linalg.lstsq(aug, rhs, rcond=None)
-    return beta
-
-
-def synthesize(prob: SynthesisProblem, oracle_check: bool = False) -> SynthesisReport:
-    """Solve the design problem; optionally score the pulse against the
-    brute-force propagator (first-order error made visible)."""
+def _design(prob: SynthesisProblem):
+    """One design step: the design matrix, U0 and the phase-matched residual,
+    and the SVD of the energy-scaled real system A W^{-1/2} = U S Vᵀ cut at
+    lstsq's default cutoff.  Returns (s, c = Uᵀr, report_at), where
+    report_at(lam) scores β(λ) = W^{-1/2} V s c / (s² + λ)."""
     spec, t_h, n_k = prob.spec, prob.horizon, prob.n_harmonics
     k = spec.cutoff_kept
     a = design_matrix(spec, t_h, n_k)
@@ -117,70 +109,68 @@ def synthesize(prob: SynthesisProblem, oracle_check: bool = False) -> SynthesisR
     r = g.reshape(-1) - u0_vec
 
     a_real = np.vstack([a.real, a.imag])
-    r_real = np.concatenate([r.real, r.imag])
     w = energy_weights(t_h, n_k)
+    w_isqrt = 1.0 / np.sqrt(w)
+    u, s, vt = np.linalg.svd(a_real * w_isqrt, full_matrices=False)
+    rank = np.count_nonzero(s > s[0] * max(a_real.shape) * np.finfo(float).eps)
+    u, s, vt = u[:, :rank], s[:rank], vt[:rank]
+    c = u.T @ np.concatenate([r.real, r.imag])
 
-    note = ""
-    if prob.budget is not None:
-        beta, lam, note = _solve_budget(a_real, r_real, w, prob.budget)
-    else:
-        lam = float(prob.lam)
-        beta = _ridge_solve(a_real, r_real, w, lam)
+    def report_at(lam, note="", oracle_check=False) -> SynthesisReport:
+        beta = w_isqrt * (vt.T @ (s * c / (s**2 + lam)))
+        conditioning = float(np.linalg.cond(a_real.T @ a_real + np.diag(lam * w)))
+        if conditioning > CONDITION_WARN:
+            warnings.warn(
+                f"normal matrix condition {conditioning:.2e} above {CONDITION_WARN:.0e}; "
+                "minimum-energy solution returned",
+                stacklevel=3,
+            )
+        pulse = ControlPulse(t_h, beta)
+        u_gate = (u0_vec + a @ beta).reshape(k, k)
+        residual = float(np.linalg.norm(u_gate - g))
+        fidelity = float(abs(np.trace(g.conj().T @ u_gate)) / k)
+        report = SynthesisReport(pulse, residual, fidelity, pulse.energy(), lam, conditioning,
+                                 note=note)
+        if oracle_check:
+            u_true = propagate_oracle(spec, pulse)
+            report.oracle_fidelity = float(abs(np.trace(g.conj().T @ u_true)) / k)
+        return report
 
-    normal = a_real.T @ a_real + np.diag(lam * w)
-    conditioning = float(np.linalg.cond(normal))
-    if conditioning > CONDITION_WARN:
-        warnings.warn(
-            f"normal matrix condition {conditioning:.2e} above {CONDITION_WARN:.0e}; "
-            "minimum-norm solution returned",
-            stacklevel=2,
-        )
-
-    pulse = ControlPulse(t_h, beta)
-    u = (u0_vec + a @ beta).reshape(k, k)
-    residual = float(np.linalg.norm(u - g))
-    fidelity = float(abs(np.trace(g.conj().T @ u)) / k)
-    report = SynthesisReport(
-        pulse=pulse,
-        residual=residual,
-        fidelity=fidelity,
-        energy=pulse.energy(),
-        multiplier=lam,
-        conditioning=conditioning,
-        note=note,
-    )
-    if oracle_check:
-        u_true = propagate_oracle(spec, pulse)
-        report.oracle_fidelity = float(abs(np.trace(g.conj().T @ u_true)) / k)
-    return report
+    return s, c, report_at
 
 
-def _solve_budget(a_real, r_real, w, budget):
-    def energy_at(lam):
-        beta = _ridge_solve(a_real, r_real, w, lam)
-        return beta, float(w @ beta**2)
+def _budget_multiplier(s, c, budget: float) -> float:
+    # Newton on the secular equation 1/|W^{1/2}β(λ)| = 1/√B from λ = 0: the
+    # left side is concave and increasing, so the iterates rise to the root.
+    lam = 0.0
+    for _ in range(NEWTON_MAX_ITER):
+        q = s * c / (s**2 + lam)  # W^{1/2}β(λ) in the right singular basis
+        e = q @ q
+        if e <= budget * (1 + 1e-10):
+            break
+        lam += (np.sqrt(e / budget) - 1) * e / np.sum(q**2 / (s**2 + lam))
+    return float(lam)
 
-    beta0, e0 = energy_at(0.0)
-    if e0 <= budget:
-        return beta0, 0.0, "budget inactive: unconstrained solution within bound"
-    lo, hi = 0.0, 1e-9
-    beta, e_hi = energy_at(hi)
-    while e_hi > budget:
-        lo, hi = hi, hi * 10.0
-        beta, e_hi = energy_at(hi)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        beta_mid, e_mid = energy_at(mid)
-        if e_mid > budget:
-            lo = mid
-        else:
-            hi, beta = mid, beta_mid
-        if abs(e_mid - budget) <= 1e-10 * budget:
-            return beta_mid, mid, ""
-    return beta, hi, ""
+
+def synthesize(prob: SynthesisProblem, oracle_check: bool = False) -> SynthesisReport:
+    """Solve the design problem; optionally score the pulse against the
+    brute-force propagator (first-order error made visible).  Where A is
+    rank-deficient, λ = 0 gives the least-squares pulse of minimum energy,
+    the λ → 0⁺ limit of the ridge family."""
+    s, c, report_at = _design(prob)
+    if prob.budget is None:
+        return report_at(float(prob.lam), oracle_check=oracle_check)
+    lam = _budget_multiplier(s, c, prob.budget)
+    note = "budget inactive: unconstrained solution within bound" if lam == 0 else ""
+    return report_at(lam, note, oracle_check)
 
 
 def sweep(prob: SynthesisProblem, lam_grid) -> list[SynthesisReport]:
-    """One synthesis per multiplier; energies are non-increasing and
-    residuals non-decreasing along an increasing grid (ridge trade-off)."""
-    return [synthesize(replace(prob, lam=float(lam), budget=None)) for lam in lam_grid]
+    """One synthesis per multiplier, all from one design and SVD; energies
+    are non-increasing and residuals non-decreasing along an increasing
+    grid (ridge trade-off)."""
+    lams = [float(lam) for lam in lam_grid]
+    if not all(0 <= lam < np.inf for lam in lams):
+        raise ValueError("penalty multipliers must be finite and >= 0")
+    _, _, report_at = _design(prob)
+    return [report_at(lam) for lam in lams]

@@ -585,11 +585,18 @@ def test_cli_imports_no_scipy_submodules(tmp_path):
 
 # --- one parser, one read per input ---------------------------------------------------
 
-def test_synth_lambda_and_budget_are_exclusive(tmp_path, stored_spectrum):
+@pytest.mark.parametrize(
+    "penalties",
+    [["--lambda", 0.5, "--budget", 1e-3],
+     ["--budget", 1e-3, "--lambda-grid", "1e-4,1e4,3"],
+     ["--lambda", 0.5, "--lambda-grid", "1e-4,1e4,3"]],
+    ids=["lambda-budget", "budget-grid", "lambda-grid"],
+)
+def test_synth_lambda_and_budget_are_exclusive(tmp_path, stored_spectrum, penalties):
     spec = Spectrum.from_json(load_json(stored_spectrum))
     save_json(tmp_path / "target.json", matrix_to_json(u0(spec, 2.0)))
     assert run_cli("synth", "--target", tmp_path / "target.json", "--spectrum", stored_spectrum,
-                   "--T", 2.0, "--K", 1, "--lambda", 0.5, "--budget", 1e-3,
+                   "--T", 2.0, "--K", 1, *penalties,
                    "--no-oracle-check", "--out-dir", tmp_path) == 2
     assert not (tmp_path / "manifest.json").exists()
 
@@ -679,6 +686,7 @@ def write_edge_inputs(tmp_path):
     target = choi(dyson_channel(JointSystem(sys_dim=2, anc_dim=2), ControlPulse(2.0, np.zeros(3))))
     save_json(tmp_path / "choi.json", {**matrix_to_json(target), "d_in": 2, "d_out": 2})
     save_json(tmp_path / "d2.json", [[[1.0], [0.0]], [[0.0], [2.0]]])
+    write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 3))
     return tmp_path
 
 
@@ -734,6 +742,16 @@ def test_channel_non_finite_exits_2(edge_inputs, capfd, flag, value):
 def test_susy_bad_zero_tol_exits_2(tmp_path, capfd, zero_tol):
     assert_exit_2_quietly(capfd, ["susy", "--superpotential", "0,0,0.5", "--dim", 32,
                                   "--zero-tol", zero_tol, "--out-dir", tmp_path])
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--dim", 3, "--raw-dim", 100000000],
+     ["susy", "--superpotential", "0,0,0.5", "--dim", 100000000]],
+    ids=["spectrum", "susy"],
+)
+def test_huge_cutoff_exits_2(tmp_path, capfd, argv):
+    assert_exit_2_quietly(capfd, argv + ["--out-dir", tmp_path])
 
 
 def reject_non_finite(name):
@@ -799,3 +817,52 @@ def test_every_subcommand_exit_code_contract(shared_edge_inputs, data):
         if status == 0:
             for path in out.glob("*.json"):
                 json.loads(path.read_text(), parse_constant=reject_non_finite)
+
+
+# --- valid JSON of the wrong shape --------------------------------------------------
+
+def _wrong_shape_json():
+    """[], {}, null, a number, or a matrix object with one field deleted,
+    null or a string."""
+    matrix = matrix_to_json(np.eye(2))
+    field_name = st.sampled_from(sorted(matrix))
+    deleted = field_name.map(lambda name: {k: v for k, v in matrix.items() if k != name})
+    replaced = st.tuples(field_name, st.one_of(st.none(), st.text(max_size=4))).map(
+        lambda pair: {**matrix, pair[0]: pair[1]}
+    )
+    number = st.one_of(st.integers(), st.floats(allow_nan=False, allow_infinity=False))
+    return st.one_of(st.just([]), st.just({}), st.none(), number, deleted, replaced)
+
+
+def _json_input_argv(command, inputs):
+    """A valid argv for ``command`` and the flags that name its JSON inputs."""
+    trajectory = ["--model", inputs / "model.json", "--T", 0.1, "--dt", 1e-2]
+    return {
+        "gate": (["gate", "--spectrum", inputs / "spectrum.json",
+                  "--pulse", inputs / "pulse.json"], ["--spectrum", "--pulse"]),
+        "synth": (["synth", "--target", inputs / "target.json",
+                   "--spectrum", inputs / "spectrum.json", "--T", 2.0, "--K", 1,
+                   "--no-oracle-check"], ["--target", "--spectrum"]),
+        "channel": (["channel", "--target", inputs / "choi.json", "--T", 2.0, "--K", 1],
+                    ["--target"]),
+        "vev": (["vev", "--d2", inputs / "d2.json", "--pvev", "1,2", "--qvev", "3"], ["--d2"]),
+        "filter-sim": (["filter-sim", *trajectory], ["--model"]),
+        "filter-fit": (["filter-fit", *trajectory], ["--model"]),
+    }[command]
+
+
+@pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["gate", "synth", "channel", "vev", "filter-sim", "filter-fit"]),
+    which=st.integers(min_value=0, max_value=1),
+    value=_wrong_shape_json(),
+)
+def test_wrong_shape_json_exit_code_contract(shared_edge_inputs, command, which, value):
+    argv, flags = _json_input_argv(command, shared_edge_inputs)
+    flag = flags[which % len(flags)]
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        save_json(out / "input.json", value)
+        argv[argv.index(flag) + 1] = out / "input.json"
+        assert run_cli(*argv, "--out-dir", out / "run") in (0, 2, 3)

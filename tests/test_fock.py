@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from susygate.fock import (
+    MAX_CUTOFF,
     GradedSpace,
     annihilation_op,
     creation_op,
@@ -27,6 +28,12 @@ def test_annihilation_smallest_cases():
 def test_annihilation_requires_positive_cutoff():
     with pytest.raises(ValueError):
         annihilation_op(0)
+
+
+@pytest.mark.parametrize("op", [annihilation_op, creation_op, position_op, momentum_op])
+def test_cutoff_above_limit_rejected_before_allocating(op):
+    with pytest.raises(ValueError, match="exceeds the limit"):
+        op(MAX_CUTOFF + 1)
 
 
 def test_position_momentum_entries():

@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -115,16 +117,17 @@ def test_output_strictly_real(spec, rng):
     assert report.pulse.coeffs.dtype == np.float64
 
 
-def test_residual_orthogonality(spec, rng):
+@pytest.mark.parametrize("lam", [0.0, 1e-6, 0.05, 10.0, 1e6])
+def test_residual_orthogonality(spec, rng, lam):
     # stationarity of the real-constrained ridge problem:
     # Re[A^H (A beta - r)] + lam W beta = 0
-    prob, _ = planted_problem(spec, rng, lam=0.05)
+    prob, _ = planted_problem(spec, rng, lam=lam)
     report = synthesize(prob)
     a = design_matrix(spec, prob.horizon, prob.n_harmonics)
     r = prob.target.reshape(-1) - u0(spec, prob.horizon).reshape(-1)
     w = energy_weights(prob.horizon, prob.n_harmonics)
     beta = report.pulse.coeffs
-    grad = np.real(a.conj().T @ (a @ beta - r)) + 0.05 * (w * beta)
+    grad = np.real(a.conj().T @ (a @ beta - r)) + lam * (w * beta)
     assert np.max(np.abs(grad)) < 1e-8
 
 
@@ -142,6 +145,20 @@ def test_budget_form_hits_budget(spec, rng):
     assert bounded.energy == pytest.approx(budget, rel=1e-6)
     assert bounded.multiplier > 0
     assert bounded.residual >= unconstrained.residual
+
+
+def test_budget_multiplier_meets_each_budget(spec, rng):
+    prob, _ = planted_problem(spec, rng)
+    unconstrained = synthesize(prob).energy
+    multipliers = []
+    for fraction in [0.999, 0.5, 1e-3, 1e-8]:
+        budget = fraction * unconstrained
+        report = synthesize(replace(prob, lam=None, budget=budget))
+        assert report.energy == pytest.approx(budget, rel=1e-8)
+        multipliers.append(report.multiplier)
+    # a tighter budget needs a larger multiplier
+    assert multipliers == sorted(multipliers)
+    assert multipliers[0] > 0
 
 
 def test_budget_inactive_when_generous(spec, rng):
@@ -177,6 +194,55 @@ def test_sweep_extremes_bracket(spec, rng):
         assert r.residual <= ends[1].residual + 1e-12
 
 
+def test_one_design_and_one_svd_per_call(spec, rng, monkeypatch):
+    import susygate.gate_synth as gate_synth
+
+    prob, _ = planted_problem(spec, rng)
+    budget = 0.25 * synthesize(prob).energy
+    calls = {"design_matrix": 0, "svd": 0, "lstsq": 0}
+
+    def counting(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(gate_synth, "design_matrix", counting("design_matrix", design_matrix))
+    monkeypatch.setattr(np.linalg, "svd", counting("svd", np.linalg.svd))
+    monkeypatch.setattr(np.linalg, "lstsq", counting("lstsq", np.linalg.lstsq))
+    assert len(sweep(prob, np.geomspace(1e-4, 1e4, 9))) == 9
+    assert calls == {"design_matrix": 1, "svd": 1, "lstsq": 0}
+    synthesize(replace(prob, lam=None, budget=budget))
+    assert calls == {"design_matrix": 2, "svd": 2, "lstsq": 0}
+
+
+def test_sweep_rejects_bad_multiplier(spec, rng):
+    prob, _ = planted_problem(spec, rng)
+    for bad in [-1.0, np.nan, np.inf]:
+        with pytest.raises(ValueError, match="finite and >= 0"):
+            sweep(prob, [1.0, bad])
+
+
+def test_wide_design_minimum_energy_at_zero_multiplier(rng):
+    # 8 real equations, 11 coefficients: lambda = 0 picks, among the
+    # least-squares fits, the pulse of least energy sum_j w_j beta_j^2
+    small = compute_spectrum(0.03, 0.01, kept=2)
+    horizon, n_h = 2.0, 5
+    target = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+    prob = SynthesisProblem(
+        target=target, spec=small, horizon=horizon, n_harmonics=n_h, lam=0.0,
+        allow_nonunitary=True,
+    )
+    with pytest.warns(UserWarning, match="minimum-energy"):
+        report = synthesize(prob)
+    a = design_matrix(small, horizon, n_h)
+    r = target.reshape(-1) - u0(small, horizon).reshape(-1)
+    w_isqrt = 1.0 / np.sqrt(energy_weights(horizon, n_h))
+    scaled = np.vstack([a.real, a.imag]) * w_isqrt
+    expected = w_isqrt * (np.linalg.pinv(scaled) @ np.concatenate([r.real, r.imag]))
+    assert np.linalg.norm(report.pulse.coeffs - expected) <= 1e-10 * np.linalg.norm(expected)
+
+
 def test_sweep_empty_grid(spec, rng):
     prob, _ = planted_problem(spec, rng)
     assert sweep(prob, []) == []
@@ -209,7 +275,7 @@ def test_match_phase_absorbs_global_phase(spec):
 def test_conditioning_warning_on_resonant_horizon(spec, rng):
     # near-integer level spacings against harmonics at T=4 make the normal
     # matrix catastrophically conditioned; the solver warns and falls back
-    # to the minimum-norm solution
+    # to the minimum-energy solution
     prob, beta_star = planted_problem(spec, rng, horizon=4.0)
     with pytest.warns(UserWarning, match="condition"):
         report = synthesize(prob)
