@@ -9,7 +9,8 @@ hashes are of the bytes that were parsed.  ``--config FILE`` lines
 argparse reads them and any flag on the command line wins.
 
 Exit codes: 0 success, 2 validation error (bad flags, unreadable or
-malformed inputs), 3 numerical failure (non-convergence, step-size abort).
+malformed inputs), 3 numerical failure (non-convergence, step-size abort,
+a NaN or infinite result); a run that exits 3 writes no manifest.
 Seed resolution order: --seed flag, config file, SUSYGATE_SEED, then 0.
 """
 
@@ -28,7 +29,7 @@ from pathlib import Path
 import numpy as np
 
 from . import __version__, channel, dyson, filter_fit, gate_synth, spectrum, susy_toy
-from .errors import NUMERICAL_ERRORS
+from .errors import SusygateError
 from .plotting import line_plot_svg
 from .serialize import matrix_from_json, matrix_to_json, parse_json, save_json
 
@@ -145,8 +146,8 @@ def cmd_gate(args, ws: Workspace) -> int:
             np.max(np.abs(gate.conj().T @ gate - np.eye(k)))
         ),
     }
-    if args.oracle is not None:
-        reference = dyson.propagate_oracle(spec, pulse, steps=args.oracle)
+    if args.oracle:
+        reference = dyson.propagate_oracle(spec, pulse)
         ws.save_json("oracle.json", matrix_to_json(reference))
         report["oracle_gap"] = float(np.linalg.norm(gate - reference))
     ws.save_json("gate_report.json", report)
@@ -235,8 +236,7 @@ def cmd_susy(args, ws: Workspace) -> int:
     coeffs = [float(x) for x in args.superpotential.split(",")]
     pair = susy_toy.susy_pair(coeffs, args.dim)
     report = susy_toy.witten_index(pair, zero_tol=args.zero_tol)
-    ev_minus = np.linalg.eigvalsh(pair.h_minus)[:10]
-    ev_plus = np.linalg.eigvalsh(pair.h_plus)[:10]
+    levels = zip(pair.e_minus[:10], pair.e_plus[:10])
     ws.save_json(
         "susy_report.json",
         {
@@ -248,7 +248,7 @@ def cmd_susy(args, ws: Workspace) -> int:
     ws.save_csv(
         "partner_energies.csv",
         ["level", "e_minus", "e_plus"],
-        [(i, repr(float(a)), repr(float(b))) for i, (a, b) in enumerate(zip(ev_minus, ev_plus))],
+        [(i, repr(float(a)), repr(float(b))) for i, (a, b) in enumerate(levels)],
     )
     print(f"susy: index {report.index} ({report.label})")
     return 0
@@ -328,13 +328,18 @@ def cmd_filter_sim(args, ws: Workspace) -> int:
     return 0
 
 
-def _read_record(text: str, path) -> np.ndarray:
+def _read_record(text: str, path, times: np.ndarray) -> np.ndarray:
+    """The dY column of a ``t,dY`` record whose t column is ``times[:-1]``."""
     rows = list(csv.reader(io.StringIO(text, newline="")))
     if not rows or rows[0][:2] != ["t", "dY"]:
         raise ValueError(f"{path}: expected CSV with header t,dY")
+    tol = 1e-9 * max(1.0, times[-1])
     for line_no, row in enumerate(rows[1:], 2):
         if len(row) < 2:
             raise ValueError(f"{path}:{line_no}: expected columns t,dY")
+        step = line_no - 2
+        if step < times.size - 1 and not abs(float(row[0]) - times[step]) <= tol:
+            raise ValueError(f"{path}:{line_no}: t = {row[0]} is not grid time {times[step]!r}")
     return np.asarray([float(r[1]) for r in rows[1:]])
 
 
@@ -359,7 +364,7 @@ def cmd_filter_fit(args, ws: Workspace) -> int:
     seed = args.seed = _resolve_seed(args)
     record = None
     if args.record:
-        record = _read_record(ws.read(args.record).decode(), args.record)
+        record = _read_record(ws.read(args.record).decode(), args.record, times)
     est, fit = _filter_and_fit(
         family, rho0, truth, meas, grids, args.eta, times, seed, args.xtol, record
     )
@@ -413,34 +418,22 @@ def demo_pipeline(ws: Workspace, seed: int, horizon: float, dt: float, eta: floa
 
     stride = max(1, times.size // 100)
     idx = np.arange(0, times.size, stride)
-    rows = []
-    for i in idx:
-        gap = float(np.linalg.norm(fitted.states[i] - est.states[i]))
-        rows.append(
-            (
-                repr(float(times[i])),
-                repr(float(est.states[i][1, 1].real)),
-                repr(float(fitted.states[i][1, 1].real)),
-                repr(gap),
-            )
-        )
+    t_col = [float(t) for t in times[idx]]
+    filter_col = [float(x) for x in est.states[idx, 1, 1].real]
+    fitted_col = [float(x) for x in fitted.states[idx, 1, 1].real]
+    gap_col = [float(np.linalg.norm(fitted.states[i] - est.states[i])) for i in idx]
+    rows = [tuple(map(repr, row)) for row in zip(t_col, filter_col, fitted_col, gap_col)]
     ws.save_csv("comparison.csv", ["t", "filter_pop1", "fitted_pop1", "frobenius_gap"], rows)
     ws.save_svg(
         "comparison.svg",
-        [
-            ("filter", [float(times[i]) for i in idx], [float(est.states[i][1, 1].real) for i in idx]),
-            ("fitted", [float(times[i]) for i in idx], [float(fitted.states[i][1, 1].real) for i in idx]),
-        ],
+        [("filter", t_col, filter_col), ("fitted", t_col, fitted_col)],
         title="filter estimate vs fitted model",
         xlabel="t",
         ylabel="excited population",
     )
 
-    # final-state gaps at the grid extremes, to compare with the fitted one
-    def final_gap(theta):
-        traj = filter_fit.lindblad_evolve(family.at(np.atleast_1d(theta)), rho0, times)
-        return float(np.linalg.norm(traj.states[-1] - est.states[-1]))
-
+    # final-state gap of every point the fit integrated (a skipped one has none)
+    gaps = {k: float(np.linalg.norm(s - est.states[-1])) for k, s in fit.final_states.items()}
     report = {
         "seed": seed,
         "eta": eta,
@@ -450,8 +443,8 @@ def demo_pipeline(ws: Workspace, seed: int, horizon: float, dt: float, eta: floa
         "theta_star": [float(x) for x in fit.theta],
         "cost": fit.cost,
         "final_gap_fit": float(np.linalg.norm(fitted.states[-1] - est.states[-1])),
-        "final_gap_grid_low": final_gap(grids[0][0]),
-        "final_gap_grid_high": final_gap(grids[0][-1]),
+        "final_gap_grid_low": gaps.get((float(grids[0][0]),)),
+        "final_gap_grid_high": gaps.get((float(grids[0][-1]),)),
     }
     ws.save_json("demo_report.json", report)
     return report
@@ -520,8 +513,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = add("gate", cmd_gate, help="first-order gate for a stored pulse")
     p.add_argument("--spectrum", required=True)
     p.add_argument("--pulse", required=True)
-    p.add_argument("--oracle", type=int, default=None, metavar="STEPS",
-                   help="also run the brute-force propagator from this grid size")
+    p.add_argument("--oracle", action="store_true",
+                   help="also run the brute-force time-ordered propagator")
 
     p = add("synth", cmd_synth, design, help="least-squares pulse design for a target gate")
     p.add_argument("--spectrum", required=True)
@@ -589,6 +582,8 @@ def _config_argv(path: str, subparser: argparse.ArgumentParser) -> list[str]:
             argv.append(f"--{key}={value}")
         elif value.lower() in ("1", "true", "yes"):  # store_true switch
             argv.append(f"--{key}")
+        elif value.lower() not in ("0", "false", "no"):
+            raise ValueError(f"{path}:{line_no}: {key} is a switch, got {value!r}")
     return argv
 
 
@@ -613,14 +608,14 @@ def main(argv=None) -> int:
     ws = Workspace(Path(args.out_dir))
     try:
         status = args.func(args, ws)
-    except NUMERICAL_ERRORS as exc:
+        config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
+        ws.write_manifest(args.command, config, getattr(args, "seed", None), t0)
+    except SusygateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except (ValueError, KeyError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
-    ws.write_manifest(args.command, config, getattr(args, "seed", None), t0)
     return status
 
 

@@ -35,6 +35,9 @@ from .spectrum import Spectrum, build_h0
 MIDPOINT_CHUNK = 4096
 # Frobenius gap between successive grid doublings at which the oracle stops
 ORACLE_TOL = 1e-8
+# the oracle's first midpoint grid, and the grid at which it gives up
+ORACLE_START_STEPS = 64
+ORACLE_MAX_STEPS = 64 << 14
 
 
 def energy_weights(horizon: float, n_harmonics: int) -> np.ndarray:
@@ -227,23 +230,19 @@ def _midpoint_product(
     return u
 
 
-def propagate_oracle(
-    spec: Spectrum, pulse: ControlPulse, steps: int = 64, max_doublings: int = 14
-) -> np.ndarray:
+def propagate_oracle(spec: Spectrum, pulse: ControlPulse) -> np.ndarray:
     """Brute-force propagator: midpoint-rule product of step exponentials.
 
     Integrates at the full raw dimension (exactly unitary there), then
-    projects to the kept block of the eigenbasis.  The grid is doubled until
-    two successive refinements agree to ``ORACLE_TOL`` in Frobenius norm,
-    starting from ``steps``; failure to converge within ``max_doublings``
-    raises :class:`OracleConvergenceError`.
+    projects to the kept block of the eigenbasis.  The grid starts at
+    ``ORACLE_START_STEPS`` and is doubled until two successive refinements
+    agree to ``ORACLE_TOL`` in Frobenius norm; a grid that would exceed
+    ``ORACLE_MAX_STEPS`` raises :class:`OracleConvergenceError`.
 
     The Hamiltonian is rebuilt from the spectrum's recorded (c1, c2) at the
     raw cutoff, independent of the stored eigen-data, and the control
     operator is the position operator.
     """
-    if steps < 1:
-        raise ValueError(f"oracle grid needs at least one step, got {steps}")
     m = spec.cutoff_raw
     h0 = build_h0(spec.c1, spec.c2, m)
     ctrl = position_op(m)
@@ -252,8 +251,9 @@ def propagate_oracle(
         rotated = spec.modes.conj().T @ u_full @ spec.modes
         return rotated[: spec.cutoff_kept, : spec.cutoff_kept]
 
+    steps = ORACLE_START_STEPS
     prev = project(_midpoint_product(h0, ctrl, pulse, steps))
-    for _ in range(max_doublings):
+    while steps < ORACLE_MAX_STEPS:
         steps *= 2
         cur = project(_midpoint_product(h0, ctrl, pulse, steps))
         if np.linalg.norm(cur - prev) < ORACLE_TOL:

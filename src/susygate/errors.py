@@ -2,7 +2,8 @@
 
 Plain ``ValueError`` is used for contract violations (bad shapes, invalid
 parameters); the classes below mark *numerical* failures that a caller may
-want to retry with different discretization settings.
+want to retry with different discretization settings.  The CLI maps every
+:class:`SusygateError` to exit code 3.
 """
 
 
@@ -24,5 +25,5 @@ class StepSizeError(SusygateError):
     reduce the step size."""
 
 
-#: Failures that the CLI maps to exit code 3.
-NUMERICAL_ERRORS = (OracleConvergenceError, CutoffError, StepSizeError)
+class NonFiniteError(SusygateError):
+    """A result to be written holds NaN or an infinity."""

@@ -31,7 +31,6 @@ Fixed steps everywhere: runs are bitwise reproducible for a given seed.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -39,8 +38,6 @@ import numpy as np
 from .errors import StepSizeError
 from .serialize import matrix_from_json, matrix_to_json
 from .solver import gauss_newton
-
-logger = logging.getLogger(__name__)
 
 POSITIVITY_FLOOR = -1e-4  # eigenvalue below this aborts deterministic runs
 # lindblad_evolve advances BLOCK_STEPS steps per batched product, fewer when
@@ -391,6 +388,7 @@ class FitResult:
     skipped: list
     trajectory: Trajectory  # lindblad_evolve of theta, as integrated by the fit
     converged: bool
+    final_states: dict  # theta tuple -> final state, per integrated point
 
 
 def _tangents(family: ModelFamily, theta, states: np.ndarray, dt: float) -> np.ndarray:
@@ -436,7 +434,8 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
     :func:`_tangents`.  A θ outside the grid's hull is a failed step and is
     never integrated, so θ* stays inside the declared ranges.  Each
     distinct θ is integrated once: ``curve`` and ``skipped`` list distinct
-    points in evaluation order, grid points first.  Non-finite costs
+    points in evaluation order, grid points first, and ``final_states``
+    holds the last state of each integrated point.  Non-finite costs
     (integrator failures at extreme θ) are skipped and reported.  The
     result is the lowest-cost point evaluated, with its trajectory.
     """
@@ -454,6 +453,7 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
     lo, hi = np.array([[g.min(), g.max()] for g in grid]).T
 
     costs: dict = {}  # distinct θ -> cost (inf if skipped), in evaluation order
+    final_states: dict = {}
     best = {"cost": np.inf}  # lowest-cost point: key, cost, trajectory, evaluation
     failed = (np.full(1, np.inf), None)
 
@@ -468,12 +468,12 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
         try:
             traj = lindblad_evolve(family.at(theta), rho0, times)
         except (StepSizeError, FloatingPointError, ValueError):
-            logger.info("fit: skipped non-integrable point %s", theta)
             costs[key] = np.inf
             return failed
         diff = (traj.states - est.states).reshape(-1)
         r = np.concatenate([diff.real, diff.imag])
         costs[key] = float(r @ r)
+        final_states[key] = traj.states[-1].copy()  # not a view of every state
 
         def jacobian():
             y = _tangents(family, theta, traj.states, dt).reshape(family.n_params, -1)
@@ -493,5 +493,5 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
     skipped = [t for t, c in costs.items() if not np.isfinite(c)]
     return FitResult(
         theta=np.asarray(best["key"]), cost=best["cost"], curve=curve, skipped=skipped,
-        trajectory=best["traj"], converged=converged,
+        trajectory=best["traj"], converged=converged, final_states=final_states,
     )

@@ -12,6 +12,8 @@ from pathlib import Path
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 
 def matrix_to_json(a: np.ndarray) -> dict:
     """Encode a (possibly complex) 2-D array into the matrix schema."""
@@ -39,12 +41,20 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(
             f"entry count {len(re)}/{len(im)} does not match {rows}x{cols}"
         )
-    a = np.asarray(re, dtype=float) + 1j * np.asarray(im, dtype=float)
-    return a.reshape(rows, cols)
+    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    if not (np.isfinite(re).all() and np.isfinite(im).all()):
+        raise ValueError("matrix entries must be finite")
+    return (re + 1j * im).reshape(rows, cols)
 
 
 def save_json(path: str | Path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, indent=2, sort_keys=True) + "\n")
+    """Write ``obj`` as JSON; NaN or ±inf anywhere raises
+    :class:`NonFiniteError` and leaves ``path`` unwritten."""
+    try:
+        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+    except ValueError as exc:
+        raise NonFiniteError(f"{Path(path).name}: {exc}") from exc
+    Path(path).write_text(text + "\n")
 
 
 def parse_json(data: str | bytes, source):

@@ -57,21 +57,12 @@ def vev_control(v: VevControl) -> np.ndarray:
 
 
 def _mode_ops(extent: int, cutoff: int) -> tuple[list, list]:
-    q1 = position_op(cutoff)
-    p1 = momentum_op(cutoff)
-    qs, ps = [], []
-    for r in range(extent):
-        factors_q = [np.eye(cutoff, dtype=complex)] * extent
-        factors_p = [np.eye(cutoff, dtype=complex)] * extent
-        factors_q[r] = q1
-        factors_p[r] = p1
-        qk, pk = factors_q[0], factors_p[0]
-        for f_q, f_p in zip(factors_q[1:], factors_p[1:]):
-            qk = np.kron(qk, f_q)
-            pk = np.kron(pk, f_p)
-        qs.append(qk)
-        ps.append(pk)
-    return qs, ps
+    # single-mode Q and P, or their embeddings Q⊗I, I⊗Q (and P alike)
+    q1, p1 = position_op(cutoff), momentum_op(cutoff)
+    if extent == 1:
+        return [q1], [p1]
+    eye = np.eye(cutoff, dtype=complex)
+    return [np.kron(q1, eye), np.kron(eye, q1)], [np.kron(p1, eye), np.kron(eye, p1)]
 
 
 def effective_hamiltonian(
@@ -138,12 +129,15 @@ def effective_hamiltonian(
 
 @dataclass(frozen=True)
 class SusyPair:
-    """Partner Hamiltonians generated by a polynomial superpotential."""
+    """Partner Hamiltonians generated by a polynomial superpotential, with
+    their ascending spectra from the cutoff check."""
 
     w_coeffs: np.ndarray  # ascending powers, w[j] multiplies q^j
     cutoff: int
     h_plus: np.ndarray
     h_minus: np.ndarray
+    e_plus: np.ndarray
+    e_minus: np.ndarray
 
 
 def _poly_of_matrix(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -166,7 +160,8 @@ def _pair_at(w_coeffs: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]
 
 def susy_pair(w_coeffs, cutoff: int) -> SusyPair:
     """Build the partner pair and verify that the lowest levels are
-    cutoff-converged (compared against a 1.5× larger truncation)."""
+    cutoff-converged (compared against a 1.5× larger truncation).  The
+    partners' spectra from that check are kept on the pair."""
     w = np.asarray(w_coeffs, dtype=float).reshape(-1)
     if w.size < 3:
         raise ValueError("superpotential degree must be >= 2")
@@ -178,16 +173,17 @@ def susy_pair(w_coeffs, cutoff: int) -> SusyPair:
     bigger = int(np.ceil(1.5 * cutoff))
     hp2, hm2 = _pair_at(w, bigger)
     n_check = 6
-    for h_small, h_big, name in ((h_plus, hp2, "+"), (h_minus, hm2, "-")):
-        e_small = np.linalg.eigvalsh(h_small)[:n_check]
+    e_plus, e_minus = np.linalg.eigvalsh(h_plus), np.linalg.eigvalsh(h_minus)
+    for e_small, h_big, name in ((e_plus, hp2, "+"), (e_minus, hm2, "-")):
         e_big = np.linalg.eigvalsh(h_big)[:n_check]
-        drift = float(np.max(np.abs(e_small - e_big)))
+        drift = float(np.max(np.abs(e_small[:n_check] - e_big)))
         if drift >= 1e-6:
             raise CutoffError(
                 f"sector {name}: lowest-{n_check} levels drift {drift:.2e} "
                 f"between cutoffs {cutoff} and {bigger}; raise the cutoff"
             )
-    return SusyPair(w_coeffs=w, cutoff=cutoff, h_plus=h_plus, h_minus=h_minus)
+    return SusyPair(w_coeffs=w, cutoff=cutoff, h_plus=h_plus, h_minus=h_minus,
+                    e_plus=e_plus, e_minus=e_minus)
 
 
 @dataclass
@@ -219,7 +215,8 @@ class WittenIndexReport:
 
 
 def witten_index(pair: SusyPair, zero_tol: float = 1e-6) -> WittenIndexReport:
-    """Count zero modes of the pair: index = #(H− < tol) − #(H+ < tol).
+    """Count zero modes of the pair: index = #(H− < tol) − #(H+ < tol),
+    from the spectra that :func:`susy_pair` kept.
 
     Supersymmetry is labeled unbroken iff the index is nonzero or any
     zero-energy state exists (vacuum-energy criterion).  Eigenvalues inside
@@ -228,13 +225,11 @@ def witten_index(pair: SusyPair, zero_tol: float = 1e-6) -> WittenIndexReport:
     """
     if not 0 < zero_tol < np.inf:
         raise ValueError("zero_tol must be positive and finite")
-    ev_minus = np.linalg.eigvalsh(pair.h_minus)
-    ev_plus = np.linalg.eigvalsh(pair.h_plus)
 
     def count(tol):
-        return int(np.sum(ev_minus < tol)) - int(np.sum(ev_plus < tol))
+        return int(np.sum(pair.e_minus < tol)) - int(np.sum(pair.e_plus < tol))
 
-    both = np.concatenate([ev_minus, ev_plus])
+    both = np.concatenate([pair.e_minus, pair.e_plus])
     ambiguous = bool(np.any((both >= zero_tol / 10.0) & (both < zero_tol * 10.0)))
     if ambiguous:
         warnings.warn(

@@ -26,6 +26,13 @@ def run_cli(*args) -> int:
     return cli.main([str(a) for a in args])
 
 
+def cli_env() -> dict:
+    """Environment in which a child Python imports this susygate."""
+    src = str(Path(susygate.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
 def write_damping_model(path, gamma_truth=0.7, grid=(0.1, 1.5, 8)):
     lower = [[0, 1], [0, 0]]
     sx = [[0, 0.5], [0.5, 0]]
@@ -129,7 +136,7 @@ def test_gate_subcommand(tmp_path, stored_spectrum):
     pulse_path = tmp_path / "pulse.json"
     save_json(pulse_path, ControlPulse(2.0, np.array([0.05, 0.02, 0.0])).to_json())
     assert run_cli("gate", "--spectrum", stored_spectrum, "--pulse", pulse_path,
-                   "--oracle", 64, "--out-dir", tmp_path) == 0
+                   "--oracle", "--out-dir", tmp_path) == 0
     report = load_json(tmp_path / "gate_report.json")
     assert report["unitarity_defect"] < 0.1
     assert report["oracle_gap"] < 0.05
@@ -224,6 +231,22 @@ def test_susy_subcommand(tmp_path):
     with open(tmp_path / "partner_energies.csv") as fh:
         rows = list(csv.reader(fh))
     assert float(rows[1][1]) == pytest.approx(0.0, abs=1e-9)
+
+
+def test_susy_diagonalizes_each_partner_once(tmp_path, monkeypatch):
+    # the cutoff check diagonalizes both partners at two cutoffs; the index
+    # and the energy table reuse the spectra kept on the pair
+    calls = []
+    original = np.linalg.eigvalsh
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    assert run_cli("susy", "--superpotential", "0,0,0,0.33", "--dim", 64,
+                   "--out-dir", tmp_path) == 0
+    assert len(calls) == 4
 
 
 def test_vev_subcommand(tmp_path):
@@ -412,6 +435,18 @@ def test_filter_fit_short_record_row_exits_2(tmp_path, capsys):
     assert f"{record}:2" in capsys.readouterr().err
 
 
+def test_filter_fit_record_on_another_grid_exits_2(tmp_path, capsys):
+    # same row count, different times: 200 steps of 2e-3 fitted as 200 of 1e-3
+    model_path = write_damping_model(tmp_path / "model.json")
+    assert run_cli("filter-sim", "--model", model_path, "--dt", 2e-3, "--T", 0.4,
+                   "--seed", 1, "--out-dir", tmp_path / "sim") == 0
+    record = tmp_path / "sim" / "record.csv"
+    assert run_cli("filter-fit", "--model", model_path, "--record", record,
+                   "--dt", 1e-3, "--T", 0.2, "--out-dir", tmp_path / "fit") == 2
+    assert f"{record}:3:" in capsys.readouterr().err
+    assert not (tmp_path / "fit" / "manifest.json").exists()
+
+
 # Edge values plus valid ones; valid grids stay at or below 100 steps.
 _EDGES = [0.0, -1.0, float("nan"), float("inf"), float("-inf")]
 
@@ -493,6 +528,17 @@ def test_config_without_value_exits_2(name):
     assert run_cli(name, "--config") == 2
 
 
+def test_config_switch_with_a_value_rejected(tmp_path, stored_spectrum, capsys):
+    # oracle=64 was a grid size; a switch takes only yes/no words
+    pulse_path = tmp_path / "pulse.json"
+    save_json(pulse_path, ControlPulse(2.0, np.array([0.05, 0.02, 0.0])).to_json())
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"spectrum={stored_spectrum}\npulse={pulse_path}\noracle=64\n")
+    assert run_cli("gate", "--config", cfg, "--out-dir", tmp_path / "out") == 2
+    assert f"{cfg}:3:" in capsys.readouterr().err
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
 def test_config_unknown_key_rejected(tmp_path):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("frobnicate=1\n")
@@ -511,6 +557,23 @@ def test_demo_pipeline(tmp_path):
     assert (tmp_path / "comparison.svg").exists()
     manifest = load_json(tmp_path / "manifest.json")
     assert "comparison.csv" in manifest["artifacts"]
+
+
+def test_demo_integrates_no_grid_point_twice(tmp_path, monkeypatch):
+    # the grid-extreme gaps come from the fit's own final states: 13
+    # integrations (8 grid points, 5 Gauss–Newton trials), not 15
+    from susygate import filter_fit
+
+    calls = []
+    original = filter_fit.lindblad_evolve
+
+    def counting(*args):
+        calls.append(1)
+        return original(*args)
+
+    monkeypatch.setattr(filter_fit, "lindblad_evolve", counting)
+    assert run_cli("demo", "--seed", 3, "--out-dir", tmp_path) == 0
+    assert len(calls) == 13
 
 
 def test_demo_default_size_under_budget(tmp_path):
@@ -550,7 +613,7 @@ def test_cli_imports_no_scipy_submodules(tmp_path):
              "--T", "2", "--K", "2"]
     runs = [
         ["spectrum", "--c1", "0.03", "--c2", "0.01", "--dim", "4"],
-        ["gate", "--spectrum", "spectrum.json", "--pulse", "pulse.json", "--oracle", "64"],
+        ["gate", "--spectrum", "spectrum.json", "--pulse", "pulse.json", "--oracle"],
         synth + ["--lambda", "0"],
         synth + ["--lambda-grid", "1e-4,1e4,3"],
         synth + ["--budget", "1e-3", "--no-oracle-check"],
@@ -570,12 +633,9 @@ def test_cli_imports_no_scipy_submodules(tmp_path):
         "loaded = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
         "print(json.dumps({'codes': codes, 'loaded': loaded}))\n"
     )
-    src = str(Path(susygate.__file__).resolve().parents[1])
-    env = {**os.environ,
-           "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run(
         [sys.executable, "-c", script, json.dumps(runs)],
-        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=300,
+        cwd=tmp_path, env=cli_env(), capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
     result = json.loads(proc.stdout.splitlines()[-1])
@@ -703,11 +763,45 @@ def assert_exit_2_quietly(capfd, argv):
     assert "On entry to" not in out + err
 
 
-@pytest.mark.parametrize("steps", [0, -5])
-def test_gate_oracle_without_steps_exits_2(edge_inputs, capfd, steps):
-    assert_exit_2_quietly(capfd, ["gate", "--spectrum", edge_inputs / "spectrum.json",
-                                  "--pulse", edge_inputs / "pulse.json", "--oracle", steps,
-                                  "--out-dir", edge_inputs / "out"])
+@pytest.mark.parametrize("entry", ["null", "Infinity"])
+def test_channel_non_finite_choi_entry_exits_2(edge_inputs, entry):
+    # a NaN step would keep Gauss–Newton halving forever, so run the CLI in a
+    # child process that a timeout can stop
+    obj = load_json(edge_inputs / "choi.json")
+    text = json.dumps({**obj, "re": [None] + obj["re"][1:]}).replace("null", entry)
+    (edge_inputs / "bad_choi.json").write_text(text)
+    argv = ["channel", "--target", "bad_choi.json", "--T", "2.0", "--K", "1",
+            "--out-dir", "out"]
+    proc = subprocess.run(
+        [sys.executable, "-c", "import sys\nfrom susygate import cli\nsys.exit(cli.main(sys.argv[1:]))",
+         *argv],
+        cwd=edge_inputs, env=cli_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert "finite" in proc.stderr
+
+
+def _huge_pulse(inputs):
+    obj = load_json(inputs / "pulse.json")
+    save_json(inputs / "huge.json", {**obj, "coeffs": [1e300] + obj["coeffs"][1:]})
+    return ["gate", "--spectrum", inputs / "spectrum.json", "--pulse", inputs / "huge.json"]
+
+
+def _huge_choi(inputs):
+    obj = load_json(inputs / "choi.json")
+    save_json(inputs / "huge.json", {**obj, "re": [1e300] + obj["re"][1:]})
+    return ["channel", "--target", inputs / "huge.json", "--T", 2.0, "--K", 1]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow on purpose
+@pytest.mark.parametrize("make_argv", [_huge_pulse, _huge_choi], ids=["gate", "channel"])
+def test_non_finite_result_exits_3_without_manifest(edge_inputs, capsys, make_argv):
+    out = edge_inputs / "out"
+    assert run_cli(*make_argv(edge_inputs), "--out-dir", out) == 3
+    assert "numerical failure:" in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
+    for path in out.glob("*.json"):
+        json.loads(path.read_text(), parse_constant=reject_non_finite)
 
 
 @pytest.mark.parametrize("flag, value", [("--c1", "nan"), ("--c2", "inf")])
@@ -776,8 +870,8 @@ def _draw_argv(draw, inputs):
                 "--basis", draw(st.sampled_from(["exact", "pt"])),
                 f"--c1={num('0.03')}", f"--c2={num('0.01')}"]
     if command == "gate":
-        return ["gate", "--spectrum", inputs / "spectrum.json", "--pulse", inputs / "pulse.json",
-                "--oracle", pick([1, 64], [-1, 0])]
+        argv = ["gate", "--spectrum", inputs / "spectrum.json", "--pulse", inputs / "pulse.json"]
+        return argv + (["--oracle"] if draw(st.booleans()) else [])
     if command == "synth":
         argv = ["synth", "--target", inputs / "target.json", "--spectrum", inputs / "spectrum.json",
                 f"--T={num('2.0')}", "--K", pick([0, 1, 2], [-1])]
@@ -866,3 +960,48 @@ def test_wrong_shape_json_exit_code_contract(shared_edge_inputs, command, which,
         save_json(out / "input.json", value)
         argv[argv.index(flag) + 1] = out / "input.json"
         assert run_cli(*argv, "--out-dir", out / "run") in (0, 2, 3)
+
+
+_EXTREME_LEAVES = [1e300, -1e300, 1e-300, 0, -1]
+
+
+def _numeric_leaves(obj, path=()):
+    """Paths of every int or float (not bool) inside a JSON value."""
+    if isinstance(obj, dict):
+        return [p for k, v in sorted(obj.items()) for p in _numeric_leaves(v, path + (k,))]
+    if isinstance(obj, list):
+        return [p for i, v in enumerate(obj) for p in _numeric_leaves(v, path + (i,))]
+    return [path] if isinstance(obj, (int, float)) and not isinstance(obj, bool) else []
+
+
+def _with_leaf(obj, path, value):
+    if not path:
+        return value
+    head, rest = path[0], path[1:]
+    if isinstance(obj, dict):
+        return {**obj, head: _with_leaf(obj[head], rest, value)}
+    return [_with_leaf(v, rest, value) if i == head else v for i, v in enumerate(obj)]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow on purpose
+@pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
+@settings(max_examples=100, deadline=None)
+@given(
+    command=st.sampled_from(["gate", "synth", "channel", "vev", "filter-sim", "filter-fit"]),
+    data=st.data(),
+)
+def test_extreme_leaf_exit_code_contract(shared_edge_inputs, command, data):
+    argv, flags = _json_input_argv(command, shared_edge_inputs)
+    flag = data.draw(st.sampled_from(flags))
+    obj = load_json(argv[argv.index(flag) + 1])
+    path = data.draw(st.sampled_from(_numeric_leaves(obj)))
+    value = data.draw(st.sampled_from(_EXTREME_LEAVES))
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp)
+        save_json(out / "input.json", _with_leaf(obj, path, value))
+        argv[argv.index(flag) + 1] = out / "input.json"
+        status = run_cli(*argv, "--out-dir", out / "run")
+        assert status in (0, 2, 3)
+        if status == 0:
+            for artifact in (out / "run").glob("*.json"):
+                json.loads(artifact.read_text(), parse_constant=reject_non_finite)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from susygate import dyson
 from susygate.dyson import (
     ControlPulse,
     basis_transforms,
@@ -168,11 +169,13 @@ def test_oracle_group_property_on_free_segments(anharmonic_spec):
     assert np.allclose(ub @ ua, uab, atol=1e-8)
 
 
-def test_oracle_convergence_error():
+def test_oracle_convergence_error(monkeypatch):
     spec = compute_spectrum(0.0, 0.0, kept=2, raw_dim=8)
     p = ControlPulse(2.0, np.array([0.2, 0.1, 0.1]))
+    monkeypatch.setattr(dyson, "ORACLE_START_STEPS", 1)
+    monkeypatch.setattr(dyson, "ORACLE_MAX_STEPS", 2)
     with pytest.raises(OracleConvergenceError):
-        propagate_oracle(spec, p, steps=1, max_doublings=1)
+        propagate_oracle(spec, p)
 
 
 def test_dyson_remainder_quadratic_in_drive(rng):

@@ -80,3 +80,20 @@ def test_trajectory_json_bytes_match_per_element_encoding(rng, with_record):
         "seed": 3,
     }
     assert json.dumps(traj.to_json(), sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+@pytest.mark.parametrize("entry", [float("nan"), float("inf"), float("-inf"), None])
+def test_non_finite_entry_rejected(entry):
+    obj = {**matrix_to_json(np.eye(2)), "im": [0.0, entry, 0.0, 0.0]}
+    with pytest.raises(ValueError, match="finite"):
+        matrix_from_json(obj)
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+def test_save_json_refuses_non_finite(tmp_path, value):
+    from susygate.errors import NonFiniteError
+
+    path = tmp_path / "out.json"
+    with pytest.raises(NonFiniteError, match="out.json"):
+        save_json(path, {"nested": [1.0, {"x": value}]})
+    assert not path.exists()
