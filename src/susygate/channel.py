@@ -244,16 +244,7 @@ class ChannelSynthesisReport:
     n_evaluations: int
 
     def to_json(self) -> dict:
-        return {
-            "pulse": self.pulse.to_json(),
-            "distance": self.distance,
-            "tp_defect": self.tp_defect,
-            "cp_defect": self.cp_defect,
-            "energy": self.energy,
-            "multiplier": self.multiplier,
-            "converged": self.converged,
-            "n_evaluations": self.n_evaluations,
-        }
+        return {**vars(self), "pulse": self.pulse.to_json()}
 
 
 def synthesize_channel(

@@ -1,12 +1,12 @@
 """Command-line interface: every subsystem as a subcommand.
 
-Artifacts are JSON (matrices use the shared schema) plus CSV tables and
-static SVG plots; each run also writes ``manifest.json`` recording the
-resolved configuration, input hashes, package versions, seed and wall
-time, so any artifact can be regenerated from its manifest alone.  Input
-hashes are of the bytes that were parsed.  ``--config FILE`` lines
-``key=value`` become ``--key=value`` right after the subcommand name, so
-argparse reads them and any flag on the command line wins.
+Artifacts are compact JSON (matrices use the shared schema), CSV tables and
+static SVG plots under fixed names; each run also writes ``manifest.json``
+recording the resolved configuration, input hashes, package versions, seed
+and wall time, so any artifact can be regenerated from its manifest alone.
+Input hashes are of the bytes that were parsed.  Options are spelled in
+full, but ``--config FILE`` may be shortened; its lines ``key=value``
+become ``--key=value`` after the subcommand name, so any flag given wins.
 
 Exit codes: 0 success, 2 validation error (bad flags, unreadable or
 malformed inputs), 3 numerical failure (non-convergence, step-size abort,
@@ -80,7 +80,7 @@ class Workspace:
     def write_manifest(self, command: str, config: dict, seed, t0: float) -> None:
         manifest = {
             "command": command,
-            "config": {k: v for k, v in sorted(config.items())},
+            "config": config,
             "inputs": self.inputs,
             "artifacts": self.artifacts,
             "seed": seed,
@@ -122,7 +122,7 @@ def cmd_spectrum(args, ws: Workspace) -> int:
     spec = spectrum.compute_spectrum(
         args.c1, args.c2, kept=args.dim, raw_dim=args.raw_dim, basis=args.basis
     )
-    ws.save_json(args.out, spec.to_json())
+    ws.save_json("spectrum.json", spec.to_json())
     ws.save_csv(
         "energies.csv",
         ["n", "energy"],
@@ -156,11 +156,21 @@ def cmd_gate(args, ws: Workspace) -> int:
 
 
 def _parse_grid(text: str) -> np.ndarray:
-    lo, hi, n = text.split(",")
-    return np.geomspace(float(lo), float(hi), int(n))
+    """N log-spaced multipliers from ``LO,HI,N``."""
+    try:
+        lo, hi, n = text.split(",")
+        lo, hi, n = float(lo), float(hi), int(n)
+        valid = 0 < lo <= hi < np.inf and n >= 1
+    except ValueError:
+        valid = False
+    if not valid:
+        raise ValueError(f"--lambda-grid {text!r}: expected LO,HI,N with finite "
+                         "0 < LO <= HI and an integer N >= 1")
+    return np.geomspace(lo, hi, n)
 
 
 def cmd_synth(args, ws: Workspace) -> int:
+    grid = None if args.lambda_grid is None else _parse_grid(args.lambda_grid)
     target = matrix_from_json(ws.load_json(args.target))
     spec = spectrum.Spectrum.from_json(ws.load_json(args.spectrum))
     prob = gate_synth.SynthesisProblem(
@@ -174,8 +184,7 @@ def cmd_synth(args, ws: Workspace) -> int:
         allow_nonunitary=args.allow_nonunitary,
         match_phase=args.match_phase,
     )
-    if args.lambda_grid is not None:
-        grid = _parse_grid(args.lambda_grid)
+    if grid is not None:
         reports = gate_synth.sweep(prob, grid)
         ws.save_json("reports.json", [r.to_json() for r in reports])
         rows = [
@@ -306,7 +315,7 @@ def cmd_filter_sim(args, ws: Workspace) -> int:
     times = _times(args.T, args.dt)
     seed = args.seed = _resolve_seed(args)
     traj = filter_fit.sme_simulate(model, meas, args.eta, rho0, times, seed)
-    ws.save_json(args.out, traj.to_json())
+    ws.save_json("trajectory.json", traj.to_json())
     ws.save_csv(
         "record.csv",
         ["t", "dY"],
@@ -497,7 +506,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     def add(name, func, *groups, **kwargs):
         # a fresh copy of each group: parents share their action objects, so
         # demo's set_defaults would otherwise change the other defaults too
-        p = sub.add_parser(name, parents=[group() for group in groups], **kwargs)
+        p = sub.add_parser(name, parents=[group() for group in groups], allow_abbrev=False,
+                           **kwargs)
         p.set_defaults(func=func)
         p.add_argument("--out-dir", default=".", help="artifact directory")
         p.add_argument("--config", default=None, help="key=value option file")
@@ -508,7 +518,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--dim", type=int, required=True, help="kept levels (gate dimension)")
     p.add_argument("--raw-dim", type=int, default=None)
     p.add_argument("--basis", choices=["exact", "pt"], default="exact")
-    p.add_argument("--out", default="spectrum.json", help="spectrum artifact name")
 
     p = add("gate", cmd_gate, help="first-order gate for a stored pulse")
     p.add_argument("--spectrum", required=True)
@@ -550,7 +559,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p.add_argument("--model", required=True)
     p.add_argument("--ensemble", type=int, default=0,
                    help="also average this many trajectories")
-    p.add_argument("--out", default="trajectory.json", help="trajectory artifact name")
 
     p = add("filter-fit", cmd_filter_fit, trajectory,
             help="filter a record and fit free parameters")
@@ -592,11 +600,16 @@ def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
         if argv and argv[0] in subparsers:
-            finder = argparse.ArgumentParser(prog=f"susygate {argv[0]}", add_help=False)
-            finder.add_argument("--config")
-            path = finder.parse_known_args(argv[1:])[0].config
-            if path is not None:
-                argv[1:1] = _config_argv(path, subparsers[argv[0]])
+            # --config alone may be shortened, to any prefix no other option shares
+            options = subparsers[argv[0]]._option_string_actions
+            spellings = [s for s in ("--config"[:n] for n in range(3, 9))
+                         if all(o == "--config" or not o.startswith(s) for o in options)]
+            finder = argparse.ArgumentParser(prog=f"susygate {argv[0]}", add_help=False,
+                                             allow_abbrev=False)
+            finder.add_argument(*spellings, dest="config")
+            found, rest = finder.parse_known_args(argv[1:])
+            if found.config is not None:
+                argv[1:] = _config_argv(found.config, subparsers[argv[0]]) + rest
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
@@ -613,7 +626,10 @@ def main(argv=None) -> int:
     except SusygateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
-    except (ValueError, KeyError, OSError, TypeError) as exc:
+    except KeyError as exc:
+        print(f"error: missing key {exc}", file=sys.stderr)
+        return 2
+    except (ValueError, OSError, TypeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return status

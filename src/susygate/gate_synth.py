@@ -78,16 +78,7 @@ class SynthesisReport:
     note: str = ""
 
     def to_json(self) -> dict:
-        return {
-            "pulse": self.pulse.to_json(),
-            "residual": self.residual,
-            "fidelity": self.fidelity,
-            "energy": self.energy,
-            "multiplier": self.multiplier,
-            "conditioning": self.conditioning,
-            "oracle_fidelity": self.oracle_fidelity,
-            "note": self.note,
-        }
+        return {**vars(self), "pulse": self.pulse.to_json()}
 
 
 def _design(prob: SynthesisProblem):

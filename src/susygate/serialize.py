@@ -44,14 +44,17 @@ def matrix_from_json(obj: dict) -> np.ndarray:
     re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("matrix entries must be finite")
-    return (re + 1j * im).reshape(rows, cols)
+    # part by part: re + 1j * im would turn a -0.0 into +0.0
+    a = np.empty(rows * cols, dtype=complex)
+    a.real, a.imag = re, im
+    return a.reshape(rows, cols)
 
 
 def save_json(path: str | Path, obj) -> None:
-    """Write ``obj`` as JSON; NaN or ±inf anywhere raises
+    """Write ``obj`` as compact, sorted-key JSON; NaN or ±inf anywhere raises
     :class:`NonFiniteError` and leaves ``path`` unwritten."""
     try:
-        text = json.dumps(obj, indent=2, sort_keys=True, allow_nan=False)
+        text = json.dumps(obj, sort_keys=True, allow_nan=False)
     except ValueError as exc:
         raise NonFiniteError(f"{Path(path).name}: {exc}") from exc
     Path(path).write_text(text + "\n")

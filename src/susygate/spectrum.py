@@ -88,12 +88,9 @@ class Spectrum:
 
     def to_json(self) -> dict:
         return {
+            **vars(self),
             "energies": [float(e) for e in self.energies],
             "modes": matrix_to_json(self.modes),
-            "cutoff_raw": self.cutoff_raw,
-            "cutoff_kept": self.cutoff_kept,
-            "c1": self.c1,
-            "c2": self.c2,
         }
 
     @classmethod

@@ -91,6 +91,29 @@ def test_artifact_regenerable_from_manifest(tmp_path):
         assert (first / name).read_bytes() == (second / name).read_bytes()
 
 
+@pytest.mark.parametrize("spelling", [["--out", "{name}"], ["--out={name}"]],
+                         ids=["space", "equals"])
+@pytest.mark.parametrize("command, name", [("spectrum", "energies.csv"),
+                                           ("filter-sim", "record.csv")])
+def test_artifact_names_are_fixed(tmp_path, capfd, command, name, spelling):
+    # a settable JSON artifact name could overwrite the CSV beside it
+    argv = {"spectrum": ["spectrum", "--dim", 3],
+            "filter-sim": ["filter-sim", "--model", write_damping_model(tmp_path / "model.json"),
+                           "--T", 0.1, "--dt", 1e-2]}[command]
+    out = tmp_path / "out"
+    assert run_cli(*argv, *[a.format(name=name) for a in spelling], "--out-dir", out) == 2
+    assert "--out" in capfd.readouterr().err
+    assert not out.exists()
+
+
+def test_manifest_with_out_key_no_longer_replays(tmp_path):
+    assert run_cli("spectrum", "--dim", 3, "--out-dir", tmp_path / "a") == 0
+    manifest = load_json(tmp_path / "a" / "manifest.json")
+    config = {**manifest["config"], "out": "spectrum.json", "out_dir": str(tmp_path / "b")}
+    assert cli.main(cli.config_to_argv("spectrum", config)) == 2
+    assert not (tmp_path / "b").exists()
+
+
 # --- exit codes ---------------------------------------------------------------
 
 def test_unknown_subcommand_exits_2():
@@ -121,6 +144,14 @@ def test_numerical_failure_exits_3(tmp_path):
     # degree-6 superpotential at a tiny cutoff cannot converge
     assert run_cli("susy", "--superpotential", "0,0,0,0,0,0,1", "--dim", 8,
                    "--out-dir", tmp_path) == 3
+
+
+def test_missing_key_is_named(edge_inputs, capsys):
+    # a matrix file where a pulse belongs has no "T"
+    assert run_cli("gate", "--spectrum", edge_inputs / "spectrum.json",
+                   "--pulse", edge_inputs / "target.json", "--out-dir", edge_inputs / "out") == 2
+    assert capsys.readouterr().err == "error: missing key 'T'\n"
+    assert not (edge_inputs / "out" / "manifest.json").exists()
 
 
 # --- gate / synth ----------------------------------------------------------------
@@ -182,6 +213,22 @@ def test_synth_sweep_pareto(tmp_path, stored_spectrum):
     energies = [float(r[1]) for r in rows[1:]]
     assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
     assert (tmp_path / "pareto.svg").exists()
+
+
+@pytest.mark.parametrize(
+    "grid",
+    ["1e-4,1e4,0", "1e-4,-1,3", "1,inf,3", "1e-4,1e4,2.5", "0,1,3", "nan,1,3",
+     "2,1,3", "1e-4,1e4", "1e-4,1e4,3,4", "a,b,c"],
+)
+def test_synth_bad_lambda_grid_exits_2(edge_inputs, capfd, grid):
+    out = edge_inputs / "out"
+    assert run_cli("synth", "--target", edge_inputs / "target.json",
+                   "--spectrum", edge_inputs / "spectrum.json", "--T", 2.0, "--K", 1,
+                   f"--lambda-grid={grid}", "--out-dir", out) == 2
+    err = capfd.readouterr().err
+    assert "lambda-grid" in err and "RuntimeWarning" not in err
+    assert not (out / "reports.json").exists()
+    assert not (out / "manifest.json").exists()
 
 
 def test_synth_budget_form(tmp_path, stored_spectrum):
@@ -491,6 +538,18 @@ def test_config_spellings_apply_the_file(tmp_path, spelling):
     argv = [a.format(cfg=cfg) for a in spelling]
     assert run_cli("spectrum", *argv, "--dim", 3, "--out-dir", tmp_path) == 0
     assert load_json(tmp_path / "manifest.json")["config"]["c1"] == 0.02
+
+
+@pytest.mark.parametrize("command, prefix", [("spectrum", "--c"), ("channel", "--co")])
+def test_config_prefix_shared_with_another_option_exits_2(edge_inputs, command, prefix):
+    # --c also starts --c1 and --c2; --co also starts --coupling
+    cfg = edge_inputs / "run.cfg"
+    cfg.write_text("c1=0.02\n")
+    argv = {"spectrum": ["spectrum", "--dim", 3],
+            "channel": ["channel", "--target", edge_inputs / "choi.json", "--T", 2.0, "--K", 1]}
+    out = edge_inputs / "out"
+    assert run_cli(*argv[command], prefix, cfg, "--out-dir", out) == 2
+    assert not out.exists()
 
 
 @pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")

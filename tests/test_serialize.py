@@ -1,8 +1,14 @@
 import json
+import tempfile
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
+from susygate.dyson import ControlPulse
 from susygate.filter_fit import Trajectory
 from susygate.serialize import load_json, matrix_from_json, matrix_to_json, save_json
 
@@ -97,3 +103,89 @@ def test_save_json_refuses_non_finite(tmp_path, value):
     with pytest.raises(NonFiniteError, match="out.json"):
         save_json(path, {"nested": [1.0, {"x": value}]})
     assert not path.exists()
+
+
+def test_save_json_writes_compact_sorted_json(tmp_path):
+    obj = {"b": [1.5, -0.0, 5e-324], "a": {"z": None, "y": True, "x": "π"}, "c": 2**70}
+    path = tmp_path / "out.json"
+    save_json(path, obj)
+    assert path.read_text() == json.dumps(obj, sort_keys=True, allow_nan=False) + "\n"
+
+
+# --- bitwise round trips through save_json/load_json ------------------------------
+
+FINITE = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2e-308, 1.7e308, -1.7e308]),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+
+
+def complex_arrays(shape):
+    return st.tuples(
+        arrays(np.float64, shape, elements=FINITE), arrays(np.float64, shape, elements=FINITE)
+    ).map(lambda parts: _complex(*parts))
+
+
+def _complex(re, im):
+    # part by part, so every sign of zero survives
+    a = np.empty(re.shape, dtype=complex)
+    a.real, a.imag = re, im
+    return a
+
+
+def bits(a) -> np.ndarray:
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def assert_same_bits(a, b):
+    assert a.shape == b.shape and a.dtype == b.dtype
+    assert np.array_equal(bits(a), bits(b))
+
+
+def through_file(obj):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "obj.json"
+        save_json(path, obj)
+        return load_json(path)
+
+
+@given(st.tuples(st.integers(0, 4), st.integers(0, 4)).flatmap(complex_arrays))
+def test_matrix_file_roundtrip_is_bitwise(a):
+    assert_same_bits(matrix_from_json(through_file(matrix_to_json(a))), a)
+
+
+@given(
+    horizon=st.floats(min_value=0.0, exclude_min=True, allow_infinity=False),
+    coeffs=st.integers(0, 4).flatmap(
+        lambda k: arrays(np.float64, 2 * k + 1, elements=FINITE)
+    ),
+)
+def test_pulse_file_roundtrip_is_bitwise(horizon, coeffs):
+    pulse = ControlPulse(horizon, coeffs)
+    back = ControlPulse.from_json(through_file(pulse.to_json()))
+    assert_same_bits(np.float64(back.horizon), np.float64(horizon))
+    assert_same_bits(back.coeffs, coeffs)
+
+
+@st.composite
+def trajectories(draw):
+    n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
+    record = draw(st.one_of(st.none(), arrays(np.float64, n - 1, elements=FINITE)))
+    return Trajectory(
+        times=draw(arrays(np.float64, n, elements=FINITE)),
+        states=draw(complex_arrays((n, d, d))),
+        record=record,
+        seed=draw(st.one_of(st.none(), st.integers(0, 2**64))),
+    )
+
+
+@given(trajectories())
+def test_trajectory_file_roundtrip_is_bitwise(traj):
+    back = Trajectory.from_json(through_file(traj.to_json()))
+    assert_same_bits(back.times, traj.times)
+    assert_same_bits(back.states, traj.states)
+    if traj.record is None:
+        assert back.record is None
+    else:
+        assert_same_bits(back.record, traj.record)
+    assert back.seed == traj.seed
