@@ -35,6 +35,8 @@ from .serialize import matrix_from_json, matrix_to_json, parse_json, save_json
 
 # largest time grid the filter subcommands accept; each step stores a d×d state
 MAX_STEPS = 10**7
+# most multipliers a --lambda-grid sweep accepts; each keeps a full report
+MAX_GRID_POINTS = 10**4
 
 # dests whose CLI flag is not just underscores-to-dashes
 _DEST_TO_FLAG = {"lam": "lambda"}
@@ -160,12 +162,12 @@ def _parse_grid(text: str) -> np.ndarray:
     try:
         lo, hi, n = text.split(",")
         lo, hi, n = float(lo), float(hi), int(n)
-        valid = 0 < lo <= hi < np.inf and n >= 1
+        valid = 0 < lo <= hi < np.inf and 1 <= n <= MAX_GRID_POINTS
     except ValueError:
         valid = False
     if not valid:
         raise ValueError(f"--lambda-grid {text!r}: expected LO,HI,N with finite "
-                         "0 < LO <= HI and an integer N >= 1")
+                         f"0 < LO <= HI and an integer 1 <= N <= {MAX_GRID_POINTS}")
     return np.geomspace(lo, hi, n)
 
 
@@ -313,6 +315,10 @@ def cmd_filter_sim(args, ws: Workspace) -> int:
     family, rho0, truth, meas, _ = _load_family(ws.load_json(args.model))
     model = family.at(truth)
     times = _times(args.T, args.dt)
+    n = args.ensemble
+    if n and not (n >= 2 and n * (times.size - 1) <= MAX_STEPS):
+        raise ValueError(f"--ensemble {n}: expected 0 (off) or n >= 2 "
+                         f"with n·T/dt <= {MAX_STEPS}")
     seed = args.seed = _resolve_seed(args)
     traj = filter_fit.sme_simulate(model, meas, args.eta, rho0, times, seed)
     ws.save_json("trajectory.json", traj.to_json())
@@ -558,7 +564,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = add("filter-sim", cmd_filter_sim, trajectory, help="simulate a monitored trajectory")
     p.add_argument("--model", required=True)
     p.add_argument("--ensemble", type=int, default=0,
-                   help="also average this many trajectories")
+                   help="also average this many trajectories: 0 (off) or n >= 2 "
+                        f"with n·T/dt <= {MAX_STEPS}")
 
     p = add("filter-fit", cmd_filter_fit, trajectory,
             help="filter a record and fit free parameters")

@@ -218,7 +218,7 @@ def test_synth_sweep_pareto(tmp_path, stored_spectrum):
 @pytest.mark.parametrize(
     "grid",
     ["1e-4,1e4,0", "1e-4,-1,3", "1,inf,3", "1e-4,1e4,2.5", "0,1,3", "nan,1,3",
-     "2,1,3", "1e-4,1e4", "1e-4,1e4,3,4", "a,b,c"],
+     "2,1,3", "1e-4,1e4", "1e-4,1e4,3,4", "a,b,c", "1e-4,1e4,10001"],
 )
 def test_synth_bad_lambda_grid_exits_2(edge_inputs, capfd, grid):
     out = edge_inputs / "out"
@@ -342,12 +342,17 @@ def test_filter_sim_ensemble(tmp_path):
     assert np.trace(mean_final).real == pytest.approx(1.0, abs=1e-8)
 
 
-def test_filter_sim_single_member_ensemble_exits_2(tmp_path):
+# 10 steps each: 10**6 + 1 members exceed the MAX_STEPS bound of 10**7 states
+@pytest.mark.parametrize("n", [1, -3, 10**6 + 1])
+def test_filter_sim_single_member_ensemble_exits_2(tmp_path, n):
     model_path = write_damping_model(tmp_path / "model.json")
+    out = tmp_path / "out"
     assert run_cli(
         "filter-sim", "--model", model_path, "--dt", 1e-2, "--T", 0.1,
-        "--seed", 9, "--ensemble", 1, "--out-dir", tmp_path,
+        "--seed", 9, f"--ensemble={n}", "--out-dir", out,
     ) == 2
+    for name in ("trajectory.json", "record.csv", "manifest.json"):
+        assert not (out / name).exists()
 
 
 def test_filter_sim_seed_env_fallback(tmp_path, monkeypatch):

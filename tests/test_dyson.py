@@ -11,7 +11,8 @@ from susygate.dyson import (
     u0,
 )
 from susygate.errors import OracleConvergenceError
-from susygate.spectrum import compute_spectrum
+from susygate.fock import position_op
+from susygate.spectrum import build_h0, compute_spectrum
 
 
 @pytest.fixture(scope="module")
@@ -176,6 +177,30 @@ def test_oracle_convergence_error(monkeypatch):
     monkeypatch.setattr(dyson, "ORACLE_MAX_STEPS", 2)
     with pytest.raises(OracleConvergenceError):
         propagate_oracle(spec, p)
+
+
+def _step_product(spec, pulse, steps):
+    m = spec.cutoff_raw
+    return dyson._magnus_product(build_h0(spec.c1, spec.c2, m), position_op(m), pulse, steps)
+
+
+@pytest.fixture
+def c03_pulse(rng):
+    base = rng.normal(size=5)
+    return ControlPulse(2.0, 0.1 * base / np.linalg.norm(base))
+
+
+def test_oracle_step_is_fourth_order(anharmonic_spec, c03_pulse):
+    # a second-order product (e.g. the two factors swapped) falls only 4x
+    us = [_step_product(anharmonic_spec, c03_pulse, n) for n in (32, 64, 128, 256)]
+    gaps = [np.linalg.norm(b - a) for a, b in zip(us, us[1:])]
+    for coarse, fine in zip(gaps, gaps[1:]):
+        assert 12.0 <= coarse / fine <= 20.0
+
+
+def test_oracle_step_product_is_unitary(anharmonic_spec, c03_pulse):
+    u = _step_product(anharmonic_spec, c03_pulse, 256)
+    assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) < 1e-12
 
 
 def test_dyson_remainder_quadratic_in_drive(rng):
