@@ -270,8 +270,8 @@ def synthesize_channel(
         raise ValueError(f"target Choi shape {target_choi.shape} != ({d*d}, {d*d})")
     if not 0 <= lam < np.inf:
         raise ValueError(f"energy multiplier must be finite and non-negative, got {lam!r}")
-    if not 0 < horizon < np.inf or n_harmonics < 0:
-        raise ValueError("bad horizon or harmonic count")
+    if not (0 < horizon < np.inf and 0 <= n_harmonics <= dyson.MAX_HARMONICS):
+        raise ValueError(f"need a finite horizon T > 0 and 0 <= K <= {dyson.MAX_HARMONICS}")
     spec = joint.spectrum()
     ctrl = joint.control_op()
     anc = joint.ground_ancilla()

@@ -373,6 +373,12 @@ def _filter_and_fit(family, rho0, truth, meas, grids, eta, times, seed, xtol, re
     return est, filter_fit.fit_parameters(est, family, grids, xtol=xtol)
 
 
+def _at_bound(family, grids, fit) -> list[str]:
+    """Names of the parameters whose θ* equals an end of its grid."""
+    return [name for name, x, g in zip(family.param_names, fit.theta, grids)
+            if float(x) in (g.min(), g.max())]
+
+
 def cmd_filter_fit(args, ws: Workspace) -> int:
     family, rho0, truth, meas, grids = _load_family(ws.load_json(args.model))
     times = _times(args.T, args.dt)
@@ -393,6 +399,7 @@ def cmd_filter_fit(args, ws: Workspace) -> int:
             "truth": [float(x) for x in truth],
             "cost": fit.cost,
             "converged": fit.converged,
+            "at_bound": _at_bound(family, grids, fit),
             "n_evaluations": len(fit.curve),
             "skipped": [list(t) for t in fit.skipped],
             "fitted_diagnostics": fit.trajectory.diagnostics,
@@ -457,6 +464,8 @@ def demo_pipeline(ws: Workspace, seed: int, horizon: float, dt: float, eta: floa
         "truth": [float(x) for x in truth],
         "theta_star": [float(x) for x in fit.theta],
         "cost": fit.cost,
+        "converged": fit.converged,
+        "at_bound": _at_bound(family, grids, fit),
         "final_gap_fit": float(np.linalg.norm(fitted.states[-1] - est.states[-1])),
         "final_gap_grid_low": gaps.get((float(grids[0][0]),)),
         "final_gap_grid_high": gaps.get((float(grids[0][-1]),)),

@@ -42,6 +42,8 @@ ORACLE_TOL = 1e-8
 # the oracle's first step grid, and the grid at which it gives up
 ORACLE_START_STEPS = 64
 ORACLE_MAX_STEPS = 64 << 14
+# largest harmonic count K a design accepts; the normal matrix is (2K+1)²
+MAX_HARMONICS = 1000
 
 
 def energy_weights(horizon: float, n_harmonics: int) -> np.ndarray:

@@ -1,24 +1,27 @@
 """Lindblad and diffusive stochastic master equations, the associated
 state filter, and parameter fitting against filtered trajectories.
 
-Deterministic evolution integrates
+Both master equations share one drift G = −iH − ½ sum_k L_k†L_k and act
+on the row-major vec(ρ).  Deterministic evolution integrates
 
-    dρ/dt = −i[H, ρ] + sum_k ( L_k ρ L_k† − ½{L_k†L_k, ρ} )
+    dρ/dt = Gρ + ρG† + sum_k L_k ρ L_k†   (generator G⊗I + I⊗Ḡ + sum_k L_k⊗L̄_k)
 
-with a fixed-step classic Runge-Kutta scheme on the vectorized state.  The
-generator is constant, so one RK4 step is a fixed d²×d² matrix R; the
-integrator stacks its powers R¹…R^B and advances B steps per batched
-product, renormalizing each state's trace and checking positivity with one
-batched eigenvalue call per block.
+with a fixed-step classic Runge-Kutta scheme.  The generator is constant,
+so one RK4 step is a fixed d²×d² matrix R; the integrator stacks its powers
+R¹…R^B and advances B steps per batched product, renormalizing each state's
+trace and checking positivity with one batched eigenvalue call per block.
 
 The diffusive unraveling under continuous monitoring of one channel L with
 efficiency η takes the completely positive Kraus-form step of Rouchon &
 Ralph, PRA 91, 012118 (2015):
 
-    M  = I − (iH + ½ sum_k L_k†L_k) dt + √η L dY,
+    M  = I + G dt + √η L dY,
     ρ ↦ ( MρM† + sum_k c_k dt L_k ρ L_k† ) / tr(·),
 
-with c_k = 1 − η for the measured channel and 1 for every other one.  The
+with c_k = 1 − η for the measured channel and 1 for every other one.  On
+vec(ρ) the step is K0 + dY·K1 + dY²·K2, linear in ρ and quadratic in dY,
+with M0 = I + G dt, s = √η L and the fixed superoperators
+K0 = M0⊗M̄0 + sum_k c_k dt L_k⊗L̄_k, K1 = s⊗M̄0 + M0⊗s̄, K2 = s⊗s̄.  The
 simulator draws dY = √η tr((L+L†)ρ) dt + dW and records it; the filter
 takes dY from a record and is otherwise the same step.  Each step is a
 positive map, so states stay positive semidefinite by construction.
@@ -169,17 +172,16 @@ class Trajectory:
         )
 
 
+def _drift(model: LindbladModel) -> np.ndarray:
+    """G = −iH − ½ sum_k L_k†L_k, so the generator is Gρ + ρG† + sum_k L_kρL_k†."""
+    return -1j * model.hamiltonian - 0.5 * sum(l.conj().T @ l for l in model.lindblads)
+
+
 def liouvillian(model: LindbladModel) -> np.ndarray:
     """Generator as a d²×d² matrix acting on row-major vec(ρ)."""
-    d = model.dim
-    eye = np.eye(d)
-    h = model.hamiltonian
-    s = -1j * (np.kron(h, eye) - np.kron(eye, h.T))
-    for l in model.lindblads:
-        ldl = l.conj().T @ l
-        s += np.kron(l, l.conj())
-        s -= 0.5 * (np.kron(ldl, eye) + np.kron(eye, ldl.T))
-    return s
+    g, eye = _drift(model), np.eye(model.dim)
+    jumps = sum(np.kron(l, l.conj()) for l in model.lindblads)
+    return np.kron(g, eye) + np.kron(eye, g.conj()) + jumps
 
 
 def _check_grid(times) -> tuple[np.ndarray, float]:
@@ -290,40 +292,35 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
     )
 
 
-def _sme_run(model, meas, eta, rho0, times, increments, record_out):
-    """Shared Kraus-form core: `increments[i]` supplies dW for step i
-    when simulating (dY is written to `record_out`), or the recorded dY
-    when filtering (record_out=None)."""
-    times, dt = _check_grid(times)
+def _sme_run(model, meas, eta, rho0, dt, increments, record_out):
+    """Shared Kraus-form core on row-major vec(ρ): `increments[i]` supplies
+    dW for step i when simulating (dY is written to `record_out`), or the
+    recorded dY when filtering (record_out=None).  Returns the states."""
     d = model.dim
     rho0 = _check_state(rho0, d)
     if not (0.0 < eta <= 1.0):
         raise ValueError("efficiency must satisfy 0 < eta <= 1")
     if not (0 <= meas < len(model.lindblads)):
         raise ValueError("measurement index outside the model's Lindblad list")
-    ops = model.lindblads
-    m0 = np.eye(d) - dt * (1j * model.hamiltonian + 0.5 * sum(l.conj().T @ l for l in ops))
-    sq_eta_l = np.sqrt(eta) * ops[meas]
-    l_sum_t = (sq_eta_l + sq_eta_l.conj().T).T.copy()  # sum(l_sum_t * rho) == √η tr((L+L†)ρ)
-    jumps = [np.sqrt(((1.0 - eta) if k == meas else 1.0) * dt) * l for k, l in enumerate(ops)]
-    jumps = [(j, j.conj().T.copy()) for j in jumps if np.any(j)]  # drops (1 − η)·L at η = 1
-
-    rho = rho0.copy()
-    states = np.empty((times.size, d, d), dtype=complex)
-    states[0] = rho0
-    for i in range(times.size - 1):
+    m0 = np.eye(d) + dt * _drift(model)
+    s = np.sqrt(eta) * model.lindblads[meas]
+    k2 = np.kron(s, s.conj())
+    # sum_k c_k dt L_k⊗L̄_k = dt (sum_k L_k⊗L̄_k − s⊗s̄), as s⊗s̄ = η L⊗L̄
+    k0 = np.kron(m0, m0.conj()) + dt * (sum(np.kron(l, l.conj()) for l in model.lindblads) - k2)
+    stack = np.concatenate([k0, np.kron(s, m0.conj()) + np.kron(m0, s.conj()), k2])
+    ell = (s + s.conj().T).T.reshape(-1)  # ell @ vec(ρ) == √η tr((L+L†)ρ)
+    states = np.empty((len(increments) + 1, d * d), dtype=complex)
+    states[0] = v = rho0.reshape(-1)
+    for i, inc in enumerate(increments.tolist()):
         if record_out is None:
-            dy = increments[i]
+            dy = inc
         else:
-            dy = (l_sum_t * rho).sum().real * dt + increments[i]
+            dy = ell.dot(v).real * dt + inc
             record_out[i] = dy
-        m = m0 + dy * sq_eta_l
-        new = m @ rho @ m.conj().T
-        for j, j_dag in jumps:
-            new += j @ rho @ j_dag
-        rho = new / np.trace(new).real
-        states[i + 1] = rho
-    return times, states
+        v = np.array([1.0, dy, dy * dy]).dot(stack.dot(v).reshape(3, -1))
+        v /= v[:: d + 1].sum().real
+        states[i + 1] = v
+    return states.reshape(-1, d, d)
 
 
 def sme_simulate(
@@ -335,7 +332,7 @@ def sme_simulate(
     rng = np.random.default_rng(seed)
     dw = rng.normal(0.0, np.sqrt(dt), size=times_arr.size - 1)
     record = np.empty(times_arr.size - 1)
-    times_arr, states = _sme_run(model, meas, eta, rho0, times_arr, dw, record)
+    states = _sme_run(model, meas, eta, rho0, dt, dw, record)
     return Trajectory(times=times_arr, states=states, record=record, seed=int(seed))
 
 
@@ -344,13 +341,13 @@ def filter_estimate(
 ) -> Trajectory:
     """State filter: the same Kraus-form step as :func:`sme_simulate`,
     driven by the recorded increments dY."""
-    times_arr, _ = _check_grid(times)
+    times_arr, dt = _check_grid(times)
     record = np.asarray(record, dtype=float)
     if record.shape != (times_arr.size - 1,):
         raise ValueError(
             f"record length {record.shape} does not match grid ({times_arr.size - 1} steps)"
         )
-    times_arr, states = _sme_run(model, meas, eta, rho0, times_arr, record, None)
+    states = _sme_run(model, meas, eta, rho0, dt, record, None)
     return Trajectory(times=times_arr, states=states, record=record, seed=None)
 
 
@@ -368,11 +365,8 @@ def ensemble_stats(
     deterministically from ``master_seed``)."""
     if n_traj < 2:
         raise ValueError(f"an ensemble needs at least 2 trajectories, got {n_traj}")
-    times_arr, _ = _check_grid(times)
     seeds = [int(s) for s in np.random.SeedSequence(master_seed).generate_state(n_traj)]
-    results = np.stack(
-        [sme_simulate(model, meas, eta, rho0, times_arr, s).states for s in seeds]
-    )
+    results = np.stack([sme_simulate(model, meas, eta, rho0, times, s).states for s in seeds])
 
     mean = results.mean(axis=0)
     var = ((results.real - mean.real) ** 2 + (results.imag - mean.imag) ** 2).sum(axis=0)

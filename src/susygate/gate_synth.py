@@ -22,7 +22,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dyson import ControlPulse, design_matrix, energy_weights, propagate_oracle, u0
+from .dyson import (
+    MAX_HARMONICS, ControlPulse, design_matrix, energy_weights, propagate_oracle, u0,
+)
 from .fock import is_unitary
 from .spectrum import Spectrum
 
@@ -62,8 +64,8 @@ class SynthesisProblem:
             raise ValueError("penalty multiplier must be finite and >= 0")
         if self.budget is not None and not 0 < self.budget < np.inf:
             raise ValueError("energy budget must be finite and > 0")
-        if not 0 < self.horizon < np.inf or self.n_harmonics < 0:
-            raise ValueError("bad horizon or harmonic count")
+        if not (0 < self.horizon < np.inf and 0 <= self.n_harmonics <= MAX_HARMONICS):
+            raise ValueError(f"need a finite horizon T > 0 and 0 <= K <= {MAX_HARMONICS}")
 
 
 @dataclass

@@ -376,6 +376,7 @@ def test_filter_fit_subcommand(tmp_path):
     assert report["param_names"] == ["gamma"]
     assert 0.2 < report["theta_star"][0] < 1.3
     assert report["converged"] is True
+    assert report["at_bound"] == []
     diag = report["fitted_diagnostics"]
     assert 0.0 <= diag["max_trace_drift"] < 1e-12
     assert diag["min_eigenvalue"] > -1e-12
@@ -617,10 +618,16 @@ def test_demo_pipeline(tmp_path):
     report = load_json(tmp_path / "demo_report.json")
     assert report["final_gap_fit"] <= report["final_gap_grid_low"]
     assert report["final_gap_fit"] <= report["final_gap_grid_high"]
+    assert report["converged"] is True and report["at_bound"] == []
     assert (tmp_path / "comparison.csv").exists()
     assert (tmp_path / "comparison.svg").exists()
     manifest = load_json(tmp_path / "manifest.json")
     assert "comparison.csv" in manifest["artifacts"]
+    # this record pulls γ* onto the top of the grid 0.1…1.5 (truth 0.7)
+    assert run_cli("demo", "--seed", 7, "--T", 1, "--out-dir", tmp_path / "s7") == 0
+    report = load_json(tmp_path / "s7" / "demo_report.json")
+    assert report["theta_star"] == [1.5] and report["at_bound"] == ["gamma"]
+    assert "converged" in report
 
 
 def test_demo_integrates_no_grid_point_twice(tmp_path, monkeypatch):
@@ -876,8 +883,8 @@ def test_spectrum_non_finite_coefficient_exits_2(tmp_path, capfd, flag, value):
 @pytest.mark.parametrize(
     "extra",
     [["--budget", "nan"], ["--lambda", "nan"], ["--lambda", "inf"],
-     ["--T", "nan", "--lambda", 0]],
-    ids=["budget-nan", "lambda-nan", "lambda-inf", "T-nan"],
+     ["--T", "nan", "--lambda", 0], ["--K", 10000], ["--K", 100000000]],
+    ids=["budget-nan", "lambda-nan", "lambda-inf", "T-nan", "K-10000", "K-100000000"],
 )
 def test_synth_non_finite_exits_2(edge_inputs, capfd, extra):
     argv = ["synth", "--target", edge_inputs / "target.json",
@@ -888,7 +895,8 @@ def test_synth_non_finite_exits_2(edge_inputs, capfd, extra):
 
 @pytest.mark.parametrize(
     "flag, value",
-    [("--lambda", "nan"), ("--anc-freq", "nan"), ("--coupling", "inf"), ("--T", 0)],
+    [("--lambda", "nan"), ("--anc-freq", "nan"), ("--coupling", "inf"), ("--T", 0),
+     ("--K", 10000), ("--K", 100000000)],
 )
 def test_channel_non_finite_exits_2(edge_inputs, capfd, flag, value):
     argv = ["channel", "--target", edge_inputs / "choi.json", "--T", 2.0, "--K", 1,

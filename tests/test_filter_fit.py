@@ -4,6 +4,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from conftest import random_density
 
 from susygate import filter_fit
 from susygate.errors import StepSizeError
@@ -66,6 +67,18 @@ def test_amplitude_damping_analytic_decay():
     traj = lindblad_evolve(damping_model(1.0), RHO_EXCITED, times)
     assert traj.states[-1][1, 1].real == pytest.approx(0.36788, abs=1e-5)
     assert traj.states[-1][1, 1].real == pytest.approx(np.exp(-1.0), abs=1e-8)
+
+
+def test_liouvillian_matches_master_equation(rng):
+    model = qutrit_model()
+    h, ops = model.hamiltonian, model.lindblads
+    rho = random_density(rng, 3)
+    expected = -1j * (h @ rho - rho @ h)
+    for l in ops:
+        ldl = l.conj().T @ l
+        expected += l @ rho @ l.conj().T - 0.5 * (ldl @ rho + rho @ ldl)
+    got = (liouvillian(model) @ rho.reshape(-1)).reshape(3, 3)
+    assert np.max(np.abs(got - expected)) <= 1e-13
 
 
 def test_trace_one_throughout():
@@ -214,6 +227,32 @@ def test_coarse_step_stays_positive(model, meas, rho0):
         assert np.linalg.eigvalsh(traj.states).min() >= -1e-12
         traj.validate()
     assert np.array_equal(sim.states, est.states)  # one step, fed the same dY
+
+
+@pytest.mark.parametrize("eta", [0.3, 1.0])
+def test_sme_step_matches_kraus_formula(rng, eta):
+    # one step of each of simulator and filter against the written formula
+    model, meas, dt, seed = qutrit_model(), 1, 0.01, 5
+    h, ops = model.hamiltonian, model.lindblads
+    rho = random_density(rng, 3)
+    times = np.array([0.0, dt])
+
+    def kraus_step(dy):
+        g = 1j * h + 0.5 * sum(l.conj().T @ l for l in ops)
+        m = np.eye(3) - dt * g + dy * np.sqrt(eta) * ops[meas]
+        new = m @ rho @ m.conj().T
+        for k, l in enumerate(ops):
+            new += ((1.0 - eta) if k == meas else 1.0) * dt * l @ rho @ l.conj().T
+        return new / np.trace(new).real
+
+    sim = sme_simulate(model, meas, eta, rho, times, seed=seed)
+    assert np.max(np.abs(sim.states[1] - kraus_step(sim.record[0]))) <= 1e-13
+    l = ops[meas]
+    dw = np.random.default_rng(seed).normal(0.0, np.sqrt(dt))
+    drift = np.sqrt(eta) * np.trace((l + l.conj().T) @ rho).real * dt
+    assert abs(sim.record[0] - (drift + dw)) <= 1e-13
+    est = filter_estimate(model, [0.37], meas, eta, rho, times)
+    assert np.max(np.abs(est.states[1] - kraus_step(0.37))) <= 1e-13
 
 
 def test_fixed_seed_reproduces_bitwise():
@@ -494,3 +533,19 @@ def test_tangents_match_central_differences(d):
         fd = (up - down) / (2 * h)
         assert np.max(np.abs(tangents[j] - fd)) <= 1e-8
         assert np.max(np.abs(fd)) > 0.1  # the parameter moves the trajectory
+
+
+def test_pilot_seeds_reproduce_fixture():
+    # every pilot seed, not only ci_seed: the fixture's γ* and its tolerance
+    design = PILOT["design"]
+    family = damping_family()
+    times = grid(design["horizon"], design["dt"])
+    truth = design["gamma_truth"]
+    model = family.at([truth])
+    g = [np.linspace(design["grid"]["lo"], design["grid"]["hi"], design["grid"]["points"])]
+    for seed, pinned in PILOT["pilot_results"].items():
+        record = sme_simulate(model, 0, design["eta"], RHO_EXCITED, times, seed=int(seed)).record
+        est = filter_estimate(model, record, 0, design["eta"], RHO_EXCITED, times)
+        gamma = fit_parameters(est, family, g, xtol=design["xtol"]).theta[0]
+        assert abs(gamma - pinned["gamma_star"]) <= 1e-9, seed
+        assert abs(gamma - truth) / truth <= PILOT["pinned"]["relative_tolerance"], seed
