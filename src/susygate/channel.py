@@ -25,7 +25,6 @@ import numpy as np
 from . import dyson
 from .dyson import ControlPulse
 from .fock import is_psd, is_unitary, position_op
-from .serialize import matrix_from_json, matrix_to_json
 from .solver import gauss_newton
 from .spectrum import Spectrum, build_h0, diagonalize
 
@@ -64,21 +63,6 @@ class QuantumChannel:
             raise ValueError(f"trace preservation violated beyond {tol:g}")
         if self.cp_defect() > tol:
             raise ValueError(f"complete positivity violated beyond {tol:g}")
-
-    def to_json(self) -> dict:
-        return {
-            "d_in": self.d_in,
-            "d_out": self.d_out,
-            "kraus": [matrix_to_json(k) for k in self.kraus],
-        }
-
-    @classmethod
-    def from_json(cls, obj: dict) -> "QuantumChannel":
-        return cls(
-            kraus=tuple(matrix_from_json(k) for k in obj["kraus"]),
-            d_in=int(obj["d_in"]),
-            d_out=int(obj["d_out"]),
-        )
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], which: str = "anc") -> np.ndarray:

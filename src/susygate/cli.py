@@ -10,7 +10,8 @@ become ``--key=value`` after the subcommand name, so any flag given wins.
 
 Exit codes: 0 success, 2 validation error (bad flags, unreadable or
 malformed inputs), 3 numerical failure (non-convergence, step-size abort,
-a NaN or infinite result); a run that exits 3 writes no manifest.
+a NaN or infinite result, out of memory); a run that exits 3 writes no
+manifest.
 Seed resolution order: --seed flag, config file, SUSYGATE_SEED, then 0.
 """
 
@@ -20,6 +21,7 @@ import argparse
 import csv
 import hashlib
 import io
+import math
 import os
 import sys
 import time
@@ -35,8 +37,12 @@ from .serialize import matrix_from_json, matrix_to_json, parse_json, save_json
 
 # largest time grid the filter subcommands accept; each step stores a d×d state
 MAX_STEPS = 10**7
-# most multipliers a --lambda-grid sweep accepts; each keeps a full report
+# most points a --lambda-grid sweep or a model file's parameter grid sets;
+# each keeps a full report or costs one full integration
 MAX_GRID_POINTS = 10**4
+# largest model dimension d a model file sets; the SME step stacks three
+# d²×d² complex superoperators, 48·d⁴ bytes (48 MiB at d = 32)
+MAX_MODEL_DIM = 32
 
 # dests whose CLI flag is not just underscores-to-dashes
 _DEST_TO_FLAG = {"lam": "lambda"}
@@ -128,7 +134,7 @@ def cmd_spectrum(args, ws: Workspace) -> int:
     ws.save_csv(
         "energies.csv",
         ["n", "energy"],
-        [(n, repr(float(e))) for n, e in enumerate(spec.kept_energies)],
+        enumerate(spec.kept_energies.tolist()),
     )
     print(f"spectrum: kept {spec.cutoff_kept} of {spec.cutoff_raw} levels")
     return 0
@@ -189,10 +195,7 @@ def cmd_synth(args, ws: Workspace) -> int:
     if grid is not None:
         reports = gate_synth.sweep(prob, grid)
         ws.save_json("reports.json", [r.to_json() for r in reports])
-        rows = [
-            (repr(float(l)), repr(r.energy), repr(r.residual), repr(r.fidelity))
-            for l, r in zip(grid, reports)
-        ]
+        rows = [(r.multiplier, r.energy, r.residual, r.fidelity) for r in reports]
         ws.save_csv("pareto.csv", ["lambda", "energy", "residual", "fidelity"], rows)
         ws.save_svg(
             "pareto.svg",
@@ -247,7 +250,7 @@ def cmd_susy(args, ws: Workspace) -> int:
     coeffs = [float(x) for x in args.superpotential.split(",")]
     pair = susy_toy.susy_pair(coeffs, args.dim)
     report = susy_toy.witten_index(pair, zero_tol=args.zero_tol)
-    levels = zip(pair.e_minus[:10], pair.e_plus[:10])
+    levels = zip(pair.e_minus[:10].tolist(), pair.e_plus[:10].tolist())
     ws.save_json(
         "susy_report.json",
         {
@@ -259,7 +262,7 @@ def cmd_susy(args, ws: Workspace) -> int:
     ws.save_csv(
         "partner_energies.csv",
         ["level", "e_minus", "e_plus"],
-        [(i, repr(float(a)), repr(float(b))) for i, (a, b) in enumerate(levels)],
+        [(i, *level) for i, level in enumerate(levels)],
     )
     print(f"susy: index {report.index} ({report.label})")
     return 0
@@ -278,12 +281,27 @@ def cmd_vev(args, ws: Workspace) -> int:
     return 0
 
 
-def _load_family(obj) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, int, list]:
-    rho0 = matrix_from_json(obj["rho0"])
+def _load_family(ws: Workspace, path) -> tuple[filter_fit.ModelFamily, np.ndarray,
+                                               np.ndarray, int, list]:
+    """Family, ρ0, truth, measured operator index and parameter grids of a
+    model file; every size the file sets is checked before anything is built."""
+    obj = ws.load_json(path)
+    h0 = matrix_from_json(obj["h0"])
+    if max(h0.shape) > MAX_MODEL_DIM:
+        raise ValueError(f"{path}: model dimension {max(h0.shape)} exceeds {MAX_MODEL_DIM}")
     h_specs = obj.get("h_terms", [])
     r_specs = obj.get("rate_terms", [])
+    ranges = [t["range"] for t in h_specs + r_specs]
+    points = [n for _, _, n in ranges]
+    if not all(type(n) is int and n >= 1 for n in points):
+        raise ValueError(f"{path}: each range needs an integer number of points >= 1, "
+                         f"got {points}")
+    if math.prod(points) > MAX_GRID_POINTS:
+        raise ValueError(f"{path}: the parameter grid has {math.prod(points)} points, "
+                         f"more than {MAX_GRID_POINTS}")
+    rho0 = matrix_from_json(obj["rho0"])
     family = filter_fit.ModelFamily(
-        h0=matrix_from_json(obj["h0"]),
+        h0=h0,
         h_terms=tuple(matrix_from_json(t["op"]) for t in h_specs),
         rate_bases=tuple(matrix_from_json(t["op"]) for t in r_specs),
         lindblads=tuple(matrix_from_json(m) for m in obj.get("lindblads", [])),
@@ -291,10 +309,7 @@ def _load_family(obj) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, i
     )
     truth = np.asarray([float(t["truth"]) for t in h_specs + r_specs])
     meas = int(obj["measurement"])
-    grids = []
-    for t in h_specs + r_specs:
-        lo, hi, npts = t["range"]
-        grids.append(np.linspace(float(lo), float(hi), int(npts)))
+    grids = [np.linspace(float(lo), float(hi), n) for lo, hi, n in ranges]
     return family, rho0, truth, meas, grids
 
 
@@ -312,7 +327,7 @@ def _times(horizon: float, dt: float) -> np.ndarray:
 
 
 def cmd_filter_sim(args, ws: Workspace) -> int:
-    family, rho0, truth, meas, _ = _load_family(ws.load_json(args.model))
+    family, rho0, truth, meas, _ = _load_family(ws, args.model)
     model = family.at(truth)
     times = _times(args.T, args.dt)
     n = args.ensemble
@@ -325,7 +340,7 @@ def cmd_filter_sim(args, ws: Workspace) -> int:
     ws.save_csv(
         "record.csv",
         ["t", "dY"],
-        [(repr(float(t)), repr(float(dy))) for t, dy in zip(times[:-1], traj.record)],
+        zip(times[:-1].tolist(), traj.record.tolist()),
     )
     if args.ensemble:
         mean, sem = filter_fit.ensemble_stats(
@@ -373,14 +388,21 @@ def _filter_and_fit(family, rho0, truth, meas, grids, eta, times, seed, xtol, re
     return est, filter_fit.fit_parameters(est, family, grids, xtol=xtol)
 
 
-def _at_bound(family, grids, fit) -> list[str]:
-    """Names of the parameters whose θ* equals an end of its grid."""
-    return [name for name, x, g in zip(family.param_names, fit.theta, grids)
-            if float(x) in (g.min(), g.max())]
+def _fit_fields(family, grids, truth, fit) -> dict:
+    """The fields every fit report carries; ``at_bound`` names the
+    parameters whose θ* equals an end of its grid."""
+    return {
+        "truth": truth.tolist(),
+        "theta_star": fit.theta.tolist(),
+        "cost": fit.cost,
+        "converged": fit.converged,
+        "at_bound": [name for name, x, g in zip(family.param_names, fit.theta, grids)
+                     if float(x) in (g.min(), g.max())],
+    }
 
 
 def cmd_filter_fit(args, ws: Workspace) -> int:
-    family, rho0, truth, meas, grids = _load_family(ws.load_json(args.model))
+    family, rho0, truth, meas, grids = _load_family(ws, args.model)
     times = _times(args.T, args.dt)
     seed = args.seed = _resolve_seed(args)
     record = None
@@ -395,11 +417,7 @@ def cmd_filter_fit(args, ws: Workspace) -> int:
         "fit_report.json",
         {
             "param_names": list(family.param_names),
-            "theta_star": [float(x) for x in fit.theta],
-            "truth": [float(x) for x in truth],
-            "cost": fit.cost,
-            "converged": fit.converged,
-            "at_bound": _at_bound(family, grids, fit),
+            **_fit_fields(family, grids, truth, fit),
             "n_evaluations": len(fit.curve),
             "skipped": [list(t) for t in fit.skipped],
             "fitted_diagnostics": fit.trajectory.diagnostics,
@@ -408,7 +426,7 @@ def cmd_filter_fit(args, ws: Workspace) -> int:
     ws.save_csv(
         "cost_curve.csv",
         list(family.param_names) + ["cost"],
-        [tuple(repr(float(x)) for x in t) + (repr(float(c)),) for t, c in fit.curve],
+        [(*t, c) for t, c in fit.curve],
     )
     print(f"filter-fit: theta* = {np.round(fit.theta, 6).tolist()} (cost {fit.cost:.3e})")
     return 0
@@ -444,8 +462,8 @@ def demo_pipeline(ws: Workspace, seed: int, horizon: float, dt: float, eta: floa
     filter_col = [float(x) for x in est.states[idx, 1, 1].real]
     fitted_col = [float(x) for x in fitted.states[idx, 1, 1].real]
     gap_col = [float(np.linalg.norm(fitted.states[i] - est.states[i])) for i in idx]
-    rows = [tuple(map(repr, row)) for row in zip(t_col, filter_col, fitted_col, gap_col)]
-    ws.save_csv("comparison.csv", ["t", "filter_pop1", "fitted_pop1", "frobenius_gap"], rows)
+    ws.save_csv("comparison.csv", ["t", "filter_pop1", "fitted_pop1", "frobenius_gap"],
+                zip(t_col, filter_col, fitted_col, gap_col))
     ws.save_svg(
         "comparison.svg",
         [("filter", t_col, filter_col), ("fitted", t_col, fitted_col)],
@@ -461,11 +479,7 @@ def demo_pipeline(ws: Workspace, seed: int, horizon: float, dt: float, eta: floa
         "eta": eta,
         "horizon": horizon,
         "dt": dt,
-        "truth": [float(x) for x in truth],
-        "theta_star": [float(x) for x in fit.theta],
-        "cost": fit.cost,
-        "converged": fit.converged,
-        "at_bound": _at_bound(family, grids, fit),
+        **_fit_fields(family, grids, truth, fit),
         "final_gap_fit": float(np.linalg.norm(fitted.states[-1] - est.states[-1])),
         "final_gap_grid_low": gaps.get((float(grids[0][0]),)),
         "final_gap_grid_high": gaps.get((float(grids[0][-1]),)),
@@ -496,33 +510,26 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     sub = parser.add_subparsers(dest="command", required=True)
     subparsers = {}
 
-    # flags shared by several subcommands, one factory per group
-    def trajectory():
-        g = argparse.ArgumentParser(add_help=False)
-        g.add_argument("--eta", type=float, default=1.0)
-        g.add_argument("--dt", type=float, default=1e-3)
-        g.add_argument("--T", type=float, default=2.0)
-        g.add_argument("--seed", type=int, default=None)
-        return g
+    # flags shared by several subcommands, one function per group
+    def trajectory(p):
+        p.add_argument("--eta", type=float, default=1.0)
+        p.add_argument("--dt", type=float, default=1e-3)
+        p.add_argument("--T", type=float, default=2.0)
+        p.add_argument("--seed", type=int, default=None)
 
-    def design():
-        g = argparse.ArgumentParser(add_help=False)
-        g.add_argument("--target", required=True)
-        g.add_argument("--T", type=float, required=True)
-        g.add_argument("--K", type=int, required=True)
-        return g
+    def design(p):
+        p.add_argument("--target", required=True)
+        p.add_argument("--T", type=float, required=True)
+        p.add_argument("--K", type=int, required=True)
 
-    def anharmonic():
-        g = argparse.ArgumentParser(add_help=False)
-        g.add_argument("--c1", type=float, default=0.0)
-        g.add_argument("--c2", type=float, default=0.0)
-        return g
+    def anharmonic(p):
+        p.add_argument("--c1", type=float, default=0.0)
+        p.add_argument("--c2", type=float, default=0.0)
 
     def add(name, func, *groups, **kwargs):
-        # a fresh copy of each group: parents share their action objects, so
-        # demo's set_defaults would otherwise change the other defaults too
-        p = sub.add_parser(name, parents=[group() for group in groups], allow_abbrev=False,
-                           **kwargs)
+        p = sub.add_parser(name, allow_abbrev=False, **kwargs)
+        for group in groups:
+            group(p)
         p.set_defaults(func=func)
         p.add_argument("--out-dir", default=".", help="artifact directory")
         p.add_argument("--config", default=None, help="key=value option file")
@@ -641,6 +648,9 @@ def main(argv=None) -> int:
         ws.write_manifest(args.command, config, getattr(args, "seed", None), t0)
     except SusygateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
+        return 3
+    except MemoryError as exc:
+        print(f"numerical failure: out of memory ({exc})", file=sys.stderr)
         return 3
     except KeyError as exc:
         print(f"error: missing key {exc}", file=sys.stderr)

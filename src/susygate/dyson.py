@@ -144,19 +144,10 @@ def pulse_transform(pulse: ControlPulse, omega):
     return bt @ pulse.coeffs
 
 
-def u0(spec: Spectrum, t: float, basis: str = "eigen") -> np.ndarray:
-    """Free propagator e^{-i H0 t}.
-
-    ``basis="eigen"`` returns the kept-block diagonal in the eigenbasis;
-    ``basis="fock"`` returns the full raw-dimension matrix rotated back to
-    the Fock basis.
-    """
-    if basis == "eigen":
-        return np.diag(np.exp(-1j * spec.kept_energies * t))
-    if basis == "fock":
-        phases = np.exp(-1j * spec.energies * t)
-        return (spec.modes * phases) @ spec.modes.conj().T
-    raise ValueError(f"unknown basis {basis!r}")
+def u0(spec: Spectrum, t: float) -> np.ndarray:
+    """Free propagator e^{-i H0 t} on the kept block, diagonal in the H0
+    eigenbasis."""
+    return np.diag(np.exp(-1j * spec.kept_energies * t))
 
 
 def control_in_eigenbasis(spec: Spectrum, control: np.ndarray | None = None) -> np.ndarray:

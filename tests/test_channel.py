@@ -158,12 +158,6 @@ def test_channel_invariants_validate(rng):
     assert ch.cp_defect() < 1e-12
 
 
-def test_channel_json_roundtrip(rng):
-    ch = kraus_from_unitary(random_unitary(rng, 4), np.array([1.0, 0.0]))
-    back = QuantumChannel.from_json(ch.to_json())
-    assert channel_distance(ch, back) < 1e-14
-
-
 # --- joint-system channel design ---------------------------------------------
 
 @pytest.mark.parametrize("sys_dim", [2, 3])

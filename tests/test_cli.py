@@ -7,6 +7,7 @@ import os
 import subprocess
 import sys
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -31,6 +32,10 @@ def cli_env() -> dict:
     src = str(Path(susygate.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     return {**os.environ, "PYTHONPATH": path}
+
+
+# a child Python that runs ``cli.main`` on its own argv
+CLI_CHILD = "import sys\nfrom susygate import cli\nsys.exit(cli.main(sys.argv[1:]))"
 
 
 def write_damping_model(path, gamma_truth=0.7, grid=(0.1, 1.5, 8)):
@@ -66,6 +71,8 @@ def test_spectrum_harmonic_csv(tmp_path):
     assert np.allclose(energies, np.arange(6) + 0.5, atol=1e-10)
     spec = Spectrum.from_json(load_json(tmp_path / "spectrum.json"))
     assert spec.cutoff_kept == 6
+    # every float goes to the CSV with all its digits
+    assert energies == spec.kept_energies.tolist()
 
 
 @pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
@@ -213,6 +220,10 @@ def test_synth_sweep_pareto(tmp_path, stored_spectrum):
     energies = [float(r[1]) for r in rows[1:]]
     assert all(b <= a + 1e-15 for a, b in zip(energies, energies[1:]))
     assert (tmp_path / "pareto.svg").exists()
+    reports = load_json(tmp_path / "reports.json")
+    columns = [[float(x) for x in col] for col in zip(*rows[1:])]
+    for col, key in zip(columns, ["multiplier", "energy", "residual", "fidelity"]):
+        assert col == [r[key] for r in reports]
 
 
 @pytest.mark.parametrize(
@@ -327,6 +338,9 @@ def test_filter_sim_deterministic_artifacts(tmp_path):
         ) == 0
     assert (out1 / "trajectory.json").read_bytes() == (out2 / "trajectory.json").read_bytes()
     assert (out1 / "record.csv").read_bytes() == (out2 / "record.csv").read_bytes()
+    with open(out1 / "record.csv") as fh:
+        rows = list(csv.reader(fh))
+    assert [float(r[1]) for r in rows[1:]] == load_json(out1 / "trajectory.json")["record"]
 
 
 def test_filter_sim_ensemble(tmp_path):
@@ -472,6 +486,45 @@ def test_filter_sim_too_many_steps_exits_2(tmp_path, monkeypatch, horizon):
                    "--seed", 1, "--out-dir", tmp_path) == 2
 
 
+def _two_parameter_model(path):
+    # 101 × 101 = 10201 grid points, one more full integration each
+    obj = load_json(write_damping_model(path, grid=(0.1, 1.5, 101)))
+    detuning = {"name": "delta", "op": matrix_to_json(np.diag([0.5, -0.5])),
+                "range": [-1.0, 1.0, 101], "truth": 0.0}
+    save_json(path, {**obj, "h_terms": [detuning]})
+    return path
+
+
+def _oversized_model(path):
+    d = cli.MAX_MODEL_DIM + 1
+    obj = load_json(write_damping_model(path))
+    rho0 = np.zeros((d, d))
+    rho0[-1, -1] = 1.0
+    lower = {**obj["rate_terms"][0], "op": matrix_to_json(np.eye(d, k=1))}
+    save_json(path, {**obj, "rho0": matrix_to_json(rho0), "h0": matrix_to_json(np.eye(d)),
+                     "rate_terms": [lower]})
+    return path
+
+
+@pytest.mark.parametrize(
+    "make_model",
+    [lambda path: write_damping_model(path, grid=(0.1, 1.5, 10**10)),
+     lambda path: write_damping_model(path, grid=(0.1, 1.5, 2.5)),
+     _two_parameter_model, _oversized_model],
+    ids=["points-1e10", "points-2.5", "grid-101x101", "dim-over-bound"],
+)
+@pytest.mark.parametrize("command", ["filter-sim", "filter-fit"])
+def test_model_file_sizes_are_bounded(tmp_path, capfd, command, make_model):
+    model_path = make_model(tmp_path / "model.json")
+    out = tmp_path / "out"
+    t0 = time.monotonic()
+    assert run_cli(command, "--model", model_path, "--T", 0.1, "--dt", 1e-2,
+                   "--out-dir", out) == 2
+    assert time.monotonic() - t0 < 1.0
+    assert f"error: {model_path}: " in capfd.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
 @pytest.mark.parametrize("xtol", [0, -1])
 def test_filter_fit_bad_xtol_exits_2(tmp_path, xtol):
     model_path = write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 3))
@@ -521,6 +574,18 @@ def test_filter_exit_code_contract(command, horizon, dt, eta, xtol):
         if command == "filter-fit":
             argv.append(f"--xtol={xtol}")
         assert run_cli(*argv) in (0, 2, 3)
+
+
+def test_trajectory_defaults_are_per_subcommand(tmp_path):
+    # demo sets its own eta and T; the other trajectory subcommands keep theirs
+    model_path = write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 3))
+    expected = {"filter-sim": (1.0, 2.0), "filter-fit": (1.0, 2.0), "demo": (0.4, 4.0)}
+    for command, defaults in expected.items():
+        out = tmp_path / command
+        model = [] if command == "demo" else ["--model", model_path]
+        assert run_cli(command, *model, "--dt", 1e-2, "--seed", 1, "--out-dir", out) == 0
+        config = load_json(out / "manifest.json")["config"]
+        assert (config["eta"], config["T"]) == defaults
 
 
 @pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
@@ -844,8 +909,7 @@ def test_channel_non_finite_choi_entry_exits_2(edge_inputs, entry):
     argv = ["channel", "--target", "bad_choi.json", "--T", "2.0", "--K", "1",
             "--out-dir", "out"]
     proc = subprocess.run(
-        [sys.executable, "-c", "import sys\nfrom susygate import cli\nsys.exit(cli.main(sys.argv[1:]))",
-         *argv],
+        [sys.executable, "-c", CLI_CHILD, *argv],
         cwd=edge_inputs, env=cli_env(), capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 2, proc.stderr
@@ -918,6 +982,32 @@ def test_susy_bad_zero_tol_exits_2(tmp_path, capfd, zero_tol):
 )
 def test_huge_cutoff_exits_2(tmp_path, capfd, argv):
     assert_exit_2_quietly(capfd, argv + ["--out-dir", tmp_path])
+
+
+def _cap_address_space():
+    import resource
+
+    resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="relies on Linux RLIMIT_AS")
+@pytest.mark.parametrize(
+    "argv",
+    [["spectrum", "--dim", "1024"],
+     ["channel", "--target", "choi.json", "--T", "2.0", "--K", "1", "--anc-dim", "4096"]],
+    ids=["spectrum", "channel"],
+)
+def test_out_of_memory_exits_3_without_manifest(edge_inputs, argv):
+    # within every size limit, but more than a 1 GiB address space holds
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_CHILD, *argv, "--out-dir", "out"],
+        cwd=edge_inputs, env={**cli_env(), "OPENBLAS_NUM_THREADS": "1"},
+        preexec_fn=_cap_address_space, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert "numerical failure: out of memory" in proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert not (edge_inputs / "out" / "manifest.json").exists()
 
 
 def reject_non_finite(name):

@@ -109,13 +109,6 @@ def test_u0_full_period_is_minus_identity(harmonic_spec):
     assert np.allclose(u0(harmonic_spec, 2 * np.pi), -np.eye(4), atol=1e-10)
 
 
-def test_u0_fock_flavor_is_rotation(anharmonic_spec):
-    spec = anharmonic_spec
-    uf = u0(spec, 0.9, basis="fock")
-    ue_full = np.diag(np.exp(-1j * spec.energies * 0.9))
-    assert np.allclose(uf, spec.modes @ ue_full @ spec.modes.conj().T, atol=1e-12)
-
-
 # --- first-order gate -------------------------------------------------------
 
 def test_zero_pulse_reproduces_free_propagator(anharmonic_spec):
