@@ -19,7 +19,6 @@ from .dyson import (
     ControlPulse,
     dyson_gate,
     propagate_oracle,
-    pulse_transform,
     u0,
 )
 from .errors import CutoffError, OracleConvergenceError, StepSizeError, SusygateError

@@ -153,9 +153,13 @@ def cmd_gate(args, ws: Workspace) -> int:
         "unitarity_defect": float(
             np.max(np.abs(gate.conj().T @ gate - np.eye(k)))
         ),
+        "oracle_steps": None,
+        "oracle_error": None,
     }
     if args.oracle:
-        reference = dyson.propagate_oracle(spec, pulse)
+        reference, report["oracle_steps"], report["oracle_error"] = dyson.propagate_oracle(
+            spec, pulse
+        )
         ws.save_json("oracle.json", matrix_to_json(reference))
         report["oracle_gap"] = float(np.linalg.norm(gate - reference))
     ws.save_json("gate_report.json", report)

@@ -12,8 +12,8 @@ class SusygateError(Exception):
 
 
 class OracleConvergenceError(SusygateError):
-    """Time-ordered product did not meet its Cauchy criterion within the
-    refinement cap."""
+    """Time-ordered product did not reach an estimated error below its
+    tolerance (1e-8) within the refinement cap."""
 
 
 class CutoffError(SusygateError):

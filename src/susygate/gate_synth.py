@@ -77,6 +77,8 @@ class SynthesisReport:
     multiplier: float        # lambda actually applied
     conditioning: float      # condition estimate of the normal matrix
     oracle_fidelity: float | None = None
+    oracle_steps: int | None = None      # final grid of the oracle check
+    oracle_error: float | None = None    # its estimated error
     note: str = ""
 
     def to_json(self) -> dict:
@@ -125,7 +127,7 @@ def _design(prob: SynthesisProblem):
         report = SynthesisReport(pulse, residual, fidelity, pulse.energy(), lam, conditioning,
                                  note=note)
         if oracle_check:
-            u_true = propagate_oracle(spec, pulse)
+            u_true, report.oracle_steps, report.oracle_error = propagate_oracle(spec, pulse)
             report.oracle_fidelity = float(abs(np.trace(g.conj().T @ u_true)) / k)
         return report
 

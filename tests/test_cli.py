@@ -178,8 +178,20 @@ def test_gate_subcommand(tmp_path, stored_spectrum):
     report = load_json(tmp_path / "gate_report.json")
     assert report["unitarity_defect"] < 0.1
     assert report["oracle_gap"] < 0.05
+    assert isinstance(report["oracle_steps"], int) and report["oracle_steps"] >= 64
+    assert 0 <= report["oracle_error"] < 1e-8
     gate = matrix_from_json(load_json(tmp_path / "gate.json"))
     assert gate.shape == (4, 4)
+
+
+def test_gate_without_oracle_reports_null_diagnostics(tmp_path, stored_spectrum):
+    pulse_path = tmp_path / "pulse.json"
+    save_json(pulse_path, ControlPulse(2.0, np.array([0.05, 0.02, 0.0])).to_json())
+    assert run_cli("gate", "--spectrum", stored_spectrum, "--pulse", pulse_path,
+                   "--out-dir", tmp_path) == 0
+    report = load_json(tmp_path / "gate_report.json")
+    assert report["oracle_steps"] is None and report["oracle_error"] is None
+    assert not (tmp_path / "oracle.json").exists()
 
 
 def test_synth_planted_fixture(tmp_path, stored_spectrum):
@@ -201,8 +213,19 @@ def test_synth_planted_fixture(tmp_path, stored_spectrum):
     ) == 0
     report = load_json(tmp_path / "synth_report.json")
     assert report["residual"] <= 1e-8
+    assert report["oracle_steps"] is None and report["oracle_error"] is None
     recovered = np.asarray(load_json(tmp_path / "pulse.json")["coeffs"])
     assert np.linalg.norm(recovered - beta) < 1e-7
+
+
+def test_synth_report_carries_oracle_diagnostics(tmp_path, stored_spectrum):
+    spec = Spectrum.from_json(load_json(stored_spectrum))
+    save_json(tmp_path / "target.json", matrix_to_json(u0(spec, 2.0)))
+    assert run_cli("synth", "--target", tmp_path / "target.json", "--spectrum", stored_spectrum,
+                   "--T", 2.0, "--K", 1, "--lambda", 1e-3, "--out-dir", tmp_path) == 0
+    report = load_json(tmp_path / "synth_report.json")
+    assert report["oracle_fidelity"] == pytest.approx(report["fidelity"], abs=1e-3)
+    assert isinstance(report["oracle_steps"], int) and 0 <= report["oracle_error"] < 1e-8
 
 
 def test_synth_sweep_pareto(tmp_path, stored_spectrum):

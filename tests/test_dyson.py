@@ -7,7 +7,6 @@ from susygate.dyson import (
     basis_transforms,
     dyson_gate,
     propagate_oracle,
-    pulse_transform,
     u0,
 )
 from susygate.errors import OracleConvergenceError
@@ -56,19 +55,22 @@ def test_pulse_json_roundtrip():
 
 
 # --- pulse transform --------------------------------------------------------
+# b̂_T(ω) = ∫_0^T b(t) e^{iωt} dt is the basis transforms dotted with the
+# coefficients
 
 def test_transform_constant_pulse():
     p = ControlPulse(2.5, np.array([1.0]))
-    assert pulse_transform(p, 0.0) == pytest.approx(2.5)
+    assert basis_transforms(p.horizon, p.n_harmonics, 0.0) @ p.coeffs == pytest.approx(2.5)
     w = 1.3
     expected = (np.exp(1j * w * 2.5) - 1.0) / (1j * w)
-    assert pulse_transform(p, w) == pytest.approx(expected)
+    assert basis_transforms(p.horizon, p.n_harmonics, w) @ p.coeffs == pytest.approx(expected)
 
 
 def test_transform_conjugate_symmetry(rng):
     p = ControlPulse(1.7, rng.normal(size=7))
     for w in rng.normal(scale=3.0, size=10):
-        assert pulse_transform(p, -w) == pytest.approx(np.conj(pulse_transform(p, w)))
+        minus, plus = basis_transforms(p.horizon, p.n_harmonics, [-w, w]) @ p.coeffs
+        assert minus == pytest.approx(np.conj(plus))
 
 
 def test_transform_matches_quadrature(rng):
@@ -76,7 +78,9 @@ def test_transform_matches_quadrature(rng):
     ts = np.linspace(0.0, 2.0, 200001)
     for w in (0.0, 0.9, 2 * np.pi / 2.0, -3.7):
         quad = np.trapezoid(p.evaluate(ts) * np.exp(1j * w * ts), ts)
-        assert pulse_transform(p, w) == pytest.approx(quad, abs=1e-8)
+        assert basis_transforms(p.horizon, p.n_harmonics, w) @ p.coeffs == pytest.approx(
+            quad, abs=1e-8
+        )
 
 
 def test_transform_continuity_at_resonances():
@@ -84,8 +88,11 @@ def test_transform_continuity_at_resonances():
     p = ControlPulse(2.0, np.array([0.5, 1.0, -0.3, 0.2, 0.7]))
     for k in (0, 1, 2):
         w0 = 2 * np.pi * k / 2.0
-        for w in (w0 - 1e-9, w0 + 1e-9):
-            assert abs(pulse_transform(p, w) - pulse_transform(p, w0)) <= 1e-7
+        below, at, above = (
+            basis_transforms(p.horizon, p.n_harmonics, [w0 - 1e-9, w0, w0 + 1e-9]) @ p.coeffs
+        )
+        for side in (below, above):
+            assert abs(side - at) <= 1e-7
 
 
 def test_transform_at_resonance_values():
@@ -142,7 +149,7 @@ def test_two_level_gate_matches_oracle_at_small_drive():
     spec = compute_spectrum(0.0, 0.0, kept=2)
     p = ControlPulse(1.0, np.array([1e-3]))
     gate = dyson_gate(spec, p)
-    reference = propagate_oracle(spec, p)
+    reference, _, _ = propagate_oracle(spec, p)
     assert np.linalg.norm(gate - reference) < 5e-6  # O(b^2) remainder
 
 
@@ -150,16 +157,16 @@ def test_two_level_gate_matches_oracle_at_small_drive():
 
 def test_oracle_zero_pulse_is_exponential(anharmonic_spec):
     p = ControlPulse(1.5, np.zeros(3))
-    ref = propagate_oracle(anharmonic_spec, p)
+    ref, _, _ = propagate_oracle(anharmonic_spec, p)
     assert np.allclose(ref, u0(anharmonic_spec, 1.5), atol=1e-9)
 
 
 def test_oracle_group_property_on_free_segments(anharmonic_spec):
     pa = ControlPulse(0.8, np.zeros(1))
     pb = ControlPulse(0.6, np.zeros(1))
-    uab = propagate_oracle(anharmonic_spec, ControlPulse(1.4, np.zeros(1)))
-    ua = propagate_oracle(anharmonic_spec, pa)
-    ub = propagate_oracle(anharmonic_spec, pb)
+    uab, _, _ = propagate_oracle(anharmonic_spec, ControlPulse(1.4, np.zeros(1)))
+    ua, _, _ = propagate_oracle(anharmonic_spec, pa)
+    ub, _, _ = propagate_oracle(anharmonic_spec, pb)
     assert np.allclose(ub @ ua, uab, atol=1e-8)
 
 
@@ -174,7 +181,9 @@ def test_oracle_convergence_error(monkeypatch):
 
 def _step_product(spec, pulse, steps):
     m = spec.cutoff_raw
-    return dyson._magnus_product(build_h0(spec.c1, spec.c2, m), position_op(m), pulse, steps)
+    return dyson._magnus_product(
+        build_h0(spec.c1, spec.c2, m).real, position_op(m).real, pulse, steps
+    )
 
 
 @pytest.fixture
@@ -196,6 +205,62 @@ def test_oracle_step_product_is_unitary(anharmonic_spec, c03_pulse):
     assert np.linalg.norm(u.conj().T @ u - np.eye(u.shape[0])) < 1e-12
 
 
+def test_real_step_product_matches_complex_eigh(anharmonic_spec, c03_pulse):
+    # the former factor: complex eigh of the complex-typed h0 + b̃·Q
+    m, steps = anharmonic_spec.cutoff_raw, 64
+    h0, q = build_h0(anharmonic_spec.c1, anharmonic_spec.c2, m), position_op(m)
+    dt = c03_pulse.horizon / steps
+    t = (np.arange(steps)[:, None] + dyson.GAUSS_NODES) * dt
+    u = np.eye(m, dtype=complex)
+    for b in (c03_pulse.evaluate(t) @ dyson.CFM4_MIX.T).ravel():
+        w, v = np.linalg.eigh(h0 + b * q)
+        u = (v * np.exp(-0.5j * dt * w)) @ v.conj().T @ u
+    assert np.max(np.abs(_step_product(anharmonic_spec, c03_pulse, steps) - u)) <= 1e-13
+
+
+@pytest.mark.parametrize("coeffs", [np.zeros(3), np.array([0.1, 0.0, 0.0])],
+                         ids=["zero", "constant"])
+def test_oracle_stops_on_exact_step(monkeypatch, anharmonic_spec, coeffs):
+    # a zero or constant drive makes every step exact, so the successive gaps
+    # are rounding noise whose ratio never confirms fourth order
+    calls, magnus_product = [], dyson._magnus_product
+
+    def counted(*args):
+        calls.append(args[-1])
+        # an exact step that missed its stop would double toward 64·2¹⁴ steps
+        assert len(calls) <= 2, f"no stop on an exact step: grids {calls}"
+        return magnus_product(*args)
+
+    monkeypatch.setattr(dyson, "_magnus_product", counted)
+    _, steps, error = propagate_oracle(anharmonic_spec, ControlPulse(1.5, coeffs))
+    assert calls == [dyson.ORACLE_START_STEPS, 2 * dyson.ORACLE_START_STEPS]
+    assert steps == calls[-1] and error < dyson.ORACLE_TOL
+
+
+def _reference(spec, pulse, steps=8192):
+    u = _step_product(spec, pulse, steps)
+    k = spec.cutoff_kept
+    return (spec.modes.conj().T @ u @ spec.modes)[:k, :k]
+
+
+def test_oracle_within_tolerance_of_fine_grid_on_c03(anharmonic_spec, c03_pulse):
+    u, steps, error = propagate_oracle(anharmonic_spec, c03_pulse)
+    true_error = np.linalg.norm(u - _reference(anharmonic_spec, c03_pulse))
+    assert true_error < dyson.ORACLE_TOL and error < dyson.ORACLE_TOL
+    assert steps <= 256
+
+
+def test_oracle_within_tolerance_of_fine_grid_at_design_point():
+    # the gate design point of the benchmark's control-design jobs
+    spec = compute_spectrum(0.03, 0.01, kept=4, raw_dim=24)
+    base = np.random.default_rng(3).normal(size=7)
+    pulse = ControlPulse(4.0, 0.1 * base / np.linalg.norm(base))
+    u, steps, error = propagate_oracle(spec, pulse)
+    true_error = np.linalg.norm(u - _reference(spec, pulse))
+    assert true_error < dyson.ORACLE_TOL and error < dyson.ORACLE_TOL
+    assert steps <= 256
+
+
 def test_dyson_remainder_quadratic_in_drive(rng):
     # the module's core property: |oracle - gate| scales as drive^2
     spec = compute_spectrum(0.03, 0.01, kept=4, raw_dim=16)
@@ -204,7 +269,7 @@ def test_dyson_remainder_quadratic_in_drive(rng):
     gaps = []
     for eps in (0.1, 0.05):
         p = ControlPulse(2.0, eps * base)
-        gaps.append(np.linalg.norm(propagate_oracle(spec, p) - dyson_gate(spec, p)))
+        gaps.append(np.linalg.norm(propagate_oracle(spec, p)[0] - dyson_gate(spec, p)))
     ratio = gaps[0] / gaps[1]
     assert 3.0 <= ratio <= 5.0
 

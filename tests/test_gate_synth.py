@@ -289,6 +289,7 @@ def test_oracle_check_populates_fidelity(rng):
     report = synthesize(prob, oracle_check=True)
     assert report.oracle_fidelity is not None
     assert report.oracle_fidelity == pytest.approx(report.fidelity, abs=1e-3)
+    assert isinstance(report.oracle_steps, int) and 0 <= report.oracle_error < 1e-8
 
 
 def test_report_json(spec, rng):
