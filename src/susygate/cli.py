@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import hashlib
 import io
 import math
@@ -43,9 +44,10 @@ MAX_GRID_POINTS = 10**4
 # largest model dimension d a model file sets; the SME step stacks three
 # d²×d² complex superoperators, 48·d⁴ bytes (48 MiB at d = 32)
 MAX_MODEL_DIM = 32
-
-# dests whose CLI flag is not just underscores-to-dashes
-_DEST_TO_FLAG = {"lam": "lambda"}
+# most free parameters p a model file declares; each adds a d² block to the
+# fit's dense tangent generator of side (p + 1)·d² and one Gauss–Newton
+# column, and the largest documented family has p = 2
+MAX_PARAMS = 64
 
 
 @dataclass
@@ -100,20 +102,6 @@ class Workspace:
             "wall_time_s": round(time.monotonic() - t0, 6),
         }
         save_json(self.out_dir / "manifest.json", manifest)
-
-
-def config_to_argv(command: str, config: dict) -> list[str]:
-    """Reconstruct an argv for ``main`` from a manifest's config block."""
-    argv = [command]
-    for dest, value in sorted(config.items()):
-        if value is None or value is False:
-            continue
-        flag = "--" + _DEST_TO_FLAG.get(dest, dest).replace("_", "-")
-        if value is True:
-            argv.append(flag)
-        else:
-            argv.extend([flag, str(value)])
-    return argv
 
 
 def _resolve_seed(args) -> int:
@@ -290,11 +278,16 @@ def _load_family(ws: Workspace, path) -> tuple[filter_fit.ModelFamily, np.ndarra
     """Family, ρ0, truth, measured operator index and parameter grids of a
     model file; every size the file sets is checked before anything is built."""
     obj = ws.load_json(path)
+    if not isinstance(obj, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    h_specs = obj.get("h_terms", [])
+    r_specs = obj.get("rate_terms", [])
+    if len(h_specs) + len(r_specs) > MAX_PARAMS:
+        raise ValueError(f"{path}: {len(h_specs) + len(r_specs)} free parameters exceed "
+                         f"the limit of {MAX_PARAMS}")
     h0 = matrix_from_json(obj["h0"])
     if max(h0.shape) > MAX_MODEL_DIM:
         raise ValueError(f"{path}: model dimension {max(h0.shape)} exceeds {MAX_MODEL_DIM}")
-    h_specs = obj.get("h_terms", [])
-    r_specs = obj.get("rate_terms", [])
     ranges = [t["range"] for t in h_specs + r_specs]
     points = [n for _, _, n in ranges]
     if not all(type(n) is int and n >= 1 for n in points):
@@ -506,7 +499,11 @@ def cmd_demo(args, ws: Workspace) -> int:
 # parser
 
 
+@functools.cache
 def build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The top-level parser and each subcommand's parser by name, built once
+    per process: ``main`` only reads them, and each ``parse_args`` call fills
+    a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="susygate",
         description="gate/channel synthesis and filtering for a driven anharmonic mode",

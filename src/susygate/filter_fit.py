@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import StepSizeError
-from .serialize import matrix_from_json, matrix_to_json
+from .serialize import matrix_from_json, stack_to_json
 from .solver import gauss_newton
 
 POSITIVITY_FLOOR = -1e-4  # eigenvalue below this aborts deterministic runs
@@ -155,7 +155,7 @@ class Trajectory:
     def to_json(self) -> dict:
         return {
             "times": self.times.tolist(),
-            "states": [matrix_to_json(s) for s in self.states],
+            "states": stack_to_json(self.states),
             "record": None if self.record is None else self.record.tolist(),
             "seed": self.seed,
         }

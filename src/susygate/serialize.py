@@ -20,12 +20,19 @@ def matrix_to_json(a: np.ndarray) -> dict:
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-    return {
-        "rows": int(a.shape[0]),
-        "cols": int(a.shape[1]),
-        "re": a.real.ravel().tolist(),
-        "im": a.imag.ravel().tolist(),
-    }
+    return stack_to_json(a[None])[0]
+
+
+def stack_to_json(stack: np.ndarray) -> list[dict]:
+    """Encode each matrix of an (n, rows, cols) stack into the matrix schema,
+    with one ``tolist`` per part for the whole stack."""
+    stack = np.asarray(stack, dtype=complex)
+    if stack.ndim != 3:
+        raise ValueError(f"expected an (n, rows, cols) stack, got shape {stack.shape}")
+    n, rows, cols = stack.shape
+    flat = stack.reshape(n, rows * cols)
+    return [{"rows": rows, "cols": cols, "re": re, "im": im}
+            for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -27,6 +27,24 @@ def run_cli(*args) -> int:
     return cli.main([str(a) for a in args])
 
 
+# dests whose CLI flag is not just underscores-to-dashes
+_DEST_TO_FLAG = {"lam": "lambda"}
+
+
+def config_to_argv(command: str, config: dict) -> list[str]:
+    """Reconstruct an argv for ``cli.main`` from a manifest's config block."""
+    argv = [command]
+    for dest, value in sorted(config.items()):
+        if value is None or value is False:
+            continue
+        flag = "--" + _DEST_TO_FLAG.get(dest, dest).replace("_", "-")
+        if value is True:
+            argv.append(flag)
+        else:
+            argv.extend([flag, str(value)])
+    return argv
+
+
 def cli_env() -> dict:
     """Environment in which a child Python imports this susygate."""
     src = str(Path(susygate.__file__).resolve().parents[1])
@@ -91,7 +109,7 @@ def test_artifact_regenerable_from_manifest(tmp_path):
     second = tmp_path / "b"
     run_cli("spectrum", "--dim", 5, "--c1", 0.02, "--c2", 0.01, "--out-dir", first)
     manifest = load_json(first / "manifest.json")
-    argv = cli.config_to_argv(manifest["command"], manifest["config"])
+    argv = config_to_argv(manifest["command"], manifest["config"])
     argv[argv.index("--out-dir") + 1] = str(second)
     assert cli.main(argv) == 0
     for name in manifest["artifacts"]:
@@ -117,7 +135,7 @@ def test_manifest_with_out_key_no_longer_replays(tmp_path):
     assert run_cli("spectrum", "--dim", 3, "--out-dir", tmp_path / "a") == 0
     manifest = load_json(tmp_path / "a" / "manifest.json")
     config = {**manifest["config"], "out": "spectrum.json", "out_dir": str(tmp_path / "b")}
-    assert cli.main(cli.config_to_argv("spectrum", config)) == 2
+    assert cli.main(config_to_argv("spectrum", config)) == 2
     assert not (tmp_path / "b").exists()
 
 
@@ -529,12 +547,21 @@ def _oversized_model(path):
     return path
 
 
+def _many_parameter_model(path):
+    # one-point ranges keep the grid at 1 point, however many parameters
+    obj = load_json(write_damping_model(path))
+    term = {"name": "h", "op": matrix_to_json(np.diag([0.5, -0.5])),
+            "range": [0.0, 0.0, 1], "truth": 0.0}
+    save_json(path, {**obj, "h_terms": [term] * 3000})
+    return path
+
+
 @pytest.mark.parametrize(
     "make_model",
     [lambda path: write_damping_model(path, grid=(0.1, 1.5, 10**10)),
      lambda path: write_damping_model(path, grid=(0.1, 1.5, 2.5)),
-     _two_parameter_model, _oversized_model],
-    ids=["points-1e10", "points-2.5", "grid-101x101", "dim-over-bound"],
+     _two_parameter_model, _oversized_model, _many_parameter_model],
+    ids=["points-1e10", "points-2.5", "grid-101x101", "dim-over-bound", "params-3000"],
 )
 @pytest.mark.parametrize("command", ["filter-sim", "filter-fit"])
 def test_model_file_sizes_are_bounded(tmp_path, capfd, command, make_model):
@@ -818,6 +845,43 @@ def test_synth_lambda_and_budget_are_exclusive(tmp_path, stored_spectrum, penalt
                    "--T", 2.0, "--K", 1, *penalties,
                    "--no-oracle-check", "--out-dir", tmp_path) == 2
     assert not (tmp_path / "manifest.json").exists()
+
+
+def test_in_process_calls_match_fresh_processes(tmp_path, stored_spectrum, monkeypatch):
+    # the parser is built once per process, so no call may leave state for the next
+    assert cli.build_parser() is cli.build_parser()
+    spec = Spectrum.from_json(load_json(stored_spectrum))
+    a = design_matrix(spec, 2.0, 1)
+    target = (u0(spec, 2.0).reshape(-1) + a @ np.array([0.02, 0.01, -0.01])).reshape(4, 4)
+    save_json(tmp_path / "target.json", matrix_to_json(target))
+    design = ["--target", str(tmp_path / "target.json"), "--spectrum", str(stored_spectrum),
+              "--T", "2", "--K", "1", "--allow-nonunitary"]
+    runs = [
+        ["synth", *design, "--lambda", "0.5", "--budget", "1e-4", "--out-dir", "clash"],
+        ["synth", *design, "--budget", "1e-4", "--out-dir", "budget"],
+        ["synth", *design, "--lambda-grid", "1e-4,1e4,3", "--out-dir", "grid"],
+        ["spectrum", "--c1", "0.03", "--c2", "0.01", "--dim", "3", "--out-dir", "spectrum"],
+    ]
+    in_process, fresh = tmp_path / "in-process", tmp_path / "fresh"
+    in_process.mkdir()
+    fresh.mkdir()
+    monkeypatch.chdir(in_process)
+    codes = [cli.main(argv) for argv in runs]
+    fresh_codes = [subprocess.run([sys.executable, "-c", CLI_CHILD, *argv], cwd=fresh,
+                                  env=cli_env(), capture_output=True, timeout=120).returncode
+                   for argv in runs]
+    assert codes == fresh_codes == [2, 0, 0, 0]
+
+    def files(root):
+        return {p.relative_to(root): p.read_bytes() for p in root.rglob("*") if p.is_file()}
+
+    ours, theirs = files(in_process), files(fresh)
+    assert ours.keys() == theirs.keys()
+    for path, data in ours.items():
+        if path.name == "manifest.json":
+            assert json.loads(data)["config"] == json.loads(theirs[path])["config"]
+        else:
+            assert data == theirs[path], path
 
 
 def count_opens(monkeypatch, paths):

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 
 from susygate.dyson import ControlPulse
 from susygate.filter_fit import Trajectory
-from susygate.serialize import load_json, matrix_from_json, matrix_to_json, save_json
+from susygate.serialize import load_json, matrix_from_json, matrix_to_json, save_json, stack_to_json
 
 
 def test_matrix_roundtrip(rng):
@@ -189,3 +189,16 @@ def test_trajectory_file_roundtrip_is_bitwise(traj):
     else:
         assert_same_bits(back.record, traj.record)
     assert back.seed == traj.seed
+
+
+@given(st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)).flatmap(complex_arrays))
+def test_stack_encoding_matches_per_matrix_encoding(stack):
+    encoded = stack_to_json(stack)
+    per_matrix = [matrix_to_json(s) for s in stack]
+    assert encoded == per_matrix
+    # list equality cannot tell -0.0 from 0.0; the bytes can
+    text = json.dumps(encoded, sort_keys=True)
+    assert text == json.dumps(per_matrix, sort_keys=True)
+    assert text == json.dumps([per_element_matrix(s) for s in stack], sort_keys=True)
+    traj = Trajectory(times=np.arange(len(stack), dtype=float), states=stack)
+    assert_same_bits(Trajectory.from_json(traj.to_json()).states, stack)
