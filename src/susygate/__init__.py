@@ -8,7 +8,6 @@ from .channel import (
     JointSystem,
     QuantumChannel,
     apply_channel,
-    channel_distance,
     choi,
     dyson_channel,
     kraus_from_unitary,
@@ -35,7 +34,6 @@ from .filter_fit import (
 from .fock import (
     GradedSpace,
     annihilation_op,
-    creation_op,
     even_part,
     is_hermitian,
     is_psd,
@@ -58,7 +56,6 @@ from .susy_toy import (
     SusyPair,
     VevControl,
     WittenIndexReport,
-    effective_hamiltonian,
     susy_pair,
     vev_control,
     witten_index,

@@ -58,12 +58,6 @@ class QuantumChannel:
         w = np.linalg.eigvalsh(choi(self))
         return float(max(0.0, -w.min()))
 
-    def validate(self, tol: float = 1e-10) -> None:
-        if self.tp_defect() > tol:
-            raise ValueError(f"trace preservation violated beyond {tol:g}")
-        if self.cp_defect() > tol:
-            raise ValueError(f"complete positivity violated beyond {tol:g}")
-
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], which: str = "anc") -> np.ndarray:
     """Trace out one tensor factor of a (d_sys·d_anc)-dimensional operator.
@@ -143,13 +137,6 @@ def choi(ch: QuantumChannel) -> np.ndarray:
     """Choi matrix J = sum_ij |i><j| ⊗ Φ(|i><j|); trace d_in, PSD iff CP."""
     c = _kraus_columns(ch.kraus)
     return c @ c.conj().T
-
-
-def channel_distance(ch1: QuantumChannel, ch2: QuantumChannel) -> float:
-    """Frobenius distance between Choi matrices."""
-    if (ch1.d_in, ch1.d_out) != (ch2.d_in, ch2.d_out):
-        raise ValueError("channel dimensions differ")
-    return float(np.linalg.norm(choi(ch1) - choi(ch2)))
 
 
 @dataclass(frozen=True)

@@ -44,9 +44,9 @@ MAX_GRID_POINTS = 10**4
 # largest model dimension d a model file sets; the SME step stacks three
 # d²×d² complex superoperators, 48·d⁴ bytes (48 MiB at d = 32)
 MAX_MODEL_DIM = 32
-# most free parameters p a model file declares; each adds a d² block to the
-# fit's dense tangent generator of side (p + 1)·d² and one Gauss–Newton
-# column, and the largest documented family has p = 2
+# most free parameters p a model file declares; each costs the fit one
+# tangent generator of side 2d² and one Gauss–Newton column, and the
+# largest documented family has p = 2
 MAX_PARAMS = 64
 
 

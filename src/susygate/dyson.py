@@ -42,7 +42,7 @@ ORACLE_TOL = 1e-8
 # the oracle's first step grid, and the grid at which it gives up
 ORACLE_START_STEPS = 32
 ORACLE_MAX_STEPS = 64 << 14
-# largest harmonic count K a design accepts; the normal matrix is (2K+1)²
+# largest harmonic count K a pulse or design accepts; the normal matrix is (2K+1)²
 MAX_HARMONICS = 1000
 
 
@@ -72,6 +72,8 @@ class ControlPulse:
         c = np.asarray(self.coeffs, dtype=float)
         if c.ndim != 1 or c.size % 2 == 0:
             raise ValueError("coeffs must be 1-D of odd length (b0 plus cos/sin pairs)")
+        if c.size > 2 * MAX_HARMONICS + 1:
+            raise ValueError(f"a pulse takes at most K = {MAX_HARMONICS} harmonics")
         object.__setattr__(self, "coeffs", c)
 
     @property
@@ -93,9 +95,6 @@ class ControlPulse:
     def energy(self) -> float:
         """∫_0^T b(t)² dt in closed form (harmonics are orthogonal)."""
         return float(energy_weights(self.horizon, self.n_harmonics) @ self.coeffs**2)
-
-    def scaled(self, factor: float) -> "ControlPulse":
-        return ControlPulse(self.horizon, self.coeffs * factor)
 
     def to_json(self) -> dict:
         return {

@@ -392,29 +392,29 @@ def _tangents(family: ModelFamily, theta, states: np.ndarray, dt: float) -> np.n
     The generator is affine in θ, so the RK4 step of the block generator
     [[S, 0], [S_j, S]] is [[R, 0], [dR/dθ_j, R]] (Van Loan, IEEE TAC 23,
     395 (1978)) and the tangents obey Y_{k+1} = R Y_k + (dR/dθ_j) ρ_k.
-    One generator carries every θ_j; its stacked powers advance all
-    tangents a block at a time from the block's stored state.
+    Each θ_j gets its own 2d² generator; its stacked powers advance that
+    tangent a block at a time from the block's stored state.
     """
     d = states.shape[1]
-    n, p = d * d, family.n_params
+    n = d * d
     terms = [LindbladModel(h, ()) for h in family.h_terms]
     terms += [LindbladModel(np.zeros((d, d)), (base,)) for base in family.rate_bases]
-    size = (p + 1) * n
-    gen = np.kron(np.eye(p + 1), liouvillian(family.at(theta)))
-    gen[n:, :n] = np.concatenate([liouvillian(t) for t in terms])
+    gen = np.kron(np.eye(2), liouvillian(family.at(theta)))
     n_steps = states.shape[0] - 1
-    b = min(_block_len(size), n_steps)
-    # keep the tangent rows [dR^m/dθ_j, R^m] of each power m = 1..b
-    stack = _stacked_powers(_rk4_step(gen, np.eye(size), dt), b).reshape(b, size, size)
-    stack = stack[:, n:].reshape(b * p * n, size)
+    b = min(_block_len(2 * n), n_steps)
 
     flat = states.reshape(-1, n)
-    tangents = np.zeros((states.shape[0], p * n), dtype=complex)
-    for i in range(0, n_steps, b):
-        k = min(b, n_steps - i)
-        y = np.concatenate([flat[i], tangents[i]])
-        tangents[i + 1 : i + 1 + k] = (stack[: k * p * n] @ y).reshape(k, p * n)
-    return tangents.reshape(-1, p, d, d).transpose(1, 0, 2, 3)
+    tangents = np.zeros((len(terms), states.shape[0], n), dtype=complex)
+    for term, tangent in zip(terms, tangents):
+        gen[n:, :n] = liouvillian(term)
+        # keep the tangent rows [dR^m/dθ_j, R^m] of each power m = 1..b
+        stack = _stacked_powers(_rk4_step(gen, np.eye(2 * n), dt), b).reshape(b, 2 * n, 2 * n)
+        stack = stack[:, n:].reshape(b * n, 2 * n)
+        for i in range(0, n_steps, b):
+            k = min(b, n_steps - i)
+            y = np.concatenate([flat[i], tangent[i]])
+            tangent[i + 1 : i + 1 + k] = (stack[: k * n] @ y).reshape(k, n)
+    return tangents.reshape(len(terms), -1, d, d)
 
 
 def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-4) -> FitResult:

@@ -31,10 +31,6 @@ def annihilation_op(cutoff: int) -> np.ndarray:
     return np.diag(np.sqrt(np.arange(1.0, cutoff)), k=1).astype(complex)
 
 
-def creation_op(cutoff: int) -> np.ndarray:
-    return annihilation_op(cutoff).conj().T
-
-
 def position_op(cutoff: int) -> np.ndarray:
     """Q = (a + a†)/sqrt(2); real symmetric tridiagonal."""
     if cutoff < 2:

@@ -162,9 +162,7 @@ def compute_spectrum(
     raise ValueError(f"unknown basis {basis!r} (expected 'exact' or 'pt')")
 
 
-def perturbative_energies(
-    c1: float, c2: float, n_max: int, cutoff: int | None = None
-) -> np.ndarray:
+def perturbative_energies(c1: float, c2: float, n_max: int) -> np.ndarray:
     """Rayleigh-Schrödinger energies E_n for n = 0..n_max.
 
     First order in c2 plus second order in c1:
@@ -172,8 +170,8 @@ def perturbative_energies(
         E_n = (n + 1/2) + c2·<n|Q⁴|n> + c1²·sum_{m≠n} |<m|Q³|n>|²/(n−m)
 
     Mixed c1·c2 and all higher orders are excluded.  Both corrections are
-    evaluated from truncated operator matrices; the cutoff only needs to
-    clear the ±3/±4 level reach of the matrix elements.
+    evaluated from operator matrices truncated at max(n_max + 8, 12)
+    levels, which clears the ±3/±4 level reach of the matrix elements.
     """
     if not (abs(c1) <= PERTURBATIVE_COEFF_MAX and abs(c2) <= PERTURBATIVE_COEFF_MAX):
         raise ValueError(
@@ -182,9 +180,7 @@ def perturbative_energies(
         )
     if n_max < 0:
         raise ValueError("n_max must be >= 0")
-    m = max(n_max + 8, 12) if cutoff is None else int(cutoff)
-    if m < n_max + 5:
-        raise ValueError("cutoff too small for the requested levels")
+    m = max(n_max + 8, 12)
     q = position_op(m)
     q2 = q @ q
     q3 = q2 @ q

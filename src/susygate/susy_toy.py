@@ -1,6 +1,6 @@
 """Supersymmetric quantum-mechanics toys: control coefficients from vacuum
-expectation values, the effective polynomial gauge Hamiltonian, partner
-Hamiltonians from a superpotential, and the paired-spectrum index.
+expectation values, partner Hamiltonians from a superpotential, and the
+paired-spectrum index.
 
 Partner pair convention (fixed here, with A = (iP + W'(Q))/sqrt(2)):
 
@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from itertools import product
 
 import numpy as np
 
@@ -54,77 +53,6 @@ class VevControl:
 def vev_control(v: VevControl) -> np.ndarray:
     """a(s) = sum_{r,k} D2[r,s,k] <p_r> <q_k>; bilinear in the vevs."""
     return np.einsum("rsk,r,k->s", v.d2, v.p_vev, v.q_vev)
-
-
-def _mode_ops(extent: int, cutoff: int) -> tuple[list, list]:
-    # single-mode Q and P, or their embeddings Q⊗I, I⊗Q (and P alike)
-    q1, p1 = position_op(cutoff), momentum_op(cutoff)
-    if extent == 1:
-        return [q1], [p1]
-    eye = np.eye(cutoff, dtype=complex)
-    return [np.kron(q1, eye), np.kron(eye, q1)], [np.kron(p1, eye), np.kron(eye, p1)]
-
-
-def effective_hamiltonian(
-    quad_p: np.ndarray,
-    quad_q: np.ndarray,
-    cubic_q: np.ndarray | None = None,
-    quartic_q: np.ndarray | None = None,
-    linear_q: np.ndarray | None = None,
-    cutoff: int = 16,
-) -> np.ndarray:
-    """Polynomial Hamiltonian sum C1_rs P_r P_s + C2_rs Q_r Q_s
-    + C3_rsk Q_r Q_s Q_k + C4_rskm Q..Q + a_s Q_s on the tensor-product
-    truncated space.
-
-    Supports one or two modes (tensor dimensions grow combinatorially
-    beyond that).  For a single mode with C1 = C2 = 1/2 this reproduces the
-    anharmonic builder in :mod:`susygate.spectrum` plus the linear drive
-    term, entry for entry.
-    """
-    quad_p = np.asarray(quad_p, dtype=float)
-    quad_q = np.asarray(quad_q, dtype=float)
-    if quad_p.ndim != 2 or quad_p.shape[0] != quad_p.shape[1]:
-        raise ValueError("quadratic momentum coefficients must be square")
-    extent = quad_p.shape[0]
-    if quad_q.shape != (extent, extent):
-        raise ValueError("quadratic position coefficients extent mismatch")
-    if extent > 2:
-        raise ValueError("at most two modes are supported")
-    for name, arr, nidx in (
-        ("cubic_q", cubic_q, 3),
-        ("quartic_q", quartic_q, 4),
-        ("linear_q", linear_q, 1),
-    ):
-        if arr is not None and np.asarray(arr).shape != (extent,) * nidx:
-            raise ValueError(f"{name} extent mismatch")
-
-    qs, ps = _mode_ops(extent, cutoff)
-    dim = cutoff**extent
-    h = np.zeros((dim, dim), dtype=complex)
-    # Term order mirrors the single-mode builder so the extent-1 path is
-    # bit-identical to build_h0 + a·Q.
-    for r, s in product(range(extent), repeat=2):
-        if quad_p[r, s]:
-            h += quad_p[r, s] * (ps[r] @ ps[s])
-        if quad_q[r, s]:
-            h += quad_q[r, s] * (qs[r] @ qs[s])
-    if cubic_q is not None:
-        cubic_q = np.asarray(cubic_q, dtype=float)
-        for r, s, k in product(range(extent), repeat=3):
-            if cubic_q[r, s, k]:
-                h += cubic_q[r, s, k] * ((qs[r] @ qs[s]) @ qs[k])
-    if quartic_q is not None:
-        quartic_q = np.asarray(quartic_q, dtype=float)
-        for r, s, k, m in product(range(extent), repeat=4):
-            if quartic_q[r, s, k, m]:
-                h += quartic_q[r, s, k, m] * ((qs[r] @ qs[s]) @ (qs[k] @ qs[m]))
-    if linear_q is not None:
-        linear_q = np.asarray(linear_q, dtype=float)
-        for s in range(extent):
-            if linear_q[s]:
-                h += linear_q[s] * qs[s]
-    return h
 
 
 @dataclass(frozen=True)

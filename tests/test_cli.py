@@ -17,7 +17,7 @@ from hypothesis import strategies as st
 
 import susygate
 from susygate import cli
-from susygate.dyson import ControlPulse, u0
+from susygate.dyson import MAX_HARMONICS, ControlPulse, u0
 from susygate.gate_synth import design_matrix
 from susygate.serialize import load_json, matrix_from_json, matrix_to_json, save_json
 from susygate.spectrum import Spectrum, compute_spectrum
@@ -210,6 +210,17 @@ def test_gate_without_oracle_reports_null_diagnostics(tmp_path, stored_spectrum)
     report = load_json(tmp_path / "gate_report.json")
     assert report["oracle_steps"] is None and report["oracle_error"] is None
     assert not (tmp_path / "oracle.json").exists()
+
+
+@pytest.mark.parametrize("n_h, code", [(MAX_HARMONICS, 0), (MAX_HARMONICS + 1, 2)])
+def test_gate_pulse_harmonics_are_bounded(tmp_path, stored_spectrum, n_h, code):
+    pulse_path = tmp_path / "pulse.json"
+    save_json(pulse_path, {"T": 2.0, "K": n_h, "coeffs": [1e-4] * (2 * n_h + 1)})
+    out = tmp_path / "out"
+    assert run_cli("gate", "--spectrum", stored_spectrum, "--pulse", pulse_path,
+                   "--out-dir", out) == code
+    assert (out / "gate.json").exists() == (code == 0)
+    assert (out / "manifest.json").exists() == (code == 0)
 
 
 def test_synth_planted_fixture(tmp_path, stored_spectrum):

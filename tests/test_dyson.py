@@ -127,8 +127,8 @@ def test_zero_pulse_reproduces_free_propagator(anharmonic_spec):
 def test_gate_deviation_linear_in_pulse(anharmonic_spec):
     p = ControlPulse(2.0, np.array([0.11, -0.07, 0.05]))
     base = u0(anharmonic_spec, 2.0)
-    d1 = np.linalg.norm(dyson_gate(anharmonic_spec, p.scaled(1.0)) - base)
-    d2 = np.linalg.norm(dyson_gate(anharmonic_spec, p.scaled(0.5)) - base)
+    d1 = np.linalg.norm(dyson_gate(anharmonic_spec, p) - base)
+    d2 = np.linalg.norm(dyson_gate(anharmonic_spec, ControlPulse(p.horizon, 0.5 * p.coeffs)) - base)
     assert d1 / d2 == pytest.approx(2.0, abs=1e-9)
 
 
@@ -281,10 +281,11 @@ def test_row_norm_defect_scales_quadratically(anharmonic_spec):
         g = dyson_gate(anharmonic_spec, pulse)
         return np.max(np.abs(np.linalg.norm(g, axis=1) - 1.0))
 
-    d1, d2 = defect(base), defect(base.scaled(0.5))
+    half = ControlPulse(base.horizon, 0.5 * base.coeffs)
+    d1, d2 = defect(base), defect(half)
     c_fit = d1 / base.energy()
     print(f"row-norm defect constant C = {c_fit:.4f}")
-    assert d2 <= c_fit * base.scaled(0.5).energy() * 1.25
+    assert d2 <= c_fit * half.energy() * 1.25
 
 
 def test_eigen_and_fock_representations_conjugate(anharmonic_spec):

@@ -1,4 +1,5 @@
 import json
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -15,6 +16,7 @@ from susygate.filter_fit import (
     Trajectory,
     _block_len,
     _rk4_step,
+    _stacked_powers,
     _tangents,
     ensemble_stats,
     filter_estimate,
@@ -533,6 +535,80 @@ def test_tangents_match_central_differences(d):
         fd = (up - down) / (2 * h)
         assert np.max(np.abs(tangents[j] - fd)) <= 1e-8
         assert np.max(np.abs(fd)) > 0.1  # the parameter moves the trajectory
+
+
+def _dense_tangents(family, theta, states, dt):
+    # reference: one block generator kron(I_{p+1}, S) with every S_j in its
+    # first block column, of side (p + 1)·d², advancing all tangents at once
+    d = states.shape[1]
+    n, p = d * d, family.n_params
+    terms = [LindbladModel(h, ()) for h in family.h_terms]
+    terms += [LindbladModel(np.zeros((d, d)), (base,)) for base in family.rate_bases]
+    size = (p + 1) * n
+    gen = np.kron(np.eye(p + 1), liouvillian(family.at(theta)))
+    gen[n:, :n] = np.concatenate([liouvillian(t) for t in terms])
+    n_steps = states.shape[0] - 1
+    b = min(_block_len(size), n_steps)
+    stack = _stacked_powers(_rk4_step(gen, np.eye(size), dt), b).reshape(b, size, size)
+    stack = stack[:, n:].reshape(b * p * n, size)
+    flat = states.reshape(-1, n)
+    tangents = np.zeros((states.shape[0], p * n), dtype=complex)
+    for i in range(0, n_steps, b):
+        k = min(b, n_steps - i)
+        y = np.concatenate([flat[i], tangents[i]])
+        tangents[i + 1 : i + 1 + k] = (stack[: k * p * n] @ y).reshape(k, p * n)
+    return tangents.reshape(-1, p, d, d).transpose(1, 0, 2, 3)
+
+
+def _random_family(d, p, seed=0):
+    # ceil(p/2) Hamiltonian terms X + X†, then floor(p/2) rate terms X, each X
+    # a random matrix of norm 0.3, on a damped ladder; θ = 0.5 everywhere
+    rng = np.random.default_rng(seed)
+
+    def term():
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return 0.3 * x / np.linalg.norm(x)
+
+    lower = np.diag(np.sqrt(np.arange(1.0, d)), k=1).astype(complex)
+    family = ModelFamily(
+        h0=np.diag(0.3 * np.arange(d)).astype(complex),
+        h_terms=tuple(t + t.conj().T for t in (term() for _ in range((p + 1) // 2))),
+        rate_bases=tuple(term() for _ in range(p // 2)),
+        lindblads=(np.sqrt(0.2) * lower,),
+    )
+    rho0 = np.zeros((d, d), dtype=complex)
+    rho0[-1, -1] = 1.0
+    return family, np.full(p, 0.5), rho0
+
+
+@pytest.mark.parametrize("d, p", [(2, 1), (2, 2), (3, 2), (3, 4), (4, 8)])
+def test_tangents_match_dense_block_generator(d, p):
+    family, theta, rho0 = _random_family(d, p)
+    dt = 1e-2
+    states = lindblad_evolve(family.at(theta), rho0, grid(2.0, dt)).states
+    tangents = _tangents(family, theta, states, dt)
+    reference = _dense_tangents(family, theta, states, dt)
+    assert tangents.shape == reference.shape == (p, states.shape[0], d, d)
+    assert np.max(np.abs(reference)) > 0.1
+    if p == 1:  # the same matrices, so the same bits
+        assert np.array_equal(tangents, reference)
+    assert np.max(np.abs(tangents - reference)) <= 1e-13
+
+
+def test_tangent_memory_is_per_parameter():
+    # the dense generator at d = 16, p = 16 alone is 17²·256²·16 bytes = 303 MB
+    family, theta, rho0 = _random_family(16, 16)
+    dt = 1e-2
+    states = lindblad_evolve(family.at(theta), rho0, grid(0.5, dt)).states
+    assert states.shape[0] == 51
+    tracemalloc.start()
+    try:
+        tangents = _tangents(family, theta, states, dt)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert tangents.shape == (16, 51, 16, 16) and np.isfinite(tangents).all()
+    assert peak < 64 << 20
 
 
 def test_pilot_seeds_reproduce_fixture():

@@ -5,7 +5,6 @@ from susygate.fock import (
     MAX_CUTOFF,
     GradedSpace,
     annihilation_op,
-    creation_op,
     even_part,
     is_hermitian,
     is_psd,
@@ -30,7 +29,7 @@ def test_annihilation_requires_positive_cutoff():
         annihilation_op(0)
 
 
-@pytest.mark.parametrize("op", [annihilation_op, creation_op, position_op, momentum_op])
+@pytest.mark.parametrize("op", [annihilation_op, position_op, momentum_op])
 def test_cutoff_above_limit_rejected_before_allocating(op):
     with pytest.raises(ValueError, match="exceeds the limit"):
         op(MAX_CUTOFF + 1)
@@ -58,10 +57,6 @@ def test_number_operator_on_trusted_block():
     h = 0.5 * (q @ q + p @ p)
     block = h[: m - 1, : m - 1]
     assert np.allclose(block, np.diag(np.arange(m - 1) + 0.5), atol=1e-13)
-
-
-def test_creation_is_adjoint():
-    assert np.array_equal(creation_op(7), annihilation_op(7).conj().T)
 
 
 def test_predicates(rng):

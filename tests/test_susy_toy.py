@@ -6,7 +6,6 @@ from susygate.fock import position_op
 from susygate.spectrum import build_h0
 from susygate.susy_toy import (
     VevControl,
-    effective_hamiltonian,
     susy_pair,
     vev_control,
     witten_index,
@@ -40,47 +39,14 @@ def test_extent_mismatch_rejected(rng):
         VevControl(d2=rng.normal(size=(2, 2, 2)), p_vev=np.zeros(3), q_vev=np.zeros(2))
 
 
-# --- effective Hamiltonian -----------------------------------------------------
-
-def test_single_mode_harmonic():
-    h = effective_hamiltonian(0.5 * np.eye(1), 0.5 * np.eye(1), cutoff=12)
-    assert np.allclose(np.diagonal(h)[:11], np.arange(11) + 0.5, atol=1e-13)
-
-
-def test_single_mode_matches_anharmonic_builder_exactly():
-    c1, c2, a = 0.02, 0.015, 0.1
-    m = 24
-    via_effective = effective_hamiltonian(
-        0.5 * np.eye(1),
-        0.5 * np.eye(1),
-        cubic_q=np.full((1, 1, 1), c1),
-        quartic_q=np.full((1, 1, 1, 1), c2),
-        linear_q=np.array([a]),
-        cutoff=m,
-    )
-    direct = build_h0(c1, c2, m) + a * position_op(m)
-    assert np.array_equal(via_effective, direct)
-
+# --- linear drive on the anharmonic builder ------------------------------------
 
 def test_linear_term_shifts_ground_energy():
     # completed square: (P^2 + Q^2)/2 + aQ has ground energy 1/2 - a^2/2
     a = 0.2
-    h = effective_hamiltonian(
-        0.5 * np.eye(1), 0.5 * np.eye(1), linear_q=np.array([a]), cutoff=48
-    )
+    h = build_h0(0.0, 0.0, 48) + a * position_op(48)
     e0 = np.linalg.eigvalsh(h)[0]
     assert e0 == pytest.approx(0.5 - a**2 / 2, abs=1e-10)
-
-
-def test_two_modes_uncoupled_ground_energy():
-    h = effective_hamiltonian(0.5 * np.eye(2), 0.5 * np.eye(2), cutoff=10)
-    assert h.shape == (100, 100)
-    assert np.linalg.eigvalsh(h)[0] == pytest.approx(1.0, abs=1e-12)
-
-
-def test_three_modes_rejected():
-    with pytest.raises(ValueError, match="two modes"):
-        effective_hamiltonian(np.eye(3), np.eye(3), cutoff=4)
 
 
 # --- partner pair ----------------------------------------------------------------
