@@ -4,6 +4,8 @@ fitting against filtered trajectories."""
 
 __version__ = "0.1.0"
 
+from types import ModuleType as _ModuleType
+
 from .channel import (
     JointSystem,
     QuantumChannel,
@@ -61,4 +63,6 @@ from .susy_toy import (
     witten_index,
 )
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# the public names, without the submodules that importing them binds here
+__all__ = [name for name in dir()
+           if not name.startswith("_") and not isinstance(globals()[name], _ModuleType)]

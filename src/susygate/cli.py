@@ -9,9 +9,9 @@ full, but ``--config FILE`` may be shortened; its lines ``key=value``
 become ``--key=value`` after the subcommand name, so any flag given wins.
 
 Exit codes: 0 success, 2 validation error (bad flags, unreadable or
-malformed inputs), 3 numerical failure (non-convergence, step-size abort,
-a NaN or infinite result, out of memory); a run that exits 3 writes no
-manifest.
+malformed inputs, an output directory that cannot be made), 3 numerical
+failure (non-convergence, step-size abort, a NaN or infinite result, out of
+memory); a run that exits 3 writes no manifest.
 Seed resolution order: --seed flag, config file, SUSYGATE_SEED, then 0.
 """
 
@@ -104,17 +104,11 @@ class Workspace:
         save_json(self.out_dir / "manifest.json", manifest)
 
 
-def _resolve_seed(args) -> int:
-    if args.seed is not None:
-        return args.seed
-    return int(os.environ.get("SUSYGATE_SEED") or 0)
-
-
 # --------------------------------------------------------------------------
 # subcommands
 
 
-def cmd_spectrum(args, ws: Workspace) -> int:
+def cmd_spectrum(args, ws: Workspace):
     spec = spectrum.compute_spectrum(
         args.c1, args.c2, kept=args.dim, raw_dim=args.raw_dim, basis=args.basis
     )
@@ -125,10 +119,9 @@ def cmd_spectrum(args, ws: Workspace) -> int:
         enumerate(spec.kept_energies.tolist()),
     )
     print(f"spectrum: kept {spec.cutoff_kept} of {spec.cutoff_raw} levels")
-    return 0
 
 
-def cmd_gate(args, ws: Workspace) -> int:
+def cmd_gate(args, ws: Workspace):
     spec = spectrum.Spectrum.from_json(ws.load_json(args.spectrum))
     pulse = dyson.ControlPulse.from_json(ws.load_json(args.pulse))
     gate = dyson.dyson_gate(spec, pulse)
@@ -152,7 +145,6 @@ def cmd_gate(args, ws: Workspace) -> int:
         report["oracle_gap"] = float(np.linalg.norm(gate - reference))
     ws.save_json("gate_report.json", report)
     print(f"gate: unitarity defect {report['unitarity_defect']:.3e}")
-    return 0
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -169,7 +161,7 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
-def cmd_synth(args, ws: Workspace) -> int:
+def cmd_synth(args, ws: Workspace):
     grid = None if args.lambda_grid is None else _parse_grid(args.lambda_grid)
     target = matrix_from_json(ws.load_json(args.target))
     spec = spectrum.Spectrum.from_json(ws.load_json(args.spectrum))
@@ -199,7 +191,7 @@ def cmd_synth(args, ws: Workspace) -> int:
         best = min(reports, key=lambda r: r.residual)
         ws.save_json("pulse.json", best.pulse.to_json())
         print(f"synth sweep: {len(reports)} points, best residual {best.residual:.3e}")
-        return 0
+        return
     report = gate_synth.synthesize(prob, oracle_check=not args.no_oracle_check)
     ws.save_json("synth_report.json", report.to_json())
     ws.save_json("pulse.json", report.pulse.to_json())
@@ -211,10 +203,9 @@ def cmd_synth(args, ws: Workspace) -> int:
             else ""
         )
     )
-    return 0
 
 
-def cmd_channel(args, ws: Workspace) -> int:
+def cmd_channel(args, ws: Workspace):
     obj = ws.load_json(args.target)
     target = matrix_from_json(obj)
     d_in, d_out = int(obj["d_in"]), int(obj["d_out"])
@@ -235,10 +226,9 @@ def cmd_channel(args, ws: Workspace) -> int:
         f"channel: Choi distance {report.distance:.3e}, TP defect "
         f"{report.tp_defect:.3e}, converged={report.converged}"
     )
-    return 0
 
 
-def cmd_susy(args, ws: Workspace) -> int:
+def cmd_susy(args, ws: Workspace):
     coeffs = [float(x) for x in args.superpotential.split(",")]
     pair = susy_toy.susy_pair(coeffs, args.dim)
     report = susy_toy.witten_index(pair, zero_tol=args.zero_tol)
@@ -257,10 +247,9 @@ def cmd_susy(args, ws: Workspace) -> int:
         [(i, *level) for i, level in enumerate(levels)],
     )
     print(f"susy: index {report.index} ({report.label})")
-    return 0
 
 
-def cmd_vev(args, ws: Workspace) -> int:
+def cmd_vev(args, ws: Workspace):
     d2 = np.asarray(ws.load_json(args.d2), dtype=float)
     v = susy_toy.VevControl(
         d2=d2,
@@ -270,7 +259,6 @@ def cmd_vev(args, ws: Workspace) -> int:
     a = susy_toy.vev_control(v)
     ws.save_json("control.json", {"a": [float(x) for x in a]})
     print(f"vev: control coefficients {np.round(a, 12).tolist()}")
-    return 0
 
 
 def _load_family(ws: Workspace, path) -> tuple[filter_fit.ModelFamily, np.ndarray,
@@ -323,7 +311,7 @@ def _times(horizon: float, dt: float) -> np.ndarray:
     return np.arange(n + 1) * dt
 
 
-def cmd_filter_sim(args, ws: Workspace) -> int:
+def cmd_filter_sim(args, ws: Workspace):
     family, rho0, truth, meas, _ = _load_family(ws, args.model)
     model = family.at(truth)
     times = _times(args.T, args.dt)
@@ -331,8 +319,7 @@ def cmd_filter_sim(args, ws: Workspace) -> int:
     if n and not (n >= 2 and n * (times.size - 1) <= MAX_STEPS):
         raise ValueError(f"--ensemble {n}: expected 0 (off) or n >= 2 "
                          f"with n·T/dt <= {MAX_STEPS}")
-    seed = args.seed = _resolve_seed(args)
-    traj = filter_fit.sme_simulate(model, meas, args.eta, rho0, times, seed)
+    traj = filter_fit.sme_simulate(model, meas, args.eta, rho0, times, args.seed)
     ws.save_json("trajectory.json", traj.to_json())
     ws.save_csv(
         "record.csv",
@@ -341,7 +328,7 @@ def cmd_filter_sim(args, ws: Workspace) -> int:
     )
     if args.ensemble:
         mean, sem = filter_fit.ensemble_stats(
-            model, meas, args.eta, rho0, times, args.ensemble, seed
+            model, meas, args.eta, rho0, times, args.ensemble, args.seed
         )
         ws.save_json(
             "ensemble_mean.json",
@@ -351,8 +338,7 @@ def cmd_filter_sim(args, ws: Workspace) -> int:
                 "sem_final": matrix_to_json(sem[-1].astype(complex)),
             },
         )
-    print(f"filter-sim: {times.size} states, seed {seed}")
-    return 0
+    print(f"filter-sim: {times.size} states, seed {args.seed}")
 
 
 def _read_record(text: str, path, times: np.ndarray) -> np.ndarray:
@@ -398,15 +384,14 @@ def _fit_fields(family, grids, truth, fit) -> dict:
     }
 
 
-def cmd_filter_fit(args, ws: Workspace) -> int:
+def cmd_filter_fit(args, ws: Workspace):
     family, rho0, truth, meas, grids = _load_family(ws, args.model)
     times = _times(args.T, args.dt)
-    seed = args.seed = _resolve_seed(args)
     record = None
     if args.record:
         record = _read_record(ws.read(args.record).decode(), args.record, times)
     est, fit = _filter_and_fit(
-        family, rho0, truth, meas, grids, args.eta, times, seed, args.xtol, record
+        family, rho0, truth, meas, grids, args.eta, times, args.seed, args.xtol, record
     )
     ws.save_json("filter_trajectory.json", est.to_json())
     ws.save_json("fitted_trajectory.json", fit.trajectory.to_json())
@@ -426,7 +411,6 @@ def cmd_filter_fit(args, ws: Workspace) -> int:
         [(*t, c) for t, c in fit.curve],
     )
     print(f"filter-fit: theta* = {np.round(fit.theta, 6).tolist()} (cost {fit.cost:.3e})")
-    return 0
 
 
 def default_demo_model() -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, int, list]:
@@ -445,12 +429,12 @@ def default_demo_model() -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray
     return family, rho0, truth, 0, grids
 
 
-def demo_pipeline(ws: Workspace, seed: int, horizon: float, dt: float, eta: float) -> dict:
+def cmd_demo(args, ws: Workspace):
     """Measurement record -> filter -> parameter fit -> refit trajectory,
-    with a side-by-side comparison table in ``ws``.  Returns the report."""
+    with a side-by-side comparison table."""
     family, rho0, truth, meas, grids = default_demo_model()
-    times = _times(horizon, dt)
-    est, fit = _filter_and_fit(family, rho0, truth, meas, grids, eta, times, seed, 1e-4)
+    times = _times(args.T, args.dt)
+    est, fit = _filter_and_fit(family, rho0, truth, meas, grids, args.eta, times, args.seed, 1e-4)
     fitted = fit.trajectory
 
     stride = max(1, times.size // 100)
@@ -472,27 +456,20 @@ def demo_pipeline(ws: Workspace, seed: int, horizon: float, dt: float, eta: floa
     # final-state gap of every point the fit integrated (a skipped one has none)
     gaps = {k: float(np.linalg.norm(s - est.states[-1])) for k, s in fit.final_states.items()}
     report = {
-        "seed": seed,
-        "eta": eta,
-        "horizon": horizon,
-        "dt": dt,
+        "seed": args.seed,
+        "eta": args.eta,
+        "horizon": args.T,
+        "dt": args.dt,
         **_fit_fields(family, grids, truth, fit),
         "final_gap_fit": float(np.linalg.norm(fitted.states[-1] - est.states[-1])),
         "final_gap_grid_low": gaps.get((float(grids[0][0]),)),
         "final_gap_grid_high": gaps.get((float(grids[0][-1]),)),
     }
     ws.save_json("demo_report.json", report)
-    return report
-
-
-def cmd_demo(args, ws: Workspace) -> int:
-    seed = args.seed = _resolve_seed(args)
-    report = demo_pipeline(ws, seed, args.T, args.dt, args.eta)
     print(
         f"demo: gamma* = {report['theta_star'][0]:.4f} (truth {report['truth'][0]}), "
         f"final gap {report['final_gap_fit']:.4f}"
     )
-    return 0
 
 
 # --------------------------------------------------------------------------
@@ -635,18 +612,15 @@ def main(argv=None) -> int:
             if found.config is not None:
                 argv[1:] = _config_argv(found.config, subparsers[argv[0]]) + rest
         args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return int(exc.code or 0)
-    except (OSError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-
-    t0 = time.monotonic()
-    ws = Workspace(Path(args.out_dir))
-    try:
-        status = args.func(args, ws)
+        t0 = time.monotonic()
+        if "seed" in vars(args) and args.seed is None:
+            args.seed = int(os.environ.get("SUSYGATE_SEED") or 0)
+        ws = Workspace(Path(args.out_dir))
+        args.func(args, ws)
         config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
         ws.write_manifest(args.command, config, getattr(args, "seed", None), t0)
+    except SystemExit as exc:
+        return int(exc.code or 0)
     except SusygateError as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -656,10 +630,10 @@ def main(argv=None) -> int:
     except KeyError as exc:
         print(f"error: missing key {exc}", file=sys.stderr)
         return 2
-    except (ValueError, OSError, TypeError) as exc:
+    except (ValueError, OSError, TypeError, OverflowError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    return status
+    return 0
 
 
 if __name__ == "__main__":

@@ -72,6 +72,8 @@ def parse_json(data: str | bytes, source):
         return json.loads(data)
     except json.JSONDecodeError as exc:
         raise ValueError(f"{source}: invalid JSON ({exc})") from exc
+    except RecursionError as exc:
+        raise ValueError(f"{source}: JSON nested too deeply") from exc
 
 
 def load_json(path: str | Path):

@@ -157,6 +157,18 @@ def test_malformed_json_exits_2(tmp_path):
                    "--out-dir", tmp_path) == 2
 
 
+@pytest.mark.parametrize("out_dir", ["a_file", "a_file/sub"])
+@pytest.mark.parametrize("argv", [["spectrum", "--dim", 2], ["demo", "--T", 0.1]],
+                         ids=["spectrum", "demo"])
+def test_out_dir_that_cannot_be_made_exits_2(tmp_path, capfd, argv, out_dir):
+    # an existing file, or a path under one
+    (tmp_path / "a_file").write_text("x")
+    assert run_cli(*argv, "--out-dir", tmp_path / out_dir) == 2
+    err = capfd.readouterr().err
+    assert err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+    assert list(tmp_path.rglob("manifest.json")) == []
+
+
 def test_validation_error_exits_2(tmp_path):
     assert run_cli("spectrum", "--dim", 6, "--raw-dim", 2, "--out-dir", tmp_path) == 2
 
@@ -1014,6 +1026,31 @@ def test_channel_non_finite_choi_entry_exits_2(edge_inputs, entry):
     assert "finite" in proc.stderr
 
 
+def test_deeply_nested_json_exits_2(edge_inputs, capfd):
+    # 200 000 levels of [...] exceed the JSON decoder's recursion limit
+    deep = edge_inputs / "deep.json"
+    deep.write_text("[" * 200_000 + "]" * 200_000)
+    out = edge_inputs / "out"
+    assert run_cli("vev", "--d2", deep, "--pvev", "1,2", "--qvev", "3", "--out-dir", out) == 2
+    assert f"error: {deep}: JSON nested too deeply" in capfd.readouterr().err
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("token", ["1e400", "Infinity"])
+@pytest.mark.parametrize("command, flag, key", [("synth", "--target", "rows"),
+                                                ("gate", "--pulse", "K")])
+def test_non_finite_integer_field_exits_2(edge_inputs, capfd, command, flag, key, token):
+    argv, _ = _json_input_argv(command, edge_inputs)
+    obj = load_json(argv[argv.index(flag) + 1])
+    hostile = edge_inputs / "hostile.json"
+    hostile.write_text(json.dumps({**obj, key: None}).replace(f'"{key}": null',
+                                                               f'"{key}": {token}'))
+    argv[argv.index(flag) + 1] = hostile
+    out = edge_inputs / "out"
+    assert_exit_2_quietly(capfd, [*argv, "--out-dir", out])
+    assert not (out / "manifest.json").exists()
+
+
 def _huge_pulse(inputs):
     obj = load_json(inputs / "pulse.json")
     save_json(inputs / "huge.json", {**obj, "coeffs": [1e300] + obj["coeffs"][1:]})
@@ -1222,7 +1259,10 @@ def test_wrong_shape_json_exit_code_contract(shared_edge_inputs, command, which,
         assert run_cli(*argv, "--out-dir", out / "run") in (0, 2, 3)
 
 
-_EXTREME_LEAVES = [1e300, -1e300, 1e-300, 0, -1]
+# raw JSON text: save_json refuses the non-finite ones, and 1e400 parses as inf
+_EXTREME_LEAVES = ["1e300", "-1e300", "1e-300", "0", "-1", "Infinity", "-Infinity", "NaN",
+                   "1e400"]
+_LEAF = "extreme leaf"  # placeholder that the drawn leaf's text replaces
 
 
 def _numeric_leaves(obj, path=()):
@@ -1258,7 +1298,8 @@ def test_extreme_leaf_exit_code_contract(shared_edge_inputs, command, data):
     value = data.draw(st.sampled_from(_EXTREME_LEAVES))
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
-        save_json(out / "input.json", _with_leaf(obj, path, value))
+        text = json.dumps(_with_leaf(obj, path, _LEAF)).replace(json.dumps(_LEAF), value)
+        (out / "input.json").write_text(text)
         argv[argv.index(flag) + 1] = out / "input.json"
         status = run_cli(*argv, "--out-dir", out / "run")
         assert status in (0, 2, 3)

@@ -3,27 +3,32 @@ import inspect
 import susygate
 from susygate import channel, dyson, fock, spectrum, susy_toy
 
-# the package's exported names, submodules included; a new export has to be
-# added here on purpose
+# the package's exported names; a new export has to be added here on purpose
 PUBLIC = [
     "ControlPulse", "CutoffError", "GradedSpace", "JointSystem", "LindbladModel",
     "MetastableWarning", "ModelFamily", "OracleConvergenceError", "QuantumChannel",
     "Spectrum", "StepSizeError", "SusyPair", "SusygateError", "SynthesisProblem",
     "SynthesisReport", "Trajectory", "VevControl", "WittenIndexReport",
-    "annihilation_op", "apply_channel", "build_h0", "channel", "choi",
-    "compute_spectrum", "design_matrix", "diagonalize", "dyson", "dyson_channel",
-    "dyson_gate", "ensemble_stats", "errors", "even_part", "filter_estimate",
-    "filter_fit", "fit_parameters", "fock", "gate_synth", "is_hermitian", "is_psd",
+    "annihilation_op", "apply_channel", "build_h0", "choi", "compute_spectrum",
+    "design_matrix", "diagonalize", "dyson_channel", "dyson_gate", "ensemble_stats",
+    "even_part", "filter_estimate", "fit_parameters", "is_hermitian", "is_psd",
     "is_unitary", "kraus_from_unitary", "lindblad_evolve", "momentum_op", "odd_part",
     "partial_trace", "perturbative_energies", "position_op", "propagate_oracle",
-    "serialize", "sme_simulate", "solver", "spectrum", "susy_pair", "susy_toy",
-    "sweep", "synthesize", "synthesize_channel", "tau", "u0", "vev_control",
-    "witten_index",
+    "sme_simulate", "susy_pair", "sweep", "synthesize", "synthesize_channel", "tau",
+    "u0", "vev_control", "witten_index",
 ]
+SUBMODULES = ["channel", "dyson", "errors", "filter_fit", "fock", "gate_synth",
+              "serialize", "solver", "spectrum", "susy_toy"]
 
 
 def test_public_surface_is_pinned():
     assert sorted(susygate.__all__) == PUBLIC
+
+
+def test_star_import_binds_no_submodule():
+    namespace = {}
+    exec("from susygate import *", namespace)
+    assert [name for name in SUBMODULES if name in namespace] == []
 
 
 def test_deleted_names_stay_deleted():
