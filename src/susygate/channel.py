@@ -31,21 +31,18 @@ from .spectrum import Spectrum, build_h0, diagonalize
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Kraus form of a completely positive map."""
+    """Kraus form of a completely positive map: one (r, d_out, d_in) stack."""
 
-    kraus: tuple
+    kraus: np.ndarray
     d_in: int
     d_out: int
 
     def __post_init__(self):
-        ops = tuple(np.asarray(k, dtype=complex) for k in self.kraus)
-        if not ops:
-            raise ValueError("need at least one Kraus operator")
-        for k in ops:
-            if k.shape != (self.d_out, self.d_in):
-                raise ValueError(
-                    f"Kraus shape {k.shape} != ({self.d_out}, {self.d_in})"
-                )
+        ops = np.asarray(self.kraus, dtype=complex)
+        if ops.ndim != 3 or ops.shape[0] < 1 or ops.shape[1:] != (self.d_out, self.d_in):
+            raise ValueError(
+                f"Kraus stack shape {ops.shape} != (r >= 1, {self.d_out}, {self.d_in})"
+            )
         object.__setattr__(self, "kraus", ops)
 
     def tp_defect(self) -> float:
@@ -90,16 +87,10 @@ def _warn_if_not_state(rho, tol=1e-6):
         )
 
 
-def kraus_from_unitary(
-    u: np.ndarray, anc_state: np.ndarray, utol: float | None = 1e-8
-) -> QuantumChannel:
+def kraus_from_unitary(u: np.ndarray, anc_state: np.ndarray) -> QuantumChannel:
     """Channel obtained by conjugating with a joint unitary and tracing the
     ancilla prepared in ``anc_state``: K_i = (I ⊗ <i|) U (I ⊗ |anc>).  The
-    ancilla dimension is the length of ``anc_state``.
-
-    ``utol=None`` skips the unitarity check; use it for approximately
-    unitary gates, whose TP defect is then reported instead of hidden.
-    """
+    ancilla dimension is the length of ``anc_state``."""
     u = np.asarray(u, dtype=complex)
     anc_state = np.asarray(anc_state, dtype=complex).reshape(-1)
     d_anc = anc_state.size
@@ -107,13 +98,10 @@ def kraus_from_unitary(
         raise ValueError("ancilla state must be normalized")
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % d_anc:
         raise ValueError(f"operator shape {u.shape} does not factor over d_anc={d_anc}")
-    if utol is not None and not is_unitary(u, tol=utol):
-        raise ValueError(f"joint operator is not unitary to {utol:g}")
+    if not is_unitary(u, tol=1e-8):
+        raise ValueError("joint operator is not unitary to 1e-08")
     d_sys = u.shape[0] // d_anc
-    u4 = u.reshape(d_sys, d_anc, d_sys, d_anc)
-    ops = tuple(
-        np.einsum("xyb,b->xy", u4[:, i, :, :], anc_state) for i in range(d_anc)
-    )
+    ops = np.einsum("xiyb,b->ixy", u.reshape(d_sys, d_anc, d_sys, d_anc), anc_state)
     return QuantumChannel(kraus=ops, d_in=d_sys, d_out=d_sys)
 
 
@@ -127,10 +115,10 @@ def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
     return out
 
 
-def _kraus_columns(kraus) -> np.ndarray:
-    # column k is vec(K_k) over the composite index (input i, output x),
-    # row-major, so the Choi matrix is C C†
-    return np.stack([k.T.reshape(-1) for k in kraus], axis=1)
+def _kraus_columns(kraus: np.ndarray) -> np.ndarray:
+    # (..., r, d_out, d_in) -> (..., d_in·d_out, r): column k is vec(K_k) over
+    # the composite index (input i, output x), row-major, so Choi = C C†
+    return kraus.swapaxes(-1, -2).reshape(*kraus.shape[:-2], -1).swapaxes(-1, -2)
 
 
 def choi(ch: QuantumChannel) -> np.ndarray:
@@ -180,17 +168,16 @@ class JointSystem:
         # Keep every level: the joint model is exact at its own dimension.
         return diagonalize(self.hamiltonian(), kept=self.dim, c1=self.c1, c2=self.c2)
 
-    def ground_ancilla(self) -> np.ndarray:
-        v = np.zeros(self.anc_dim, dtype=complex)
-        v[0] = 1.0
-        return v
 
 
-def _traced(spec: Spectrum, u_eig: np.ndarray, anc: np.ndarray) -> QuantumChannel:
-    # rotate a joint gate from the eigenbasis to the Fock basis, then trace
-    # out the ancilla; first-order gates are only approximately unitary
-    u_fock = spec.modes @ u_eig @ spec.modes.conj().T
-    return kraus_from_unitary(u_fock, anc, utol=None)
+def _kraus_stack(joint: JointSystem, spec: Spectrum, gates: np.ndarray) -> np.ndarray:
+    """Kraus stacks K_i = (I ⊗ <i|) U (I ⊗ |0>), shape (..., anc_dim, d, d),
+    of joint gates U given in the eigenbasis as (..., dim, dim).  First-order
+    gates are only approximately unitary, so no unitarity is checked."""
+    d, a = joint.sys_dim, joint.anc_dim
+    u_fock = spec.modes @ gates @ spec.modes.conj().T
+    u4 = u_fock.reshape(*u_fock.shape[:-2], d, a, d, a)
+    return u4[..., 0].swapaxes(-2, -3)
 
 
 def dyson_channel(joint: JointSystem, pulse: ControlPulse) -> QuantumChannel:
@@ -200,7 +187,7 @@ def dyson_channel(joint: JointSystem, pulse: ControlPulse) -> QuantumChannel:
     it via ``tp_defect`` rather than expecting exact trace preservation."""
     spec = joint.spectrum()
     u_eig = dyson.dyson_gate(spec, pulse, control=joint.control_op())
-    return _traced(spec, u_eig, joint.ground_ancilla())
+    return QuantumChannel(_kraus_stack(joint, spec, u_eig), joint.sys_dim, joint.sys_dim)
 
 
 @dataclass
@@ -244,16 +231,13 @@ def synthesize_channel(
     if not (0 < horizon < np.inf and 0 <= n_harmonics <= dyson.MAX_HARMONICS):
         raise ValueError(f"need a finite horizon T > 0 and 0 <= K <= {dyson.MAX_HARMONICS}")
     spec = joint.spectrum()
-    ctrl = joint.control_op()
-    anc = joint.ground_ancilla()
     dim = joint.dim
-
-    def choi_factor(u_eig):
-        return _kraus_columns(_traced(spec, u_eig.reshape(dim, dim), anc).kraus)
-
-    a = dyson.design_matrix(spec, horizon, n_harmonics, control=ctrl)
-    c0 = choi_factor(dyson.u0(spec, horizon))
-    cs = np.array([choi_factor(col) for col in a.T])
+    a = dyson.design_matrix(spec, horizon, n_harmonics, control=joint.control_op())
+    u0 = dyson.u0(spec, horizon)
+    factors = _kraus_columns(_kraus_stack(
+        joint, spec, np.concatenate([u0[None], a.T.reshape(-1, dim, dim)])
+    ))
+    c0, cs = factors[0], factors[1:]
     n_params = 2 * n_harmonics + 1
     sqrt_w = np.sqrt(lam * dyson.energy_weights(horizon, n_harmonics))
 
@@ -275,7 +259,7 @@ def synthesize_channel(
     beta, converged = gauss_newton(evaluate, np.zeros(n_params), 1e-10)
 
     pulse = ControlPulse(horizon, beta)
-    ch = _traced(spec, dyson.u0(spec, horizon) + (a @ pulse.coeffs).reshape(dim, dim), anc)
+    ch = QuantumChannel(_kraus_stack(joint, spec, u0 + (a @ beta).reshape(dim, dim)), d, d)
     report = ChannelSynthesisReport(
         pulse=pulse,
         distance=float(np.linalg.norm(choi(ch) - target_choi)),

@@ -68,8 +68,16 @@ class Workspace:
         self.inputs[str(Path(path))] = hashlib.sha256(data).hexdigest()
         return data
 
-    def load_json(self, path):
-        return parse_json(self.read(path), path)
+    def load_json(self, path, decode=lambda obj: obj):
+        """``decode`` applied to a parsed input file; an error in its
+        content becomes a ValueError that names the file."""
+        obj = parse_json(self.read(path), path)
+        try:
+            return decode(obj)
+        except KeyError as exc:
+            raise ValueError(f"{path}: missing key {exc}") from exc
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ValueError(f"{path}: {exc}") from exc
 
     def _artifact(self, name: str) -> Path:
         self.artifacts.append(name)
@@ -122,8 +130,8 @@ def cmd_spectrum(args, ws: Workspace):
 
 
 def cmd_gate(args, ws: Workspace):
-    spec = spectrum.Spectrum.from_json(ws.load_json(args.spectrum))
-    pulse = dyson.ControlPulse.from_json(ws.load_json(args.pulse))
+    spec = ws.load_json(args.spectrum, spectrum.Spectrum.from_json)
+    pulse = ws.load_json(args.pulse, dyson.ControlPulse.from_json)
     gate = dyson.dyson_gate(spec, pulse)
     ws.save_json("gate.json", matrix_to_json(gate))
     k = spec.cutoff_kept
@@ -163,8 +171,8 @@ def _parse_grid(text: str) -> np.ndarray:
 
 def cmd_synth(args, ws: Workspace):
     grid = None if args.lambda_grid is None else _parse_grid(args.lambda_grid)
-    target = matrix_from_json(ws.load_json(args.target))
-    spec = spectrum.Spectrum.from_json(ws.load_json(args.spectrum))
+    target = ws.load_json(args.target, matrix_from_json)
+    spec = ws.load_json(args.spectrum, spectrum.Spectrum.from_json)
     prob = gate_synth.SynthesisProblem(
         target=target,
         spec=spec,
@@ -205,14 +213,19 @@ def cmd_synth(args, ws: Workspace):
     )
 
 
-def cmd_channel(args, ws: Workspace):
-    obj = ws.load_json(args.target)
+def _square_choi(obj) -> tuple[np.ndarray, int]:
+    """Choi matrix and input dimension of a channel target file."""
     target = matrix_from_json(obj)
     d_in, d_out = int(obj["d_in"]), int(obj["d_out"])
     if d_in != d_out:
         raise ValueError("channel design requires d_in == d_out")
+    return target, d_in
+
+
+def cmd_channel(args, ws: Workspace):
+    target, d = ws.load_json(args.target, _square_choi)
     joint = channel.JointSystem(
-        sys_dim=d_in,
+        sys_dim=d,
         anc_dim=args.anc_dim,
         anc_freq=args.anc_freq,
         coupling=args.coupling,
@@ -250,7 +263,7 @@ def cmd_susy(args, ws: Workspace):
 
 
 def cmd_vev(args, ws: Workspace):
-    d2 = np.asarray(ws.load_json(args.d2), dtype=float)
+    d2 = ws.load_json(args.d2, lambda obj: np.asarray(obj, dtype=float))
     v = susy_toy.VevControl(
         d2=d2,
         p_vev=[float(x) for x in args.pvev.split(",")],
@@ -261,28 +274,27 @@ def cmd_vev(args, ws: Workspace):
     print(f"vev: control coefficients {np.round(a, 12).tolist()}")
 
 
-def _load_family(ws: Workspace, path) -> tuple[filter_fit.ModelFamily, np.ndarray,
-                                               np.ndarray, int, list]:
+def _load_family(obj) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, int, list]:
     """Family, ρ0, truth, measured operator index and parameter grids of a
-    model file; every size the file sets is checked before anything is built."""
-    obj = ws.load_json(path)
+    parsed model file; every size the file sets is checked before anything
+    is built."""
     if not isinstance(obj, dict):
-        raise ValueError(f"{path}: expected a JSON object")
+        raise ValueError("expected a JSON object")
     h_specs = obj.get("h_terms", [])
     r_specs = obj.get("rate_terms", [])
     if len(h_specs) + len(r_specs) > MAX_PARAMS:
-        raise ValueError(f"{path}: {len(h_specs) + len(r_specs)} free parameters exceed "
+        raise ValueError(f"{len(h_specs) + len(r_specs)} free parameters exceed "
                          f"the limit of {MAX_PARAMS}")
     h0 = matrix_from_json(obj["h0"])
     if max(h0.shape) > MAX_MODEL_DIM:
-        raise ValueError(f"{path}: model dimension {max(h0.shape)} exceeds {MAX_MODEL_DIM}")
+        raise ValueError(f"model dimension {max(h0.shape)} exceeds {MAX_MODEL_DIM}")
     ranges = [t["range"] for t in h_specs + r_specs]
     points = [n for _, _, n in ranges]
     if not all(type(n) is int and n >= 1 for n in points):
-        raise ValueError(f"{path}: each range needs an integer number of points >= 1, "
+        raise ValueError("each range needs an integer number of points >= 1, "
                          f"got {points}")
     if math.prod(points) > MAX_GRID_POINTS:
-        raise ValueError(f"{path}: the parameter grid has {math.prod(points)} points, "
+        raise ValueError(f"the parameter grid has {math.prod(points)} points, "
                          f"more than {MAX_GRID_POINTS}")
     rho0 = matrix_from_json(obj["rho0"])
     family = filter_fit.ModelFamily(
@@ -312,7 +324,7 @@ def _times(horizon: float, dt: float) -> np.ndarray:
 
 
 def cmd_filter_sim(args, ws: Workspace):
-    family, rho0, truth, meas, _ = _load_family(ws, args.model)
+    family, rho0, truth, meas, _ = ws.load_json(args.model, _load_family)
     model = family.at(truth)
     times = _times(args.T, args.dt)
     n = args.ensemble
@@ -385,7 +397,7 @@ def _fit_fields(family, grids, truth, fit) -> dict:
 
 
 def cmd_filter_fit(args, ws: Workspace):
-    family, rho0, truth, meas, grids = _load_family(ws, args.model)
+    family, rho0, truth, meas, grids = ws.load_json(args.model, _load_family)
     times = _times(args.T, args.dt)
     record = None
     if args.record:

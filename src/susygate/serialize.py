@@ -70,7 +70,7 @@ def save_json(path: str | Path, obj) -> None:
 def parse_json(data: str | bytes, source):
     try:
         return json.loads(data)
-    except json.JSONDecodeError as exc:
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
         raise ValueError(f"{source}: invalid JSON ({exc})") from exc
     except RecursionError as exc:
         raise ValueError(f"{source}: JSON nested too deeply") from exc

@@ -13,7 +13,7 @@ from susygate.channel import (
     partial_trace,
     synthesize_channel,
 )
-from susygate.dyson import ControlPulse
+from susygate.dyson import ControlPulse, u0
 from susygate.fock import position_op
 from susygate.spectrum import MetastableWarning, build_h0
 
@@ -97,6 +97,16 @@ def test_unnormalized_ancilla_rejected(rng):
         kraus_from_unitary(random_unitary(rng, 4), np.array([1.0, 1.0]))
 
 
+@pytest.mark.parametrize(
+    "kraus",
+    [(), (np.eye(2), np.eye(3)), (np.eye(3),)],
+    ids=["empty", "ragged", "wrong-shape"],
+)
+def test_channel_rejects_bad_kraus_stack(kraus):
+    with pytest.raises(ValueError):
+        QuantumChannel(kraus=kraus, d_in=2, d_out=2)
+
+
 # --- apply / choi / distance -------------------------------------------------
 
 def test_identity_channel_choi_eigenvalues():
@@ -177,6 +187,18 @@ def test_trivial_ancilla_channel_matches_free_propagator():
     ch = dyson_channel(joint, pulse)
     assert len(ch.kraus) == 1
     assert ch.tp_defect() < 1e-10
+
+
+@pytest.mark.parametrize("sys_dim", [2, 3])
+def test_zero_pulse_channel_is_the_traced_free_gate(sys_dim):
+    # with no drive the joint gate is exactly u0, so the design's Kraus map
+    # and the unitary route give the same operators
+    joint = JointSystem(sys_dim=sys_dim, anc_dim=2, coupling=0.15)
+    spec = joint.spectrum()
+    gate = spec.modes @ u0(spec, 2.0) @ spec.modes.conj().T
+    ground = np.eye(2)[0]
+    via_dyson = dyson_channel(joint, ControlPulse(2.0, np.zeros(3))).kraus
+    assert np.array_equal(via_dyson, kraus_from_unitary(gate, ground).kraus)
 
 
 def test_zero_pulse_optimal_for_free_target():

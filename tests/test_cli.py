@@ -187,8 +187,57 @@ def test_missing_key_is_named(edge_inputs, capsys):
     # a matrix file where a pulse belongs has no "T"
     assert run_cli("gate", "--spectrum", edge_inputs / "spectrum.json",
                    "--pulse", edge_inputs / "target.json", "--out-dir", edge_inputs / "out") == 2
-    assert capsys.readouterr().err == "error: missing key 'T'\n"
+    assert capsys.readouterr().err == f"error: {edge_inputs / 'target.json'}: missing key 'T'\n"
     assert not (edge_inputs / "out" / "manifest.json").exists()
+
+
+def _infinite_rows(inputs):
+    obj = load_json(inputs / "target.json")
+    (inputs / "bad.json").write_text(json.dumps({**obj, "rows": 0}).replace('"rows": 0',
+                                                                              '"rows": 1e400'))
+    return ["synth", "--target", inputs / "bad.json", "--spectrum", inputs / "spectrum.json",
+            "--T", 2.0, "--K", 1, "--no-oracle-check"]
+
+
+def _undecodable_byte(inputs):
+    text = (inputs / "pulse.json").read_bytes()
+    (inputs / "bad.json").write_bytes(text.replace(b'"T"', b'"T\xff"'))
+    return ["gate", "--spectrum", inputs / "spectrum.json", "--pulse", inputs / "bad.json"]
+
+
+def _non_integer_cutoff(inputs):
+    save_json(inputs / "bad.json", {**load_json(inputs / "spectrum.json"), "cutoff_kept": "x"})
+    return ["gate", "--spectrum", inputs / "bad.json", "--pulse", inputs / "pulse.json"]
+
+
+def _unequal_channel_dims(inputs):
+    save_json(inputs / "bad.json", {**load_json(inputs / "choi.json"), "d_out": 3})
+    return ["channel", "--target", inputs / "bad.json", "--T", 2.0, "--K", 1]
+
+
+@pytest.mark.parametrize(
+    "make_argv",
+    [_infinite_rows, _undecodable_byte, _non_integer_cutoff, _unequal_channel_dims],
+    ids=["rows-1e400", "byte-0xff", "cutoff-kept-x", "d-in-ne-d-out"],
+)
+def test_input_file_error_names_the_file(edge_inputs, capsys, make_argv):
+    out = edge_inputs / "out"
+    assert run_cli(*make_argv(edge_inputs), "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {edge_inputs / 'bad.json'}: ") and err.count("\n") == 1
+    assert "Traceback" not in err
+    assert not (out / "manifest.json").exists()
+
+
+def test_channel_choi_of_wrong_size_exits_2(edge_inputs, capsys):
+    # d_in = d_out = 2 promises a 4x4 Choi matrix; a 3x3 one is refused
+    save_json(edge_inputs / "bad.json", {**matrix_to_json(np.eye(3)), "d_in": 2, "d_out": 2})
+    out = edge_inputs / "out"
+    assert run_cli("channel", "--target", edge_inputs / "bad.json", "--T", 2.0, "--K", 1,
+                   "--out-dir", out) == 2
+    err = capsys.readouterr().err
+    assert err == "error: target Choi shape (3, 3) != (4, 4)\n"
+    assert not (out / "manifest.json").exists()
 
 
 # --- gate / synth ----------------------------------------------------------------
@@ -612,6 +661,16 @@ def test_filter_fit_short_record_row_exits_2(tmp_path, capsys):
     assert run_cli("filter-fit", "--model", model_path, "--record", record,
                    "--dt", 1e-2, "--T", 0.01, "--out-dir", tmp_path) == 2
     assert f"{record}:2" in capsys.readouterr().err
+
+
+def test_filter_fit_record_without_header_exits_2(tmp_path, capsys):
+    model_path = write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 3))
+    record = tmp_path / "record.csv"
+    record.write_text("0.0,0.1\n")
+    assert run_cli("filter-fit", "--model", model_path, "--record", record,
+                   "--dt", 1e-2, "--T", 0.01, "--out-dir", tmp_path / "fit") == 2
+    assert capsys.readouterr().err == f"error: {record}: expected CSV with header t,dY\n"
+    assert not (tmp_path / "fit" / "manifest.json").exists()
 
 
 def test_filter_fit_record_on_another_grid_exits_2(tmp_path, capsys):
