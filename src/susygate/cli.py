@@ -34,7 +34,8 @@ import numpy as np
 from . import __version__, channel, dyson, filter_fit, gate_synth, spectrum, susy_toy
 from .errors import SusygateError
 from .plotting import line_plot_svg
-from .serialize import matrix_from_json, matrix_to_json, parse_json, save_json
+from .serialize import (LineError, matrix_from_json, matrix_to_json, parse_json, read_input,
+                        save_json)
 
 # largest time grid the filter subcommands accept; each step stores a d×d state
 MAX_STEPS = 10**7
@@ -62,22 +63,19 @@ class Workspace:
         self.out_dir = Path(self.out_dir)
         self.out_dir.mkdir(parents=True, exist_ok=True)
 
-    def read(self, path) -> bytes:
-        """The bytes of an input file; their SHA-256 goes into the manifest."""
-        data = Path(path).read_bytes()
-        self.inputs[str(Path(path))] = hashlib.sha256(data).hexdigest()
-        return data
+    def read(self, path, decode):
+        """``decode`` applied to the bytes of an input file through
+        ``read_input``; their SHA-256 goes into the manifest."""
 
-    def load_json(self, path, decode=lambda obj: obj):
-        """``decode`` applied to a parsed input file; an error in its
-        content becomes a ValueError that names the file."""
-        obj = parse_json(self.read(path), path)
-        try:
-            return decode(obj)
-        except KeyError as exc:
-            raise ValueError(f"{path}: missing key {exc}") from exc
-        except (TypeError, ValueError, OverflowError) as exc:
-            raise ValueError(f"{path}: {exc}") from exc
+        def hashed(data: bytes):
+            self.inputs[str(Path(path))] = hashlib.sha256(data).hexdigest()
+            return decode(data)
+
+        return read_input(path, hashed)
+
+    def load_json(self, path, decode):
+        """``decode`` applied to a parsed JSON input file."""
+        return self.read(path, lambda data: decode(parse_json(data)))
 
     def _artifact(self, name: str) -> Path:
         self.artifacts.append(name)
@@ -353,18 +351,18 @@ def cmd_filter_sim(args, ws: Workspace):
     print(f"filter-sim: {times.size} states, seed {args.seed}")
 
 
-def _read_record(text: str, path, times: np.ndarray) -> np.ndarray:
+def _read_record(data: bytes, times: np.ndarray) -> np.ndarray:
     """The dY column of a ``t,dY`` record whose t column is ``times[:-1]``."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))
+    rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
     if not rows or rows[0][:2] != ["t", "dY"]:
-        raise ValueError(f"{path}: expected CSV with header t,dY")
+        raise ValueError("expected CSV with header t,dY")
     tol = 1e-9 * max(1.0, times[-1])
     for line_no, row in enumerate(rows[1:], 2):
         if len(row) < 2:
-            raise ValueError(f"{path}:{line_no}: expected columns t,dY")
+            raise LineError(line_no, "expected columns t,dY")
         step = line_no - 2
         if step < times.size - 1 and not abs(float(row[0]) - times[step]) <= tol:
-            raise ValueError(f"{path}:{line_no}: t = {row[0]} is not grid time {times[step]!r}")
+            raise LineError(line_no, f"t = {row[0]} is not grid time {times[step]!r}")
     return np.asarray([float(r[1]) for r in rows[1:]])
 
 
@@ -401,7 +399,7 @@ def cmd_filter_fit(args, ws: Workspace):
     times = _times(args.T, args.dt)
     record = None
     if args.record:
-        record = _read_record(ws.read(args.record).decode(), args.record, times)
+        record = ws.read(args.record, lambda data: _read_record(data, times))
     est, fit = _filter_and_fit(
         family, rho0, truth, meas, grids, args.eta, times, args.seed, args.xtol, record
     )
@@ -586,25 +584,25 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     return parser, subparsers
 
 
-def _config_argv(path: str, subparser: argparse.ArgumentParser) -> list[str]:
+def _config_argv(subparser: argparse.ArgumentParser, data: bytes) -> list[str]:
     """Option tokens for the ``key=value`` lines of a config file."""
     actions = {opt.lstrip("-"): a for a in subparser._actions for opt in a.option_strings}
     argv = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+    for line_no, line in enumerate(data.decode().splitlines(), 1):
         line = line.strip()
         if not line or line.startswith("#"):
             continue
         if "=" not in line:
-            raise ValueError(f"{path}:{line_no}: expected key=value")
+            raise LineError(line_no, "expected key=value")
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in actions:
-            raise ValueError(f"{path}:{line_no}: unknown option {key!r}")
+            raise LineError(line_no, f"unknown option {key!r}")
         if actions[key].const is not True:
             argv.append(f"--{key}={value}")
         elif value.lower() in ("1", "true", "yes"):  # store_true switch
             argv.append(f"--{key}")
         elif value.lower() not in ("0", "false", "no"):
-            raise ValueError(f"{path}:{line_no}: {key} is a switch, got {value!r}")
+            raise LineError(line_no, f"{key} is a switch, got {value!r}")
     return argv
 
 
@@ -622,7 +620,8 @@ def main(argv=None) -> int:
             finder.add_argument(*spellings, dest="config")
             found, rest = finder.parse_known_args(argv[1:])
             if found.config is not None:
-                argv[1:] = _config_argv(found.config, subparsers[argv[0]]) + rest
+                decode = functools.partial(_config_argv, subparsers[argv[0]])
+                argv[1:] = read_input(found.config, decode) + rest
         args = parser.parse_args(argv)
         t0 = time.monotonic()
         if "seed" in vars(args) and args.seed is None:

@@ -2,7 +2,8 @@
 
 A complex matrix is stored as ``{"rows": r, "cols": c, "re": [...], "im":
 [...]}`` with entries flattened in row-major order.  Every CLI subcommand
-reads and writes matrices through this schema.
+reads and writes matrices through this schema, and reads every input file
+through :func:`read_input`, so an error in a file's content names the file.
 """
 
 from __future__ import annotations
@@ -67,14 +68,37 @@ def save_json(path: str | Path, obj) -> None:
     Path(path).write_text(text + "\n")
 
 
-def parse_json(data: str | bytes, source):
+class LineError(ValueError):
+    """A content error on line ``line`` of an input file."""
+
+    def __init__(self, line: int, message: str):
+        super().__init__(message)
+        self.line = line
+
+
+def read_input(path: str | Path, decode):
+    """``decode`` applied to the bytes of the file at ``path``.  An error in
+    their content (a ``UnicodeDecodeError`` is a ``ValueError``) becomes a
+    ValueError that names the file, and the line for a :class:`LineError`."""
+    data = Path(path).read_bytes()
+    try:
+        return decode(data)
+    except LineError as exc:
+        raise ValueError(f"{path}:{exc.line}: {exc}") from exc
+    except KeyError as exc:
+        raise ValueError(f"{path}: missing key {exc}") from exc
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ValueError(f"{path}: {exc}") from exc
+
+
+def parse_json(data: str | bytes):
     try:
         return json.loads(data)
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{source}: invalid JSON ({exc})") from exc
+        raise ValueError(f"invalid JSON ({exc})") from exc
     except RecursionError as exc:
-        raise ValueError(f"{source}: JSON nested too deeply") from exc
+        raise ValueError("JSON nested too deeply") from exc
 
 
 def load_json(path: str | Path):
-    return parse_json(Path(path).read_text(), path)
+    return read_input(path, parse_json)

@@ -215,16 +215,32 @@ def _unequal_channel_dims(inputs):
     return ["channel", "--target", inputs / "bad.json", "--T", 2.0, "--K", 1]
 
 
+def _record_with(line: bytes):
+    def make_argv(inputs):
+        (inputs / "bad.csv").write_bytes(b"t,dY\n" + line + b"\n")
+        return ["filter-fit", "--model", inputs / "model.json", "--record", inputs / "bad.csv",
+                "--dt", 1e-2, "--T", 0.01]
+    return make_argv
+
+
+def _undecodable_config(inputs):
+    (inputs / "bad.cfg").write_bytes(b"dim=3\n\xff\n")
+    return ["spectrum", "--config", inputs / "bad.cfg"]
+
+
 @pytest.mark.parametrize(
     "make_argv",
-    [_infinite_rows, _undecodable_byte, _non_integer_cutoff, _unequal_channel_dims],
-    ids=["rows-1e400", "byte-0xff", "cutoff-kept-x", "d-in-ne-d-out"],
+    [_infinite_rows, _undecodable_byte, _non_integer_cutoff, _unequal_channel_dims,
+     _record_with(b"0.0,x"), _record_with(b"0.0,0.1\xff"), _undecodable_config],
+    ids=["rows-1e400", "byte-0xff", "cutoff-kept-x", "d-in-ne-d-out",
+         "record-dY-x", "record-byte-0xff", "config-byte-0xff"],
 )
 def test_input_file_error_names_the_file(edge_inputs, capsys, make_argv):
     out = edge_inputs / "out"
     assert run_cli(*make_argv(edge_inputs), "--out-dir", out) == 2
+    (bad,) = edge_inputs.glob("bad.*")
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {edge_inputs / 'bad.json'}: ") and err.count("\n") == 1
+    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
 

@@ -46,6 +46,17 @@ def qutrit_model() -> LindbladModel:
     return LindbladModel(h, (np.sqrt(0.5) * LOWER3, np.sqrt(0.3) * np.diag([0.0, 1.0, 2.0])))
 
 
+LOWER5 = np.diag(np.sqrt(np.arange(1.0, 5.0)), k=1).astype(complex)
+RHO_TOP5 = np.diag([0.0, 0.0, 0.0, 0.0, 1.0]).astype(complex)
+
+
+def five_level_model() -> LindbladModel:
+    # driven anharmonic ladder with damping; at d = 5 a strided trace
+    # y[::d+1].sum() can differ from the integrator's gathered one in the last bit
+    h = 0.5 * (LOWER5 + LOWER5.conj().T) + np.diag(0.1 * np.arange(5.0) ** 2)
+    return LindbladModel(h, (np.sqrt(0.4) * LOWER5,))
+
+
 def grid(horizon, dt):
     return np.arange(0, horizon + dt / 2, dt)
 
@@ -136,8 +147,9 @@ _GRID_POINTS = [(0, 2), (1, 0), (1, 1), (1, 2), (0, 2001)]
 @pytest.mark.parametrize("blocks, extra", _GRID_POINTS, ids=["2", "B", "B+1", "B+2", "2001"])
 @pytest.mark.parametrize(
     "model, rho0",
-    [(damping_model(0.7, drive=1.0), RHO_EXCITED), (qutrit_model(), RHO_TOP3)],
-    ids=["qubit", "qutrit"],
+    [(damping_model(0.7, drive=1.0), RHO_EXCITED), (qutrit_model(), RHO_TOP3),
+     (five_level_model(), RHO_TOP5)],
+    ids=["qubit", "qutrit", "d5"],
 )
 def test_blocked_matches_stepwise_reference(model, rho0, blocks, extra):
     n_points = blocks * _block_len(model.dim ** 2) + extra
@@ -153,23 +165,45 @@ def test_blocked_matches_stepwise_reference(model, rho0, blocks, extra):
     assert 0.0 <= diag["max_trace_drift"] <= 1e-10 * 1e-3
 
 
+SZ = np.diag([1.0, -1.0]).astype(complex)
+RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
+
+
 @pytest.mark.parametrize(
-    "gamma, times, t_abort",
-    [(8.0, grid(2.0, 0.5), "0.5"), (2000.0, grid(1.0, 1e-2), "0.01")],
-    ids=["gamma8-dt0.5", "gamma2000-dt0.01"],
+    "model, rho0, times, t_abort",
+    [(damping_model(8.0), RHO_EXCITED, grid(2.0, 0.5), "0.5"),
+     (damping_model(2000.0), RHO_EXCITED, grid(1.0, 1e-2), "0.01"),
+     (LindbladModel(0.5 * (2.828428 / 1e-2) * SZ, ()), RHO_PLUS, grid(2.0, 1e-2), "0.91")],
+    ids=["gamma8-dt0.5", "gamma2000-dt0.01", "rk4-edge-step91"],
 )
-def test_abort_names_first_offending_step(gamma, times, t_abort):
+def test_abort_names_first_offending_step(model, rho0, times, t_abort):
     # gamma = 2000 at dt = 1e-2 grows about 5.5e3 per step, so the stacked
-    # powers of the step matrix reach 1e239; no overflow warning may escape
-    model = damping_model(gamma)
+    # powers of the step matrix reach 1e239; no overflow warning may escape.
+    # A rotation at y = ω·dt = 2.828428, just past the RK4 edge √8 on the
+    # imaginary axis, grows so slowly that it first fails at step 91, in the
+    # second block, and the blocks after it still run
     with pytest.raises(StepSizeError) as ref:
-        stepwise_evolve(model, RHO_EXCITED, times)
+        stepwise_evolve(model, rho0, times)
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(StepSizeError) as got:
-            lindblad_evolve(model, RHO_EXCITED, times)
+            lindblad_evolve(model, rho0, times)
     assert str(got.value) == str(ref.value)
     assert f"at t={t_abort};" in str(got.value)
+
+
+def test_one_eigenvalue_call_per_trajectory(monkeypatch):
+    # one for the initial state's check, one for all 2000 integrated states
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    lindblad_evolve(damping_model(0.7, drive=1.0), RHO_EXCITED, grid(2.0, 1e-3))
+    assert calls == [(2, 2), (2000, 2, 2)]
 
 
 def test_non_finite_step_aborts():
