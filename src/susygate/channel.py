@@ -171,11 +171,11 @@ class JointSystem:
 
 
 def _kraus_stack(joint: JointSystem, spec: Spectrum, gates: np.ndarray) -> np.ndarray:
-    """Kraus stacks K_i = (I ⊗ <i|) U (I ⊗ |0>), shape (..., anc_dim, d, d),
-    of joint gates U given in the eigenbasis as (..., dim, dim).  First-order
-    gates are only approximately unitary, so no unitarity is checked."""
+    """Kraus stacks K_i = (I ⊗ <i|) U (I ⊗ |0>), shape (..., anc_dim, d, d), of
+    joint gates U, (..., dim, dim) in the eigenbasis, after ``Spectrum.to_fock``.
+    First-order gates are only approximately unitary; no unitarity is checked."""
     d, a = joint.sys_dim, joint.anc_dim
-    u_fock = spec.modes @ gates @ spec.modes.conj().T
+    u_fock = spec.to_fock(gates)
     u4 = u_fock.reshape(*u_fock.shape[:-2], d, a, d, a)
     return u4[..., 0].swapaxes(-2, -3)
 

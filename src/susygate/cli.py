@@ -33,6 +33,7 @@ import numpy as np
 
 from . import __version__, channel, dyson, filter_fit, gate_synth, spectrum, susy_toy
 from .errors import SusygateError
+from .fock import is_unitary
 from .plotting import line_plot_svg
 from .serialize import (LineError, matrix_from_json, matrix_to_json, parse_json, read_input,
                         save_json)
@@ -167,9 +168,18 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
+def _gate_target(obj, allow_nonunitary: bool) -> np.ndarray:
+    """Matrix of a gate target file, checked for unitarity unless allowed not to be."""
+    target = matrix_from_json(obj)
+    if not (allow_nonunitary or is_unitary(target, tol=1e-8)):
+        raise ValueError("target is not unitary to 1e-8 (set --allow-nonunitary)")
+    return target
+
+
 def cmd_synth(args, ws: Workspace):
     grid = None if args.lambda_grid is None else _parse_grid(args.lambda_grid)
-    target = ws.load_json(args.target, matrix_from_json)
+    target = ws.load_json(args.target, functools.partial(
+        _gate_target, allow_nonunitary=args.allow_nonunitary))
     spec = ws.load_json(args.spectrum, spectrum.Spectrum.from_json)
     prob = gate_synth.SynthesisProblem(
         target=target,
@@ -274,8 +284,9 @@ def cmd_vev(args, ws: Workspace):
 
 def _load_family(obj) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, int, list]:
     """Family, ρ0, truth, measured operator index and parameter grids of a
-    parsed model file; every size the file sets is checked before anything
-    is built."""
+    parsed model file; every size the file sets, and the sign of each rate
+    range, is checked before anything is built, and the truth model, ρ0 and
+    the index after, so that each of their errors names the file."""
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
     h_specs = obj.get("h_terms", [])
@@ -294,6 +305,8 @@ def _load_family(obj) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, i
     if math.prod(points) > MAX_GRID_POINTS:
         raise ValueError(f"the parameter grid has {math.prod(points)} points, "
                          f"more than {MAX_GRID_POINTS}")
+    if not all(min(float(lo), float(hi)) >= 0 for lo, hi, _ in ranges[len(h_specs):]):
+        raise ValueError("a rate range reaches below 0")
     rho0 = matrix_from_json(obj["rho0"])
     family = filter_fit.ModelFamily(
         h0=h0,
@@ -305,6 +318,10 @@ def _load_family(obj) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, i
     truth = np.asarray([float(t["truth"]) for t in h_specs + r_specs])
     meas = int(obj["measurement"])
     grids = [np.linspace(float(lo), float(hi), n) for lo, hi, n in ranges]
+    model = family.at(truth)
+    filter_fit._check_state(rho0, model.dim)
+    if not 0 <= meas < len(model.lindblads):
+        raise ValueError("measurement index outside the model's Lindblad list")
     return family, rho0, truth, meas, grids
 
 
@@ -363,6 +380,8 @@ def _read_record(data: bytes, times: np.ndarray) -> np.ndarray:
         step = line_no - 2
         if step < times.size - 1 and not abs(float(row[0]) - times[step]) <= tol:
             raise LineError(line_no, f"t = {row[0]} is not grid time {times[step]!r}")
+    if len(rows) != times.size:
+        raise ValueError(f"{len(rows) - 1} rows for {times.size - 1} grid steps")
     return np.asarray([float(r[1]) for r in rows[1:]])
 
 
@@ -585,7 +604,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 
 def _config_argv(subparser: argparse.ArgumentParser, data: bytes) -> list[str]:
-    """Option tokens for the ``key=value`` lines of a config file."""
+    """Option tokens for the ``key=value`` lines of a config file.  Each value
+    is checked here against its option's type and choices, so that a bad one
+    names the file and line; argparse still parses the tokens."""
     actions = {opt.lstrip("-"): a for a in subparser._actions for opt in a.option_strings}
     argv = []
     for line_no, line in enumerate(data.decode().splitlines(), 1):
@@ -597,7 +618,16 @@ def _config_argv(subparser: argparse.ArgumentParser, data: bytes) -> list[str]:
         key, _, value = (part.strip() for part in line.partition("="))
         if key not in actions:
             raise LineError(line_no, f"unknown option {key!r}")
-        if actions[key].const is not True:
+        action = actions[key]
+        if action.const is not True:
+            try:
+                parsed = value if action.type is None else action.type(value)
+            except ValueError:
+                raise LineError(line_no, f"{key}: invalid {action.type.__name__} value: "
+                                         f"{value!r}") from None
+            if action.choices is not None and parsed not in action.choices:
+                raise LineError(line_no, f"{key}: invalid choice: {value!r} (choose from "
+                                         f"{', '.join(map(repr, action.choices))})")
             argv.append(f"--{key}={value}")
         elif value.lower() in ("1", "true", "yes"):  # store_true switch
             argv.append(f"--{key}")

@@ -143,22 +143,6 @@ def u0(spec: Spectrum, t: float) -> np.ndarray:
     return np.diag(np.exp(-1j * spec.kept_energies * t))
 
 
-def control_in_eigenbasis(spec: Spectrum, control: np.ndarray | None = None) -> np.ndarray:
-    """Kept block of the control operator in the H0 eigenbasis.
-
-    The default control operator is the position operator at the raw cutoff;
-    the matrix elements are computed at full raw dimension and only then
-    projected to the kept block.
-    """
-    ctrl = position_op(spec.cutoff_raw) if control is None else np.asarray(control)
-    if ctrl.shape != (spec.cutoff_raw, spec.cutoff_raw):
-        raise ValueError(
-            f"control operator shape {ctrl.shape} != raw dim {spec.cutoff_raw}"
-        )
-    full = spec.modes.conj().T @ ctrl @ spec.modes
-    return full[: spec.cutoff_kept, : spec.cutoff_kept]
-
-
 def design_matrix(
     spec: Spectrum,
     horizon: float,
@@ -166,9 +150,13 @@ def design_matrix(
     control: np.ndarray | None = None,
 ) -> np.ndarray:
     """Complex matrix A with vec U(β) = vec U0(T) + A β for the first-order
-    gate; column j is the gate derivative along coefficient j."""
+    gate; column j is the gate derivative along coefficient j.  ``control``
+    (Fock basis, raw cutoff; Q by default) enters as ``spec.kept_block``."""
+    ctrl = position_op(spec.cutoff_raw) if control is None else np.asarray(control)
+    if ctrl.shape != (spec.cutoff_raw, spec.cutoff_raw):
+        raise ValueError(f"control operator shape {ctrl.shape} != raw dim {spec.cutoff_raw}")
     e = spec.kept_energies
-    q = control_in_eigenbasis(spec, control)
+    q = spec.kept_block(ctrl)
     omega = e[:, None] - e[None, :]
     bt = basis_transforms(horizon, n_harmonics, omega)  # (k, k, 2K+1)
     core = -1j * np.exp(-1j * e * horizon)[:, None, None] * q[:, :, None] * bt
@@ -208,7 +196,7 @@ def propagate_oracle(spec: Spectrum, pulse: ControlPulse) -> tuple[np.ndarray, i
     commutator-free Magnus steps, each two exactly unitary exponentials.
 
     Integrates at the full raw dimension (exactly unitary there), then
-    projects to the kept block of the eigenbasis.  The grid starts at
+    takes ``Spectrum.kept_block`` of each grid's product.  The grid starts at
     ``ORACLE_START_STEPS`` and is doubled until the estimated Frobenius
     error of the finer grid is below ``ORACLE_TOL``.  With g the gap between
     two successive grids, that estimate is g/15 (step doubling for a
@@ -230,17 +218,12 @@ def propagate_oracle(spec: Spectrum, pulse: ControlPulse) -> tuple[np.ndarray, i
     ctrl = position_op(m)
     assert not (h0.imag.any() or ctrl.imag.any()), "H0 and Q must be real"
     h0, ctrl = h0.real, ctrl.real
-
-    def project(u_full):
-        rotated = spec.modes.conj().T @ u_full @ spec.modes
-        return rotated[: spec.cutoff_kept, : spec.cutoff_kept]
-
     steps = ORACLE_START_STEPS
-    prev = project(_magnus_product(h0, ctrl, pulse, steps))
+    prev = spec.kept_block(_magnus_product(h0, ctrl, pulse, steps))
     prev_gap = 0.0
     while steps < ORACLE_MAX_STEPS:
         steps *= 2
-        cur = project(_magnus_product(h0, ctrl, pulse, steps))
+        cur = spec.kept_block(_magnus_product(h0, ctrl, pulse, steps))
         gap = float(np.linalg.norm(cur - prev))
         if prev_gap >= 8 * gap and gap / 15 < ORACLE_TOL:
             return cur, steps, gap / 15

@@ -26,4 +26,5 @@ class StepSizeError(SusygateError):
 
 
 class NonFiniteError(SusygateError):
-    """A result to be written holds NaN or an infinity."""
+    """A result holds NaN or an infinity: one to be written, or every cost
+    of a fit's parameter grid."""

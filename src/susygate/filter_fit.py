@@ -39,7 +39,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import StepSizeError
+from .errors import NonFiniteError, StepSizeError
 from .serialize import matrix_from_json, stack_to_json
 from .solver import gauss_newton
 
@@ -139,19 +139,18 @@ class Trajectory:
     diagnostics: dict = field(default_factory=dict)
 
     def validate(self) -> None:
-        from .fock import is_hermitian, is_psd
-
-        if self.states.shape[0] != self.times.shape[0]:
+        """Check every state at once; each test is written so that NaN fails it."""
+        rho = self.states
+        if rho.shape[0] != self.times.shape[0]:
             raise ValueError("states/times length mismatch")
         if self.record is not None and self.record.shape[0] != self.times.shape[0] - 1:
             raise ValueError("record length must be n_times - 1")
-        for rho in self.states:
-            if not is_hermitian(rho, tol=1e-8):
-                raise ValueError("state not Hermitian")
-            if abs(np.trace(rho).real - 1.0) > 1e-8:
-                raise ValueError("state trace differs from 1")
-            if not is_psd(rho, tol=1e-6):
-                raise ValueError("state has a negative eigenvalue beyond tolerance")
+        if not np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), initial=0.0) <= 1e-8:
+            raise ValueError("state not Hermitian")
+        if not np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0), initial=0.0) <= 1e-8:
+            raise ValueError("state trace differs from 1")
+        if not -np.min(np.linalg.eigvalsh(rho), initial=0.0) <= 1e-6:
+            raise ValueError("state has a negative eigenvalue beyond tolerance")
 
     def to_json(self) -> dict:
         return {
@@ -430,8 +429,10 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
     distinct θ is integrated once: ``curve`` and ``skipped`` list distinct
     points in evaluation order, grid points first, and ``final_states``
     holds the last state of each integrated point.  Non-finite costs
-    (integrator failures at extreme θ) are skipped and reported.  The
-    result is the lowest-cost point evaluated, with its trajectory.
+    (integrator failures at extreme θ) are skipped and reported, and
+    :class:`~susygate.errors.NonFiniteError` is raised when every grid
+    point's is.  The result is the lowest-cost point evaluated, with its
+    trajectory.
     """
     import itertools
 
@@ -480,7 +481,7 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
     for combo in itertools.product(*grid):
         evaluate(np.asarray(combo))
     if "key" not in best:
-        raise ValueError("no parameter point produced a finite cost")
+        raise NonFiniteError("no parameter point produced a finite cost")
     _, converged = gauss_newton(evaluate, best["key"], xtol)
 
     curve = [(t, c) for t, c in costs.items() if np.isfinite(c)]

@@ -73,6 +73,14 @@ class Spectrum:
     def kept_energies(self) -> np.ndarray:
         return self.energies[: self.cutoff_kept]
 
+    def kept_block(self, op: np.ndarray) -> np.ndarray:
+        """Kept block, in the eigenbasis, of a Fock-basis ``(raw, raw)`` operator."""
+        return (self.modes.conj().T @ op @ self.modes)[: self.cutoff_kept, : self.cutoff_kept]
+
+    def to_fock(self, ops: np.ndarray) -> np.ndarray:
+        """A ``(..., raw, raw)`` stack of eigenbasis operators in the Fock basis."""
+        return self.modes @ ops @ self.modes.conj().T
+
     def validate(self, tol: float = 1e-10) -> None:
         if self.energies.shape != (self.cutoff_raw,):
             raise ValueError("energies length != cutoff_raw")

@@ -1,4 +1,5 @@
 import builtins
+import contextlib
 import csv
 import hashlib
 import io
@@ -183,6 +184,19 @@ def test_numerical_failure_exits_3(tmp_path):
                    "--out-dir", tmp_path) == 3
 
 
+def test_fit_without_a_finite_cost_exits_3(edge_inputs, capsys):
+    # a 2500-fold rate aborts the Lindblad integration at every grid point
+    obj = load_json(edge_inputs / "model.json")
+    (term,) = obj["rate_terms"]
+    op = {**term["op"], "re": [50 * x for x in term["op"]["re"]]}
+    save_json(edge_inputs / "model.json", {**obj, "rate_terms": [{**term, "op": op}]})
+    out = edge_inputs / "out"
+    assert run_cli("filter-fit", "--model", edge_inputs / "model.json", "--dt", 1e-2, "--T", 0.1,
+                   "--out-dir", out) == 3
+    assert capsys.readouterr().err == "numerical failure: no parameter point produced a finite cost\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_missing_key_is_named(edge_inputs, capsys):
     # a matrix file where a pulse belongs has no "T"
     assert run_cli("gate", "--spectrum", edge_inputs / "spectrum.json",
@@ -228,12 +242,34 @@ def _undecodable_config(inputs):
     return ["spectrum", "--config", inputs / "bad.cfg"]
 
 
+def _non_unitary_target(inputs):
+    obj = load_json(inputs / "target.json")
+    save_json(inputs / "bad.json", {**obj, "re": [2 * obj["re"][0]] + obj["re"][1:]})
+    return ["synth", "--target", inputs / "bad.json", "--spectrum", inputs / "spectrum.json",
+            "--T", 2.0, "--K", 1, "--no-oracle-check"]
+
+
+def _model_with(key, value):
+    # a model whose rate range, truth Hamiltonian, initial state or measured operator is invalid
+    def make_argv(inputs):
+        save_json(inputs / "bad.json", {**load_json(inputs / "model.json"), key: value})
+        return ["filter-sim", "--model", inputs / "bad.json", "--dt", 1e-2, "--T", 0.01]
+    return make_argv
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [_infinite_rows, _undecodable_byte, _non_integer_cutoff, _unequal_channel_dims,
-     _record_with(b"0.0,x"), _record_with(b"0.0,0.1\xff"), _undecodable_config],
+     _record_with(b"0.0,x"), _record_with(b"0.0,0.1\xff"), _record_with(b"0.0,0.1\n0.01,0.2"),
+     _undecodable_config, _non_unitary_target,
+     _model_with("h0", matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))),
+     _model_with("rho0", matrix_to_json(np.eye(2))), _model_with("measurement", 1),
+     _model_with("rate_terms", [{"name": "gamma", "op": matrix_to_json(np.eye(2)),
+                                 "range": [-1.1, -0.3, 3], "truth": 0.7}])],
     ids=["rows-1e400", "byte-0xff", "cutoff-kept-x", "d-in-ne-d-out",
-         "record-dY-x", "record-byte-0xff", "config-byte-0xff"],
+         "record-dY-x", "record-byte-0xff", "record-extra-row", "config-byte-0xff",
+         "target-not-unitary", "model-h0-not-hermitian", "model-rho0-trace-2",
+         "model-measurement-1", "model-rate-range-negative"],
 )
 def test_input_file_error_names_the_file(edge_inputs, capsys, make_argv):
     out = edge_inputs / "out"
@@ -780,7 +816,7 @@ def test_flag_before_config_still_wins(tmp_path):
     assert (config["c1"], config["dim"]) == (0.01, 6)
 
 
-def test_config_switch_and_choice_go_through_argparse(tmp_path, stored_spectrum):
+def test_config_switch_and_choice_go_through_argparse(tmp_path, stored_spectrum, capsys):
     spec = Spectrum.from_json(load_json(stored_spectrum))
     save_json(tmp_path / "target.json", matrix_to_json(u0(spec, 2.0)))
     cfg = tmp_path / "run.cfg"
@@ -789,9 +825,15 @@ def test_config_switch_and_choice_go_through_argparse(tmp_path, stored_spectrum)
     assert run_cli("synth", "--config", cfg, "--out-dir", tmp_path) == 0
     config = load_json(tmp_path / "manifest.json")["config"]
     assert (config["no_oracle_check"], config["match_phase"], config["K"]) == (True, False, 1)
+    capsys.readouterr()
+    # a value of the wrong type or outside its choices names the file and line
     bad = tmp_path / "bad.cfg"
     bad.write_text("dim=3\nbasis=fourier\n")
     assert run_cli("spectrum", "--config", bad, "--out-dir", tmp_path) == 2
+    assert f"error: {bad}:2: basis: invalid choice: 'fourier'" in capsys.readouterr().err
+    bad.write_text("dim=x\n")
+    assert run_cli("spectrum", "--config", bad, "--out-dir", tmp_path) == 2
+    assert f"error: {bad}:1: dim: invalid int value: 'x'" in capsys.readouterr().err
 
 
 def test_config_missing_equals_names_the_line(tmp_path, capsys):
@@ -1068,6 +1110,11 @@ def write_edge_inputs(tmp_path):
     save_json(tmp_path / "choi.json", {**matrix_to_json(target), "d_in": 2, "d_out": 2})
     save_json(tmp_path / "d2.json", [[[1.0], [0.0]], [[0.0], [2.0]]])
     write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 3))
+    times = cli._times(0.1, 1e-2)
+    dy = np.random.default_rng(0).normal(0.0, 0.1, times.size - 1)
+    rows = "".join(f"{t:.2f},{y:.4f}\n" for t, y in zip(times, dy))
+    (tmp_path / "record.csv").write_text("t,dY\n" + rows)
+    (tmp_path / "spectrum.cfg").write_text("# spectrum options\nc1=0.03\nc2=0.01\nbasis=exact\n")
     return tmp_path
 
 
@@ -1115,7 +1162,7 @@ def test_deeply_nested_json_exits_2(edge_inputs, capfd):
 @pytest.mark.parametrize("command, flag, key", [("synth", "--target", "rows"),
                                                 ("gate", "--pulse", "K")])
 def test_non_finite_integer_field_exits_2(edge_inputs, capfd, command, flag, key, token):
-    argv, _ = _json_input_argv(command, edge_inputs)
+    argv, _ = _input_argv(command, edge_inputs)
     obj = load_json(argv[argv.index(flag) + 1])
     hostile = edge_inputs / "hostile.json"
     hostile.write_text(json.dumps({**obj, key: None}).replace(f'"{key}": null',
@@ -1300,8 +1347,10 @@ def _wrong_shape_json():
     return st.one_of(st.just([]), st.just({}), st.none(), number, deleted, replaced)
 
 
-def _json_input_argv(command, inputs):
-    """A valid argv for ``command`` and the flags that name its JSON inputs."""
+def _input_argv(command, inputs):
+    """A valid argv for ``command`` and the flags that name its JSON inputs;
+    ``filter-fit --record`` and ``spectrum --config`` name the record and
+    config file instead."""
     trajectory = ["--model", inputs / "model.json", "--T", 0.1, "--dt", 1e-2]
     return {
         "gate": (["gate", "--spectrum", inputs / "spectrum.json",
@@ -1314,6 +1363,10 @@ def _json_input_argv(command, inputs):
         "vev": (["vev", "--d2", inputs / "d2.json", "--pvev", "1,2", "--qvev", "3"], ["--d2"]),
         "filter-sim": (["filter-sim", *trajectory], ["--model"]),
         "filter-fit": (["filter-fit", *trajectory], ["--model"]),
+        "filter-fit --record": (["filter-fit", *trajectory, "--record", inputs / "record.csv"],
+                                ["--record"]),
+        "spectrum --config": (["spectrum", "--dim", 2, "--raw-dim", 6,
+                               "--config", inputs / "spectrum.cfg"], ["--config"]),
     }[command]
 
 
@@ -1325,7 +1378,7 @@ def _json_input_argv(command, inputs):
     value=_wrong_shape_json(),
 )
 def test_wrong_shape_json_exit_code_contract(shared_edge_inputs, command, which, value):
-    argv, flags = _json_input_argv(command, shared_edge_inputs)
+    argv, flags = _input_argv(command, shared_edge_inputs)
     flag = flags[which % len(flags)]
     with tempfile.TemporaryDirectory() as tmp:
         out = Path(tmp)
@@ -1366,7 +1419,7 @@ def _with_leaf(obj, path, value):
     data=st.data(),
 )
 def test_extreme_leaf_exit_code_contract(shared_edge_inputs, command, data):
-    argv, flags = _json_input_argv(command, shared_edge_inputs)
+    argv, flags = _input_argv(command, shared_edge_inputs)
     flag = data.draw(st.sampled_from(flags))
     obj = load_json(argv[argv.index(flag) + 1])
     path = data.draw(st.sampled_from(_numeric_leaves(obj)))
@@ -1381,3 +1434,38 @@ def test_extreme_leaf_exit_code_contract(shared_edge_inputs, command, data):
         if status == 0:
             for artifact in (out / "run").glob("*.json"):
                 json.loads(artifact.read_text(), parse_constant=reject_non_finite)
+
+
+# --- one corrupted byte in any input file -------------------------------------------
+
+# (argv key, flag) of every input kind: spectrum, pulse, target, Choi target,
+# d2, model, record and config
+_INPUT_KINDS = [("gate", "--spectrum"), ("gate", "--pulse"), ("synth", "--target"),
+                ("channel", "--target"), ("vev", "--d2"), ("filter-fit", "--model"),
+                ("filter-fit --record", "--record"), ("spectrum --config", "--config")]
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow on purpose
+@pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
+@pytest.mark.filterwarnings("ignore:normal matrix condition")
+@settings(max_examples=400, deadline=None)
+@given(kind=st.sampled_from(_INPUT_KINDS), edit=st.sampled_from(["replace", "insert", "delete"]),
+       where=st.floats(0.0, 1.0, exclude_max=True), byte=st.integers(0, 255))
+def test_corrupted_input_file_exit_code_contract(shared_edge_inputs, kind, edit, where, byte):
+    argv, _ = _input_argv(kind[0], shared_edge_inputs)
+    i = argv.index(kind[1]) + 1
+    data = Path(argv[i]).read_bytes()
+    at = int(where * len(data))
+    tail = data[at + 1:] if edit != "insert" else data[at:]
+    corrupted = data[:at] + (b"" if edit == "delete" else bytes([byte])) + tail
+    with tempfile.TemporaryDirectory() as tmp:
+        argv[i] = Path(tmp) / Path(argv[i]).name
+        argv[i].write_bytes(corrupted)
+        err = io.StringIO()
+        with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+            status = run_cli(*argv, "--out-dir", Path(tmp) / "run")
+        assert status in (0, 2, 3)
+        if status == 2:
+            assert str(argv[i]) in err.getvalue() and "Traceback" not in err.getvalue()
+        if status != 0:
+            assert not (Path(tmp) / "run" / "manifest.json").exists()

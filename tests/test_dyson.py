@@ -296,3 +296,10 @@ def test_eigen_and_fock_representations_conjugate(anharmonic_spec):
     u_fock = spec.modes @ u_eig @ spec.modes.conj().T
     back = spec.modes.conj().T @ u_fock @ spec.modes
     assert np.allclose(back, u_eig, atol=1e-13)
+    # the Spectrum methods are the same two rotations; the kept block is all of it here
+    assert np.array_equal(spec.to_fock(u_eig), u_fock)
+    assert np.allclose(spec.kept_block(spec.to_fock(u_eig)), u_eig, atol=1e-13)
+    stack = spec.to_fock(np.stack([u_eig, u_eig.T, np.eye(16)]))
+    assert np.allclose(stack[0], u_fock, atol=1e-13)
+    assert np.allclose(stack[1], spec.to_fock(u_eig.T), atol=1e-13)
+    assert np.allclose(stack[2], np.eye(16), atol=1e-13)

@@ -236,6 +236,40 @@ def test_trajectory_json_roundtrip():
     assert back.record is None
 
 
+@pytest.mark.parametrize(
+    "state, message",
+    [([[0.5, 1e-6], [0.0, 0.5]], "not Hermitian"),
+     ([[0.5, 0.0], [0.0, 0.5 + 1e-6]], "trace differs"),
+     ([[1.0 + 2e-6, 0.0], [0.0, -2e-6]], "negative eigenvalue"),
+     ([[np.nan, 0.0], [0.0, 1.0]], "not Hermitian"),
+     ([[0.5, 5e-9], [0.0, 0.5 + 5e-9]], None),
+     ([[1.0 + 5e-7, 0.0], [0.0, -5e-7]], None)],
+    ids=["hermitian", "trace", "negative", "nan", "within-1e-8", "within-1e-6"],
+)
+def test_validate_checks_every_state(state, message):
+    traj = lindblad_evolve(damping_model(0.7, drive=1.0), RHO_EXCITED, grid(0.5, 1e-2))
+    traj.states[17] = state
+    if message is None:
+        traj.validate()
+    else:
+        with pytest.raises(ValueError, match=message):
+            traj.validate()
+
+
+def test_validate_makes_one_eigenvalue_call(monkeypatch):
+    traj = lindblad_evolve(damping_model(0.7, drive=1.0), RHO_EXCITED, grid(0.5, 1e-2))
+    calls = []
+    eigvalsh = np.linalg.eigvalsh
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return eigvalsh(a)
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    traj.validate()
+    assert calls == [(51, 2, 2)]
+
+
 # --- stochastic unraveling ----------------------------------------------------
 
 @pytest.mark.parametrize(

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from susygate.dyson import ControlPulse, dyson_gate, energy_weights, u0
+from susygate.fock import position_op
 from susygate.gate_synth import (
     SynthesisProblem,
     design_matrix,
@@ -68,12 +69,10 @@ def test_diagonal_columns_nonzero_with_cubic_tilt(spec):
     # anharmonic eigenstates break parity, so <n|Q|n> != 0 feeds the
     # omega=0 transform branch on the gate diagonal: the constant-term
     # column there is exactly -i T e^{-i E_n T} <n|Q|n>
-    from susygate.dyson import control_in_eigenbasis
-
     horizon = 2.0
     a = design_matrix(spec, horizon, 1)
     k = spec.cutoff_kept
-    q = control_in_eigenbasis(spec)
+    q = spec.kept_block(position_op(spec.cutoff_raw))
     e = spec.kept_energies
     for n in range(k):
         expected = -1j * horizon * np.exp(-1j * e[n] * horizon) * q[n, n]
