@@ -1,9 +1,10 @@
 """Command-line interface: every subsystem as a subcommand.
 
-Artifacts are compact JSON (matrices use the shared schema), CSV tables and
-static SVG plots under fixed names; each run also writes ``manifest.json``
-recording the resolved configuration, input hashes, package versions, seed
-and wall time, so any artifact can be regenerated from its manifest alone.
+Artifacts are compact JSON (matrices use the shared schema, trajectory
+states their Hermitian coordinates), CSV tables and static SVG plots under
+fixed names; each run also writes ``manifest.json`` recording the resolved
+configuration, input hashes, package versions, seed and wall time, so any
+artifact can be regenerated from its manifest alone.
 Input hashes are of the bytes that were parsed.  Options are spelled in
 full, but ``--config FILE`` may be shortened; its lines ``key=value``
 become ``--key=value`` after the subcommand name, so any flag given wins.
@@ -168,6 +169,17 @@ def _parse_grid(text: str) -> np.ndarray:
     return np.geomspace(lo, hi, n)
 
 
+def _float_list(text: str) -> list[float]:
+    """Numbers of a comma-separated list."""
+    return [float(x) for x in text.split(",")]
+
+
+# options kept as text, so the manifest records them as given, and parsed
+# by their handler; _config_argv parses a config file's value on reading it
+HANDLER_PARSED = {"lambda_grid": _parse_grid, "superpotential": _float_list,
+                  "pvev": _float_list, "qvev": _float_list}
+
+
 def _gate_target(obj, allow_nonunitary: bool) -> np.ndarray:
     """Matrix of a gate target file, checked for unitarity unless allowed not to be."""
     target = matrix_from_json(obj)
@@ -250,7 +262,7 @@ def cmd_channel(args, ws: Workspace):
 
 
 def cmd_susy(args, ws: Workspace):
-    coeffs = [float(x) for x in args.superpotential.split(",")]
+    coeffs = _float_list(args.superpotential)
     pair = susy_toy.susy_pair(coeffs, args.dim)
     report = susy_toy.witten_index(pair, zero_tol=args.zero_tol)
     levels = zip(pair.e_minus[:10].tolist(), pair.e_plus[:10].tolist())
@@ -274,8 +286,8 @@ def cmd_vev(args, ws: Workspace):
     d2 = ws.load_json(args.d2, lambda obj: np.asarray(obj, dtype=float))
     v = susy_toy.VevControl(
         d2=d2,
-        p_vev=[float(x) for x in args.pvev.split(",")],
-        q_vev=[float(x) for x in args.qvev.split(",")],
+        p_vev=_float_list(args.pvev),
+        q_vev=_float_list(args.qvev),
     )
     a = susy_toy.vev_control(v)
     ws.save_json("control.json", {"a": [float(x) for x in a]})
@@ -605,8 +617,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
 def _config_argv(subparser: argparse.ArgumentParser, data: bytes) -> list[str]:
     """Option tokens for the ``key=value`` lines of a config file.  Each value
-    is checked here against its option's type and choices, so that a bad one
-    names the file and line; argparse still parses the tokens."""
+    is checked here against its option's type and choices, or its handler's
+    parser, so that a bad one names the file and line; argparse still parses
+    the tokens."""
     actions = {opt.lstrip("-"): a for a in subparser._actions for opt in a.option_strings}
     argv = []
     for line_no, line in enumerate(data.decode().splitlines(), 1):
@@ -625,6 +638,11 @@ def _config_argv(subparser: argparse.ArgumentParser, data: bytes) -> list[str]:
             except ValueError:
                 raise LineError(line_no, f"{key}: invalid {action.type.__name__} value: "
                                          f"{value!r}") from None
+            if action.dest in HANDLER_PARSED:
+                try:
+                    HANDLER_PARSED[action.dest](value)
+                except ValueError as exc:
+                    raise LineError(line_no, f"{key}: {exc}") from None
             if action.choices is not None and parsed not in action.choices:
                 raise LineError(line_no, f"{key}: invalid choice: {value!r} (choose from "
                                          f"{', '.join(map(repr, action.choices))})")

@@ -40,10 +40,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteError, StepSizeError
-from .serialize import matrix_from_json, stack_to_json
 from .solver import gauss_newton
 
 POSITIVITY_FLOOR = -1e-4  # eigenvalue below this aborts deterministic runs
+# largest |ρ − ρ†| entry a stored or validated trajectory state may carry
+HERMITIAN_TOL = 1e-8
 # lindblad_evolve advances BLOCK_STEPS steps per batched product, fewer when
 # the stacked step-matrix powers (16·d⁴ bytes each) would exceed STACK_BYTES
 BLOCK_STEPS = 64
@@ -130,6 +131,14 @@ class Trajectory:
     [times[i], times[i+1]].  ``diagnostics`` holds what the integrator
     measured along the way (see :func:`lindblad_evolve`); it is not part
     of the JSON schema.
+
+    In JSON each d×d state is the row of its d² real Hermitian
+    coordinates: the real diagonal, then Re and then Im of the strict upper
+    triangle, in row-major ``triu_indices(d, 1)`` order.  The writer refuses
+    a state whose anti-Hermitian part exceeds ``HERMITIAN_TOL`` (the bound
+    :meth:`validate` applies) rather than drop it; the reader rebuilds the
+    lower triangle as the conjugate of the upper one, so every state it
+    returns is exactly Hermitian.
     """
 
     times: np.ndarray
@@ -145,7 +154,7 @@ class Trajectory:
             raise ValueError("states/times length mismatch")
         if self.record is not None and self.record.shape[0] != self.times.shape[0] - 1:
             raise ValueError("record length must be n_times - 1")
-        if not np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), initial=0.0) <= 1e-8:
+        if not _anti_hermitian(rho) <= HERMITIAN_TOL:
             raise ValueError("state not Hermitian")
         if not np.max(np.abs(np.trace(rho, axis1=-2, axis2=-1).real - 1.0), initial=0.0) <= 1e-8:
             raise ValueError("state trace differs from 1")
@@ -153,23 +162,60 @@ class Trajectory:
             raise ValueError("state has a negative eigenvalue beyond tolerance")
 
     def to_json(self) -> dict:
+        rho = np.asarray(self.states)
+        # NaN passes this test, so that save_json refuses it as non-finite
+        if _anti_hermitian(rho) > HERMITIAN_TOL:
+            raise ValueError(f"state not Hermitian to {HERMITIAN_TOL}; "
+                             "its coordinates would drop the anti-Hermitian part")
+        d = rho.shape[-1]
+        i, j = np.triu_indices(d, 1)
+        upper = rho[:, i, j]
+        coords = np.concatenate([np.diagonal(rho, axis1=1, axis2=2).real, upper.real, upper.imag],
+                                axis=1)
         return {
+            "dim": d,
             "times": self.times.tolist(),
-            "states": stack_to_json(self.states),
+            "states": coords.tolist(),
             "record": None if self.record is None else self.record.tolist(),
             "seed": self.seed,
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "Trajectory":
-        states = np.stack([matrix_from_json(s) for s in obj["states"]])
+        try:
+            d, rows, times = int(obj["dim"]), obj["states"], obj["times"]
+            bad = next((k for k, row in enumerate(rows) if len(row) != d * d), None)
+            coords = None if bad is not None else np.asarray(rows, dtype=float)
+        except (KeyError, TypeError, OverflowError) as exc:
+            raise ValueError(f"not a trajectory object: {exc}") from exc
+        if d < 1:
+            raise ValueError(f"dim must be at least 1, got {d}")
+        if bad is not None:
+            raise ValueError(f"state {bad} has {len(rows[bad])} coordinates, "
+                             f"expected dim² = {d * d}")
+        if coords.shape != (len(rows), d * d):
+            raise ValueError(f"expected one row of {d * d} numbers per state")
+        if not np.isfinite(coords).all():
+            raise ValueError("state coordinates must be finite")
+        i, j = np.triu_indices(d, 1)
+        re, im = coords[:, d : d + i.size], coords[:, d + i.size :]
+        # part by part, so every stored bit survives (see matrix_from_json)
+        states = np.zeros((len(rows), d, d), dtype=complex)
+        states.real[:, range(d), range(d)] = coords[:, :d]
+        states.real[:, i, j], states.imag[:, i, j] = re, im
+        states.real[:, j, i], states.imag[:, j, i] = re, -im
         record = obj.get("record")
         return cls(
-            times=np.asarray(obj["times"], dtype=float),
+            times=np.asarray(times, dtype=float),
             states=states,
             record=None if record is None else np.asarray(record, dtype=float),
             seed=obj.get("seed"),
         )
+
+
+def _anti_hermitian(rho: np.ndarray) -> float:
+    """Largest entry of |ρ − ρ†| over a stack of states (0 for none)."""
+    return np.max(np.abs(rho - rho.conj().swapaxes(-1, -2)), initial=0.0)
 
 
 def _drift(model: LindbladModel) -> np.ndarray:

@@ -1,9 +1,11 @@
 """JSON schemas for matrices and small numeric artifacts.
 
 A complex matrix is stored as ``{"rows": r, "cols": c, "re": [...], "im":
-[...]}`` with entries flattened in row-major order.  Every CLI subcommand
-reads and writes matrices through this schema, and reads every input file
-through :func:`read_input`, so an error in a file's content names the file.
+[...]}`` with entries flattened in row-major order.  The CLI reads and
+writes its matrices through this schema, except the density matrices of a
+trajectory, which :class:`~susygate.filter_fit.Trajectory` stores as d² real
+Hermitian coordinates.  Every input file is read through
+:func:`read_input`, so an error in a file's content names the file.
 """
 
 from __future__ import annotations
@@ -21,19 +23,9 @@ def matrix_to_json(a: np.ndarray) -> dict:
     a = np.atleast_2d(np.asarray(a, dtype=complex))
     if a.ndim != 2:
         raise ValueError(f"expected a 2-D array, got shape {a.shape}")
-    return stack_to_json(a[None])[0]
-
-
-def stack_to_json(stack: np.ndarray) -> list[dict]:
-    """Encode each matrix of an (n, rows, cols) stack into the matrix schema,
-    with one ``tolist`` per part for the whole stack."""
-    stack = np.asarray(stack, dtype=complex)
-    if stack.ndim != 3:
-        raise ValueError(f"expected an (n, rows, cols) stack, got shape {stack.shape}")
-    n, rows, cols = stack.shape
-    flat = stack.reshape(n, rows * cols)
-    return [{"rows": rows, "cols": cols, "re": re, "im": im}
-            for re, im in zip(flat.real.tolist(), flat.imag.tolist())]
+    rows, cols = a.shape
+    flat = a.reshape(-1)
+    return {"rows": rows, "cols": cols, "re": flat.real.tolist(), "im": flat.imag.tolist()}
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

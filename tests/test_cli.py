@@ -19,6 +19,7 @@ from hypothesis import strategies as st
 import susygate
 from susygate import cli
 from susygate.dyson import MAX_HARMONICS, ControlPulse, u0
+from susygate.filter_fit import Trajectory, sme_simulate
 from susygate.gate_synth import design_matrix
 from susygate.serialize import load_json, matrix_from_json, matrix_to_json, save_json
 from susygate.spectrum import Spectrum, compute_spectrum
@@ -603,6 +604,36 @@ def test_filter_fit_simulated_record_matches_external_record(tmp_path):
         assert (fed / name).read_bytes() == (own / name).read_bytes()
 
 
+def assert_stored_as_coordinates(path, in_memory: Trajectory):
+    """The trajectory file holds d² coordinates per state, and reads back
+    valid with the in-memory states' real diagonal and upper triangle."""
+    obj = load_json(path)
+    d = in_memory.states.shape[-1]
+    assert obj["dim"] == d and {len(row) for row in obj["states"]} == {d * d}
+    back = Trajectory.from_json(obj)
+    back.validate()
+    i, j = np.triu_indices(d, 1)
+    for part in (lambda r: r.real[:, range(d), range(d)], lambda r: r.real[:, i, j],
+                 lambda r: r.imag[:, i, j]):
+        assert np.array_equal(part(back.states).view(np.uint64),
+                              part(in_memory.states).view(np.uint64))
+    assert np.array_equal(back.times, in_memory.times)
+
+
+def test_filter_trajectories_read_back_as_stored(tmp_path):
+    model_path = write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 3))
+    grid = ["--eta", 0.4, "--dt", 1e-2, "--T", 1.0, "--seed", 4]
+    assert run_cli("filter-sim", "--model", model_path, *grid, "--out-dir", tmp_path / "sim") == 0
+    assert run_cli("filter-fit", "--model", model_path, *grid, "--out-dir", tmp_path / "fit") == 0
+    family, rho0, truth, meas, grids = cli._load_family(load_json(model_path))
+    times = cli._times(1.0, 1e-2)
+    sim = sme_simulate(family.at(truth), meas, 0.4, rho0, times, 4)
+    est, fit = cli._filter_and_fit(family, rho0, truth, meas, grids, 0.4, times, 4, 1e-4)
+    assert_stored_as_coordinates(tmp_path / "sim" / "trajectory.json", sim)
+    assert_stored_as_coordinates(tmp_path / "fit" / "filter_trajectory.json", est)
+    assert_stored_as_coordinates(tmp_path / "fit" / "fitted_trajectory.json", fit.trajectory)
+
+
 @pytest.mark.parametrize(
     "argv",
     [["filter-fit", "--model", "model.json"], ["demo"]],
@@ -834,6 +865,21 @@ def test_config_switch_and_choice_go_through_argparse(tmp_path, stored_spectrum,
     bad.write_text("dim=x\n")
     assert run_cli("spectrum", "--config", bad, "--out-dir", tmp_path) == 2
     assert f"error: {bad}:1: dim: invalid int value: 'x'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "command, line",
+    [("synth", "lambda-grid=x"), ("susy", "superpotential=0,x,0.5"),
+     ("vev", "pvev=1,,2"), ("vev", "qvev=x")],
+    ids=["lambda-grid", "superpotential", "pvev", "qvev"],
+)
+def test_config_value_its_handler_parses_names_the_line(tmp_path, capsys, command, line):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"# {command}\n{line}\n")
+    assert run_cli(command, "--config", cfg, "--out-dir", tmp_path / "out") == 2
+    err = capsys.readouterr().err
+    assert f"error: {cfg}:2: {line.partition('=')[0]}: " in err and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_config_missing_equals_names_the_line(tmp_path, capsys):

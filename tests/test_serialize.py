@@ -10,7 +10,8 @@ from hypothesis.extra.numpy import arrays
 
 from susygate.dyson import ControlPulse
 from susygate.filter_fit import Trajectory
-from susygate.serialize import load_json, matrix_from_json, matrix_to_json, save_json, stack_to_json
+from susygate.errors import NonFiniteError
+from susygate.serialize import load_json, matrix_from_json, matrix_to_json, save_json
 
 
 def test_matrix_roundtrip(rng):
@@ -73,19 +74,84 @@ def test_matrix_json_bytes_match_per_element_encoding(a):
     assert json.dumps(matrix_to_json(a)) == json.dumps(per_element_matrix(a))
 
 
+def per_element_coordinates(rho) -> list:
+    # reference encoding of one Hermitian state: its real diagonal, then Re
+    # and Im of the strict upper triangle, row by row, one float() per entry
+    d = len(rho)
+    upper = [rho[i][j] for i in range(d) for j in range(i + 1, d)]
+    return ([float(rho[k][k].real) for k in range(d)]
+            + [float(z.real) for z in upper] + [float(z.imag) for z in upper])
+
+
+def hermitian(coords, d) -> np.ndarray:
+    # the state whose stored coordinates are ``coords``, entry by entry
+    rho = np.zeros((d, d), dtype=complex)
+    upper = [(i, j) for i in range(d) for j in range(i + 1, d)]
+    for k in range(d):
+        rho.real[k, k] = coords[k]
+    for m, (i, j) in enumerate(upper):
+        rho.real[i, j] = rho.real[j, i] = coords[d + m]
+        rho.imag[i, j], rho.imag[j, i] = coords[d + len(upper) + m], -coords[d + len(upper) + m]
+    return rho
+
+
 @pytest.mark.parametrize("with_record", [True, False])
 def test_trajectory_json_bytes_match_per_element_encoding(rng, with_record):
     times = np.arange(5) * 0.1
-    states = rng.normal(size=(5, 2, 2)) + 1j * rng.normal(size=(5, 2, 2))
+    a = rng.normal(size=(5, 3, 3)) + 1j * rng.normal(size=(5, 3, 3))
+    states = a + a.conj().swapaxes(1, 2)
     record = rng.normal(size=4) if with_record else None
     traj = Trajectory(times=times, states=states, record=record, seed=3)
     reference = {
+        "dim": 3,
         "times": [float(t) for t in times],
-        "states": [per_element_matrix(s) for s in states],
+        "states": [per_element_coordinates(s) for s in states],
         "record": None if record is None else [float(x) for x in record],
         "seed": 3,
     }
     assert json.dumps(traj.to_json(), sort_keys=True) == json.dumps(reference, sort_keys=True)
+
+
+@pytest.mark.parametrize("skew", [1e-6, 2e-8])
+def test_trajectory_writer_refuses_a_state_that_is_not_hermitian(tmp_path, skew):
+    states = np.array([np.eye(2) / 2, [[0.5, skew], [0.0, 0.5]]], dtype=complex)
+    path = tmp_path / "trajectory.json"
+    with pytest.raises(ValueError, match="not Hermitian"):
+        save_json(path, Trajectory(times=np.arange(2.0), states=states).to_json())
+    assert not path.exists()
+    # within what validate tolerates, the upper triangle is kept as it is
+    states[1, 0, 1] = 0.5e-8
+    back = Trajectory.from_json(Trajectory(times=np.arange(2.0), states=states).to_json())
+    assert back.states[1, 0, 1] == back.states[1, 1, 0] == 0.5e-8
+
+
+def test_trajectory_writer_leaves_a_non_finite_state_to_save_json(tmp_path):
+    states = np.array([[[np.nan, 0.0], [0.0, 1.0]]], dtype=complex)
+    path = tmp_path / "trajectory.json"
+    with pytest.raises(NonFiniteError, match="trajectory.json"):
+        save_json(path, Trajectory(times=np.zeros(1), states=states).to_json())
+    assert not path.exists()
+
+
+@pytest.mark.parametrize(
+    "change, message",
+    [({"states": [[0.5, 0.5, 0.0, 0.0], [0.5, 0.5, 0.0]]}, "state 1 has 3 coordinates"),
+     ({"states": [[0.5, 0.5, 0.0, 0.0, 0.0]] * 2}, "state 0 has 5 coordinates"),
+     ({"states": [[0.5, 0.5, float("nan"), 0.0]] * 2}, "finite"),
+     ({"states": [[0.5, 0.5, None, 0.0]] * 2}, "finite"),
+     ({"states": [[0.5, 0.5, 0.0, float("inf")]] * 2}, "finite"),
+     ({"states": [[[0.5], [0.5], [0.0], [0.0]]] * 2}, "one row of 4 numbers"),
+     ({"dim": None}, "dim"),
+     ({"dim": 0, "states": [[], []]}, "at least 1")],
+    ids=["short-row", "long-row", "nan", "null", "inf", "nested", "missing-dim", "dim-0"],
+)
+def test_trajectory_reader_refuses_malformed_states(change, message):
+    obj = {**Trajectory(times=np.arange(2.0), states=np.stack([np.eye(2) / 2] * 2)).to_json(),
+           **change}
+    if obj["dim"] is None:
+        del obj["dim"]
+    with pytest.raises(ValueError, match=message):
+        Trajectory.from_json(obj)
 
 
 @pytest.mark.parametrize("entry", [float("nan"), float("inf"), float("-inf"), None])
@@ -97,8 +163,6 @@ def test_non_finite_entry_rejected(entry):
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_save_json_refuses_non_finite(tmp_path, value):
-    from susygate.errors import NonFiniteError
-
     path = tmp_path / "out.json"
     with pytest.raises(NonFiniteError, match="out.json"):
         save_json(path, {"nested": [1.0, {"x": value}]})
@@ -167,38 +231,60 @@ def test_pulse_file_roundtrip_is_bitwise(horizon, coeffs):
     assert_same_bits(back.coeffs, coeffs)
 
 
+def hermitian_stacks(n, d):
+    # states drawn by their stored coordinates, so those take every FINITE value
+    return arrays(np.float64, (n, d * d), elements=FINITE).map(
+        lambda coords: np.stack([hermitian(c, d) for c in coords]))
+
+
 @st.composite
 def trajectories(draw):
     n, d = draw(st.integers(1, 4)), draw(st.integers(1, 3))
     record = draw(st.one_of(st.none(), arrays(np.float64, n - 1, elements=FINITE)))
     return Trajectory(
         times=draw(arrays(np.float64, n, elements=FINITE)),
-        states=draw(complex_arrays((n, d, d))),
+        states=draw(hermitian_stacks(n, d)),
         record=record,
         seed=draw(st.one_of(st.none(), st.integers(0, 2**64))),
     )
 
 
+def stored_coordinates(states) -> np.ndarray:
+    # real diagonal, Re and Im of the strict upper triangle, state by state
+    d = states.shape[-1]
+    i, j = np.triu_indices(d, 1)
+    return np.concatenate([states.real[:, range(d), range(d)], states.real[:, i, j],
+                           states.imag[:, i, j]], axis=1)
+
+
 @given(trajectories())
 def test_trajectory_file_roundtrip_is_bitwise(traj):
+    text = json.dumps(traj.to_json(), sort_keys=True)
     back = Trajectory.from_json(through_file(traj.to_json()))
     assert_same_bits(back.times, traj.times)
+    assert_same_bits(stored_coordinates(back.states), stored_coordinates(traj.states))
     assert_same_bits(back.states, traj.states)
     if traj.record is None:
         assert back.record is None
     else:
         assert_same_bits(back.record, traj.record)
     assert back.seed == traj.seed
+    assert json.dumps(back.to_json(), sort_keys=True) == text
 
 
-@given(st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)).flatmap(complex_arrays))
-def test_stack_encoding_matches_per_matrix_encoding(stack):
-    encoded = stack_to_json(stack)
+@given(
+    stack=st.tuples(st.integers(1, 5), st.integers(1, 4), st.integers(1, 4)).flatmap(
+        complex_arrays),
+    states=st.tuples(st.integers(1, 5), st.integers(1, 4)).flatmap(
+        lambda nd: hermitian_stacks(*nd)),
+)
+def test_stack_encoding_matches_per_matrix_encoding(stack, states):
     per_matrix = [matrix_to_json(s) for s in stack]
-    assert encoded == per_matrix
     # list equality cannot tell -0.0 from 0.0; the bytes can
-    text = json.dumps(encoded, sort_keys=True)
-    assert text == json.dumps(per_matrix, sort_keys=True)
+    text = json.dumps(per_matrix, sort_keys=True)
     assert text == json.dumps([per_element_matrix(s) for s in stack], sort_keys=True)
-    traj = Trajectory(times=np.arange(len(stack), dtype=float), states=stack)
-    assert_same_bits(Trajectory.from_json(traj.to_json()).states, stack)
+    # a trajectory encodes its whole stack at once, as each state alone
+    rows = Trajectory(times=np.arange(len(states), dtype=float), states=states).to_json()["states"]
+    alone = [Trajectory(times=np.zeros(1), states=s[None]).to_json()["states"][0] for s in states]
+    assert json.dumps(rows) == json.dumps(alone)
+    assert json.dumps(rows) == json.dumps([per_element_coordinates(s) for s in states])
