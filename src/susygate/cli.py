@@ -36,8 +36,8 @@ from . import __version__, channel, dyson, filter_fit, gate_synth, spectrum, sus
 from .errors import SusygateError
 from .fock import is_unitary
 from .plotting import line_plot_svg
-from .serialize import (LineError, matrix_from_json, matrix_to_json, parse_json, read_input,
-                        save_json)
+from .serialize import (LineError, float_array, matrix_from_json, matrix_to_json, parse_json,
+                        read_input, save_json)
 
 # largest time grid the filter subcommands accept; each step stores a d×d state
 MAX_STEPS = 10**7
@@ -283,7 +283,7 @@ def cmd_susy(args, ws: Workspace):
 
 
 def cmd_vev(args, ws: Workspace):
-    d2 = ws.load_json(args.d2, lambda obj: np.asarray(obj, dtype=float))
+    d2 = ws.load_json(args.d2, lambda obj: float_array(obj, "d2"))
     v = susy_toy.VevControl(
         d2=d2,
         p_vev=_float_list(args.pvev),

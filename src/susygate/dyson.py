@@ -29,6 +29,7 @@ import numpy as np
 
 from .errors import OracleConvergenceError
 from .fock import position_op
+from .serialize import float_array
 from .spectrum import Spectrum, build_h0
 
 # Fourth-order commutator-free Magnus step (Blanes & Moan, Appl. Numer. Math.
@@ -105,7 +106,7 @@ class ControlPulse:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ControlPulse":
-        pulse = cls(float(obj["T"]), np.asarray(obj["coeffs"], dtype=float))
+        pulse = cls(float(obj["T"]), float_array(obj["coeffs"], "coeffs"))
         if int(obj.get("K", pulse.n_harmonics)) != pulse.n_harmonics:
             raise ValueError("pulse JSON: K inconsistent with coeffs length")
         return pulse

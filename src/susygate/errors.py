@@ -21,8 +21,8 @@ class CutoffError(SusygateError):
 
 
 class StepSizeError(SusygateError):
-    """Integrator state left the physical set further than tolerated;
-    reduce the step size."""
+    """An integrated state outside the bounds ``Trajectory.validate``
+    applies; reduce the step size."""
 
 
 class NonFiniteError(SusygateError):

@@ -28,6 +28,18 @@ def matrix_to_json(a: np.ndarray) -> dict:
     return {"rows": rows, "cols": cols, "re": flat.real.tolist(), "im": flat.imag.tolist()}
 
 
+def float_array(values, name: str) -> np.ndarray:
+    """A JSON number, or a (nested) list of them, as a float array.  NumPy
+    would read a string such as "1.5" or a boolean as a number, so either
+    raises ValueError naming ``name``; null is left to become NaN."""
+    items = values if type(values) is list else [values]
+    while items and all(type(v) is list for v in items):
+        items = [x for v in items for x in v]
+    if not {str, bool}.isdisjoint(map(type, items)):
+        raise ValueError(f"{name}: a string or a boolean where a number belongs")
+    return np.asarray(values, dtype=float)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the matrix schema back into a complex ndarray."""
     try:
@@ -41,7 +53,7 @@ def matrix_from_json(obj: dict) -> np.ndarray:
         raise ValueError(
             f"entry count {len(re)}/{len(im)} does not match {rows}x{cols}"
         )
-    re, im = np.asarray(re, dtype=float), np.asarray(im, dtype=float)
+    re, im = float_array(re, "re"), float_array(im, "im")
     if not (np.isfinite(re).all() and np.isfinite(im).all()):
         raise ValueError("matrix entries must be finite")
     # part by part: re + 1j * im would turn a -0.0 into +0.0

@@ -6,6 +6,13 @@ import numpy as np
 MAX_ITERATIONS = 100  # Gauss–Newton needs a handful
 
 
+def sum_squares(r: np.ndarray) -> float:
+    """|r|² of a real vector by NumPy's own loop, which never calls BLAS, so
+    its bits do not depend on the BLAS thread count (``r @ r`` splits a
+    long sum by thread)."""
+    return float(np.einsum("i,i->", r, r))
+
+
 def gauss_newton(evaluate, x0, tol: float) -> tuple[np.ndarray, bool]:
     """Minimize |r(x)|² from ``x0``; returns ``(x, converged)``.
 
@@ -25,7 +32,7 @@ def gauss_newton(evaluate, x0, tol: float) -> tuple[np.ndarray, bool]:
             return x, False
         small = tol * (1.0 + np.linalg.norm(x))
         r_new, jac_new = evaluate(x + step)
-        while not r_new @ r_new < r @ r:  # also true for nan and inf
+        while not sum_squares(r_new) < sum_squares(r):  # also true for nan and inf
             step = 0.5 * step
             if np.linalg.norm(step) <= small:
                 return x, True

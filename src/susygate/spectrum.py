@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import momentum_op, position_op
-from .serialize import matrix_from_json, matrix_to_json
+from .serialize import float_array, matrix_from_json, matrix_to_json
 
 
 class MetastableWarning(UserWarning):
@@ -104,7 +104,7 @@ class Spectrum:
     @classmethod
     def from_json(cls, obj: dict) -> "Spectrum":
         spec = cls(
-            energies=np.asarray(obj["energies"], dtype=float),
+            energies=float_array(obj["energies"], "energies"),
             modes=matrix_from_json(obj["modes"]),
             cutoff_raw=int(obj["cutoff_raw"]),
             cutoff_kept=int(obj["cutoff_kept"]),

@@ -198,6 +198,26 @@ def test_fit_without_a_finite_cost_exits_3(edge_inputs, capsys):
     assert not (out / "manifest.json").exists()
 
 
+def test_fit_past_the_rk4_edge_exits_3(tmp_path, capsys):
+    # ω·dt = 2.828428 lies just past RK4's √8 edge, so every grid point
+    # integrates to states below the eigenvalue floor of Trajectory.validate;
+    # no fitted trajectory may be written that the reader would reject
+    lower = np.array([[0.0, 1.0], [0.0, 0.0]])
+    save_json(tmp_path / "model.json", {
+        "rho0": matrix_to_json(np.full((2, 2), 0.5)),
+        "h0": matrix_to_json(141.4214 * np.diag([1.0, -1.0])),
+        "rate_terms": [{"name": "gamma", "op": matrix_to_json(lower), "range": [0, 1e-6, 2],
+                        "truth": 0}],
+        "measurement": 0,
+    })
+    out = tmp_path / "out"
+    assert run_cli("filter-fit", "--model", tmp_path / "model.json", "--dt", 0.01, "--T", 0.6,
+                   "--out-dir", out) == 3
+    err = capsys.readouterr().err
+    assert err == "numerical failure: no parameter point produced a finite cost\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_missing_key_is_named(edge_inputs, capsys):
     # a matrix file where a pulse belongs has no "T"
     assert run_cli("gate", "--spectrum", edge_inputs / "spectrum.json",
@@ -250,6 +270,18 @@ def _non_unitary_target(inputs):
             "--T", 2.0, "--K", 1, "--no-oracle-check"]
 
 
+def _quoted_target_entry(inputs):
+    obj = load_json(inputs / "target.json")
+    save_json(inputs / "bad.json", {**obj, "re": [str(obj["re"][0])] + obj["re"][1:]})
+    return ["synth", "--target", inputs / "bad.json", "--spectrum", inputs / "spectrum.json",
+            "--T", 2.0, "--K", 1, "--no-oracle-check"]
+
+
+def _boolean_vev_tensor_entry(inputs):
+    save_json(inputs / "bad.json", [[[True], [0.0]], [[0.0], [2.0]]])
+    return ["vev", "--d2", inputs / "bad.json", "--pvev", "1,2", "--qvev", "3"]
+
+
 def _model_with(key, value):
     # a model whose rate range, truth Hamiltonian, initial state or measured operator is invalid
     def make_argv(inputs):
@@ -262,14 +294,15 @@ def _model_with(key, value):
     "make_argv",
     [_infinite_rows, _undecodable_byte, _non_integer_cutoff, _unequal_channel_dims,
      _record_with(b"0.0,x"), _record_with(b"0.0,0.1\xff"), _record_with(b"0.0,0.1\n0.01,0.2"),
-     _undecodable_config, _non_unitary_target,
+     _undecodable_config, _non_unitary_target, _quoted_target_entry, _boolean_vev_tensor_entry,
      _model_with("h0", matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))),
      _model_with("rho0", matrix_to_json(np.eye(2))), _model_with("measurement", 1),
      _model_with("rate_terms", [{"name": "gamma", "op": matrix_to_json(np.eye(2)),
                                  "range": [-1.1, -0.3, 3], "truth": 0.7}])],
     ids=["rows-1e400", "byte-0xff", "cutoff-kept-x", "d-in-ne-d-out",
          "record-dY-x", "record-byte-0xff", "record-extra-row", "config-byte-0xff",
-         "target-not-unitary", "model-h0-not-hermitian", "model-rho0-trace-2",
+         "target-not-unitary", "target-quoted-entry", "d2-boolean-entry",
+         "model-h0-not-hermitian", "model-rho0-trace-2",
          "model-measurement-1", "model-rate-range-negative"],
 )
 def test_input_file_error_names_the_file(edge_inputs, capsys, make_argv):
@@ -1013,6 +1046,55 @@ def test_cli_imports_no_scipy_submodules(tmp_path):
     result = json.loads(proc.stdout.splitlines()[-1])
     assert result["codes"] == [0] * len(runs)
     assert result["loaded"] == []
+
+
+# --- BLAS thread count ------------------------------------------------------------------
+
+def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path):
+    # a long sum through BLAS splits by thread, which moved the last bit of a
+    # fit's cost between 1 and 2 threads; every subcommand runs at both
+    inputs = write_edge_inputs(tmp_path)
+    pilot = write_damping_model(tmp_path / "pilot.json", grid=(0.1, 1.5, 8))
+    runs = {
+        "spectrum": ["spectrum", "--c1", "0.03", "--c2", "0.01", "--dim", "3"],
+        "gate": ["gate", "--spectrum", inputs / "spectrum.json", "--pulse", inputs / "pulse.json",
+                 "--oracle"],
+        "synth": ["synth", "--target", inputs / "target.json", "--spectrum",
+                  inputs / "spectrum.json", "--T", 2, "--K", 1, "--lambda-grid", "1e-4,1e4,3"],
+        "channel": ["channel", "--target", inputs / "choi.json", "--T", 2, "--K", 1],
+        "susy": ["susy", "--superpotential", "0,0,0.5", "--dim", 32],
+        "vev": ["vev", "--d2", inputs / "d2.json", "--pvev", "1,2", "--qvev", "3"],
+        "filter-sim": ["filter-sim", "--model", inputs / "model.json", "--dt", 1e-2, "--T", 0.5,
+                       "--seed", 1, "--ensemble", 20],
+        # the pilot design on a 2 s horizon
+        **{f"filter-fit-{seed}": ["filter-fit", "--model", pilot, "--eta", 0.1, "--dt", 1e-3,
+                                  "--T", 2, "--xtol", 1e-3, "--seed", seed]
+           for seed in range(1, 6)},
+        "demo": ["demo", "--seed", 3],
+    }
+    runs = {name: [str(a) for a in argv] for name, argv in runs.items()}
+    script = (
+        "import json, sys\n"
+        "from susygate import cli\n"
+        "for name, argv in json.loads(sys.argv[1]).items():\n"
+        "    assert cli.main(argv + ['--out-dir', name]) == 0, name\n"
+    )
+    children = {}
+    for threads in ("1", "2"):
+        (tmp_path / threads).mkdir()
+        env = {**cli_env(), "OPENBLAS_NUM_THREADS": threads}
+        children[threads] = subprocess.Popen(
+            [sys.executable, "-c", script, json.dumps(runs)], cwd=tmp_path / threads, env=env,
+            stdout=subprocess.DEVNULL, stderr=subprocess.PIPE, text=True)
+    for child in children.values():
+        _, err = child.communicate(timeout=300)
+        assert child.returncode == 0, err
+
+    one = {p.relative_to(tmp_path / "1"): p.read_bytes()
+           for p in (tmp_path / "1").rglob("*") if p.is_file() and p.name != "manifest.json"}
+    assert {path.parts[0] for path in one} == set(runs)
+    two = {path: (tmp_path / "2" / path).read_bytes() for path in one}
+    assert sorted(str(path) for path in one if one[path] != two[path]) == []
 
 
 # --- one parser, one read per input ---------------------------------------------------

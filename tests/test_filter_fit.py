@@ -6,11 +6,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 from conftest import random_density
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susygate import filter_fit
 from susygate.errors import StepSizeError
 from susygate.filter_fit import (
-    POSITIVITY_FLOOR,
+    EIGENVALUE_FLOOR,
     LindbladModel,
     ModelFamily,
     Trajectory,
@@ -119,8 +121,8 @@ def test_positivity_abort_advises_refinement():
 
 def stepwise_evolve(model, rho0, times):
     """Reference integrator: one RK4 step and one trace renormalization at
-    a time; stops with StepSizeError at the first state below the
-    positivity floor."""
+    a time; stops with StepSizeError at the first state with an eigenvalue
+    below the floor that Trajectory.validate applies."""
     s = liouvillian(model)
     d = model.dim
     dt = times[1] - times[0]
@@ -130,10 +132,10 @@ def stepwise_evolve(model, rho0, times):
         y = _rk4_step(s, y, dt)
         y = y / y[:: d + 1].sum().real
         low = np.linalg.eigvalsh(y.reshape(d, d)).min()
-        if low < POSITIVITY_FLOOR:
+        if low < EIGENVALUE_FLOOR:
             raise StepSizeError(
-                f"eigenvalue {low:.3e} below {POSITIVITY_FLOOR} at t={t:.6g}; "
-                "reduce the step size"
+                "state has a negative eigenvalue "
+                f"(smallest eigenvalue {low:.3e}) at t={t:.6g}; reduce the step size"
             )
         states.append(y.reshape(d, d))
     return np.stack(states)
@@ -173,15 +175,18 @@ RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
     "model, rho0, times, t_abort",
     [(damping_model(8.0), RHO_EXCITED, grid(2.0, 0.5), "0.5"),
      (damping_model(2000.0), RHO_EXCITED, grid(1.0, 1e-2), "0.01"),
-     (LindbladModel(0.5 * (2.828428 / 1e-2) * SZ, ()), RHO_PLUS, grid(2.0, 1e-2), "0.91")],
-    ids=["gamma8-dt0.5", "gamma2000-dt0.01", "rk4-edge-step91"],
+     (LindbladModel(0.5 * (2.8284271335 / 1e-2) * SZ, ()), RHO_PLUS, grid(2.0, 1e-2), "0.91"),
+     (LindbladModel(141.4214 * SZ, ()), RHO_PLUS, grid(0.4, 1e-2), "0.01")],
+    ids=["gamma8-dt0.5", "gamma2000-dt0.01", "rk4-edge-step91", "rk4-edge-41-points"],
 )
 def test_abort_names_first_offending_step(model, rho0, times, t_abort):
     # gamma = 2000 at dt = 1e-2 grows about 5.5e3 per step, so the stacked
     # powers of the step matrix reach 1e239; no overflow warning may escape.
-    # A rotation at y = ω·dt = 2.828428, just past the RK4 edge √8 on the
-    # imaginary axis, grows so slowly that it first fails at step 91, in the
-    # second block, and the blocks after it still run
+    # A rotation at y = ω·dt = 2.8284271335, 8.8e-9 past the RK4 edge √8 on
+    # the imaginary axis, grows so slowly that it first crosses the eigenvalue
+    # floor at step 91, in the second block, and the blocks after it still run.
+    # At y = 2.828428 the smallest eigenvalue is -1.1e-6 after one step and
+    # -4.4e-5 after 40, which Trajectory.validate rejects
     with pytest.raises(StepSizeError) as ref:
         stepwise_evolve(model, rho0, times)
     with warnings.catch_warnings():
@@ -213,6 +218,38 @@ def test_non_finite_step_aborts():
         warnings.simplefilter("error", RuntimeWarning)
         with pytest.raises(StepSizeError, match=r"non-finite state at t=1;.*step size"):
             lindblad_evolve(model, RHO_EXCITED, grid(2.0, 1.0))
+
+
+# ω·dt of the fastest coherence: stable steps, just past RK4's √8 edge, and overflow
+_REACH = st.one_of(st.floats(0.0, 4.0), st.floats(-9.0, -5.0).map(lambda e: np.sqrt(8.0) + 10**e),
+                   st.floats(4.0, 1e3))
+
+
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(2, 3), seed=st.integers(0, 2**32 - 1), n_ops=st.integers(0, 2),
+       reach=_REACH, rate=st.floats(0.0, 1e3), dt=st.floats(1e-4, 1.0),
+       n_points=st.integers(2, 200), pure=st.booleans())
+def test_evolve_aborts_or_returns_valid_states(d, seed, n_ops, reach, rate, dt, n_points, pure):
+    # an integration that returns has only states that Trajectory.validate
+    # accepts; a pure start has no eigenvalue margin for a slow RK4 growth
+    rng = np.random.default_rng(seed)
+
+    def unit():
+        x = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+        return x / np.linalg.norm(x)
+
+    h = unit()
+    h = h + h.conj().T
+    w = np.linalg.eigvalsh(h)
+    model = LindbladModel(reach / (dt * (w[-1] - w[0])) * h,
+                          tuple(np.sqrt(rate) * unit() for _ in range(n_ops)))
+    psi = unit()[0]
+    rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real if pure else random_density(rng, d)
+    try:
+        traj = lindblad_evolve(model, rho0, np.arange(n_points) * dt)
+    except StepSizeError:
+        return
+    traj.validate()
 
 
 def test_diagnostics_stay_out_of_json():

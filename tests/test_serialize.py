@@ -11,6 +11,7 @@ from hypothesis.extra.numpy import arrays
 from susygate.dyson import ControlPulse
 from susygate.filter_fit import Trajectory
 from susygate.errors import NonFiniteError
+from susygate.spectrum import Spectrum, compute_spectrum
 from susygate.serialize import load_json, matrix_from_json, matrix_to_json, save_json
 
 
@@ -159,6 +160,37 @@ def test_non_finite_entry_rejected(entry):
     obj = {**matrix_to_json(np.eye(2)), "im": [0.0, entry, 0.0, 0.0]}
     with pytest.raises(ValueError, match="finite"):
         matrix_from_json(obj)
+
+
+_TRAJECTORY = Trajectory(times=np.arange(3.0), states=np.stack([np.eye(2) / 2] * 3),
+                         record=np.zeros(2)).to_json()
+
+
+@pytest.mark.parametrize("entry", ["1.5", True], ids=["string", "boolean"])
+@pytest.mark.parametrize(
+    "read, obj, where",
+    [(matrix_from_json, matrix_to_json(np.eye(2)), ("re", 1)),
+     (matrix_from_json, matrix_to_json(np.eye(2)), ("im", 2)),
+     (Trajectory.from_json, _TRAJECTORY, ("states", 1, 2)),
+     (Trajectory.from_json, _TRAJECTORY, ("times", 1)),
+     (Trajectory.from_json, _TRAJECTORY, ("record", 0)),
+     (ControlPulse.from_json, ControlPulse(2.0, np.array([0.1, 0.0, 0.2])).to_json(),
+      ("coeffs", 1)),
+     (Spectrum.from_json, compute_spectrum(0.03, 0.01, kept=2, raw_dim=6).to_json(),
+      ("energies", 0))],
+    ids=["matrix-re", "matrix-im", "trajectory-states", "trajectory-times",
+         "trajectory-record", "pulse-coeffs", "spectrum-energies"],
+)
+def test_number_lists_refuse_strings_and_booleans(read, obj, where, entry):
+    # NumPy reads "1.5" as 1.5 and true as 1.0; a reader must not
+    obj = json.loads(json.dumps(obj))
+    *path, last = where
+    parent = obj
+    for key in path:
+        parent = parent[key]
+    parent[last] = entry
+    with pytest.raises(ValueError, match="a string or a boolean where a number belongs"):
+        read(obj)
 
 
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
