@@ -40,7 +40,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NonFiniteError, StepSizeError
-from .serialize import float_array
+from .serialize import float_array, scalar
 from .solver import gauss_newton, sum_squares
 
 HERMITIAN_TOL = 1e-8  # largest |ρ − ρ†| entry of a valid state (see _state_faults)
@@ -180,7 +180,7 @@ class Trajectory:
     @classmethod
     def from_json(cls, obj: dict) -> "Trajectory":
         try:
-            d, rows, times = int(obj["dim"]), obj["states"], obj["times"]
+            d, rows, times = scalar(obj, "dim", int), obj["states"], obj["times"]
             bad = next((k for k, row in enumerate(rows) if len(row) != d * d), None)
             coords = None if bad is not None else float_array(rows, "states")
         except (KeyError, TypeError, OverflowError) as exc:
@@ -206,7 +206,7 @@ class Trajectory:
             times=float_array(times, "times"),
             states=states,
             record=None if record is None else float_array(record, "record"),
-            seed=obj.get("seed"),
+            seed=None if obj.get("seed") is None else scalar(obj, "seed", int),
         )
 
 

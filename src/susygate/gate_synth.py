@@ -79,6 +79,7 @@ class SynthesisReport:
     oracle_fidelity: float | None = None
     oracle_steps: int | None = None      # final grid of the oracle check
     oracle_error: float | None = None    # its estimated error
+    budget_iterations: int | None = None  # Newton steps to the budget's multiplier
     note: str = ""
 
     def to_json(self) -> dict:
@@ -134,17 +135,18 @@ def _design(prob: SynthesisProblem):
     return s, c, report_at
 
 
-def _budget_multiplier(s, c, budget: float) -> float:
+def _budget_multiplier(s, c, budget: float) -> tuple[float, int]:
     # Newton on the secular equation 1/|W^{1/2}β(λ)| = 1/√B from λ = 0: the
     # left side is concave and increasing, so the iterates rise to the root.
+    # Returns the multiplier and the number of Newton steps taken.
     lam = 0.0
-    for _ in range(NEWTON_MAX_ITER):
+    for n in range(NEWTON_MAX_ITER):
         q = s * c / (s**2 + lam)  # W^{1/2}β(λ) in the right singular basis
         e = q @ q
         if e <= budget * (1 + 1e-10):
-            break
+            return float(lam), n
         lam += (np.sqrt(e / budget) - 1) * e / np.sum(q**2 / (s**2 + lam))
-    return float(lam)
+    return float(lam), NEWTON_MAX_ITER
 
 
 def synthesize(prob: SynthesisProblem, oracle_check: bool = False) -> SynthesisReport:
@@ -155,9 +157,11 @@ def synthesize(prob: SynthesisProblem, oracle_check: bool = False) -> SynthesisR
     s, c, report_at = _design(prob)
     if prob.budget is None:
         return report_at(float(prob.lam), oracle_check=oracle_check)
-    lam = _budget_multiplier(s, c, prob.budget)
+    lam, iterations = _budget_multiplier(s, c, prob.budget)
     note = "budget inactive: unconstrained solution within bound" if lam == 0 else ""
-    return report_at(lam, note, oracle_check)
+    report = report_at(lam, note, oracle_check)
+    report.budget_iterations = iterations
+    return report
 
 
 def sweep(prob: SynthesisProblem, lam_grid) -> list[SynthesisReport]:

@@ -40,10 +40,20 @@ def float_array(values, name: str) -> np.ndarray:
     return np.asarray(values, dtype=float)
 
 
+def scalar(obj: dict, key: str, kind: type[int] | type[float]) -> int | float:
+    """``obj[key]`` as an int or a float.  An int takes only a JSON integer,
+    a float also takes one; a string or a boolean, which ``int`` and ``float``
+    would convert, raises ValueError naming ``key``."""
+    value = obj[key]
+    if type(value) not in ((int,) if kind is int else (int, float)):
+        raise ValueError(f"{key}: {value!r} is not {'an integer' if kind is int else 'a number'}")
+    return kind(value)
+
+
 def matrix_from_json(obj: dict) -> np.ndarray:
     """Decode the matrix schema back into a complex ndarray."""
     try:
-        rows, cols = int(obj["rows"]), int(obj["cols"])
+        rows, cols = scalar(obj, "rows", int), scalar(obj, "cols", int)
         re, im = obj["re"], obj["im"]
     except (KeyError, TypeError) as exc:
         raise ValueError(f"not a matrix object: {exc}") from exc

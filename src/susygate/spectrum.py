@@ -21,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fock import momentum_op, position_op
-from .serialize import float_array, matrix_from_json, matrix_to_json
+from .serialize import float_array, matrix_from_json, matrix_to_json, scalar
 
 
 class MetastableWarning(UserWarning):
@@ -106,10 +106,10 @@ class Spectrum:
         spec = cls(
             energies=float_array(obj["energies"], "energies"),
             modes=matrix_from_json(obj["modes"]),
-            cutoff_raw=int(obj["cutoff_raw"]),
-            cutoff_kept=int(obj["cutoff_kept"]),
-            c1=float(obj["c1"]),
-            c2=float(obj["c2"]),
+            cutoff_raw=scalar(obj, "cutoff_raw", int),
+            cutoff_kept=scalar(obj, "cutoff_kept", int),
+            c1=scalar(obj, "c1", float),
+            c2=scalar(obj, "c2", float),
         )
         spec.validate(tol=1e-8)
         return spec

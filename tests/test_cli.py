@@ -282,6 +282,19 @@ def _boolean_vev_tensor_entry(inputs):
     return ["vev", "--d2", inputs / "bad.json", "--pvev", "1,2", "--qvev", "3"]
 
 
+def _scalar_field(name, key, value):
+    # a spectrum, pulse or target file with a string or a boolean for a number
+    def make_argv(inputs):
+        save_json(inputs / "bad.json", {**load_json(inputs / f"{name}.json"), key: value})
+        path = {n: inputs / ("bad.json" if n == name else f"{n}.json")
+                for n in ("spectrum", "pulse", "target")}
+        if name == "target":
+            return ["synth", "--target", path["target"], "--spectrum", path["spectrum"],
+                    "--T", 2.0, "--K", 1, "--no-oracle-check"]
+        return ["gate", "--spectrum", path["spectrum"], "--pulse", path["pulse"]]
+    return make_argv
+
+
 def _model_with(key, value):
     # a model whose rate range, truth Hamiltonian, initial state or measured operator is invalid
     def make_argv(inputs):
@@ -295,6 +308,9 @@ def _model_with(key, value):
     [_infinite_rows, _undecodable_byte, _non_integer_cutoff, _unequal_channel_dims,
      _record_with(b"0.0,x"), _record_with(b"0.0,0.1\xff"), _record_with(b"0.0,0.1\n0.01,0.2"),
      _undecodable_config, _non_unitary_target, _quoted_target_entry, _boolean_vev_tensor_entry,
+     _scalar_field("pulse", "T", "2.0"), _scalar_field("pulse", "K", True),
+     _scalar_field("spectrum", "cutoff_raw", "6"), _scalar_field("spectrum", "c2", True),
+     _scalar_field("target", "cols", "2"),
      _model_with("h0", matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))),
      _model_with("rho0", matrix_to_json(np.eye(2))), _model_with("measurement", 1),
      _model_with("rate_terms", [{"name": "gamma", "op": matrix_to_json(np.eye(2)),
@@ -302,6 +318,8 @@ def _model_with(key, value):
     ids=["rows-1e400", "byte-0xff", "cutoff-kept-x", "d-in-ne-d-out",
          "record-dY-x", "record-byte-0xff", "record-extra-row", "config-byte-0xff",
          "target-not-unitary", "target-quoted-entry", "d2-boolean-entry",
+         "pulse-T-string", "pulse-K-boolean", "spectrum-cutoff-raw-string",
+         "spectrum-c2-boolean", "target-cols-string",
          "model-h0-not-hermitian", "model-rho0-trace-2",
          "model-measurement-1", "model-rate-range-negative"],
 )
@@ -402,6 +420,7 @@ def test_synth_report_carries_oracle_diagnostics(tmp_path, stored_spectrum):
     report = load_json(tmp_path / "synth_report.json")
     assert report["oracle_fidelity"] == pytest.approx(report["fidelity"], abs=1e-3)
     assert isinstance(report["oracle_steps"], int) and 0 <= report["oracle_error"] < 1e-8
+    assert report["budget_iterations"] is None
 
 
 def test_synth_sweep_pareto(tmp_path, stored_spectrum):
@@ -459,6 +478,7 @@ def test_synth_budget_form(tmp_path, stored_spectrum):
     report = load_json(tmp_path / "synth_report.json")
     assert report["energy"] == pytest.approx(1e-4, rel=1e-4)
     assert report["multiplier"] > 0
+    assert isinstance(report["budget_iterations"], int) and report["budget_iterations"] > 0
 
 
 # --- channel ----------------------------------------------------------------------
@@ -1055,12 +1075,23 @@ def test_artifacts_do_not_depend_on_blas_thread_count(tmp_path):
     # fit's cost between 1 and 2 threads; every subcommand runs at both
     inputs = write_edge_inputs(tmp_path)
     pilot = write_damping_model(tmp_path / "pilot.json", grid=(0.1, 1.5, 8))
+    # the gate design point (raw 24, kept 4, T 4): a unitary target near the
+    # first-order gate of a norm-0.1 pulse, so that the oracle check integrates a drive
+    spec = compute_spectrum(0.03, 0.01, kept=4, raw_dim=24)
+    beta = np.random.default_rng(3).normal(size=7)
+    beta *= 0.1 / np.linalg.norm(beta)
+    gate = u0(spec, 4.0).reshape(-1) + design_matrix(spec, 4.0, 3) @ beta
+    left, _, right = np.linalg.svd(gate.reshape(4, 4))
+    save_json(inputs / "spectrum24.json", spec.to_json())
+    save_json(inputs / "target24.json", matrix_to_json(left @ right))
     runs = {
         "spectrum": ["spectrum", "--c1", "0.03", "--c2", "0.01", "--dim", "3"],
         "gate": ["gate", "--spectrum", inputs / "spectrum.json", "--pulse", inputs / "pulse.json",
                  "--oracle"],
         "synth": ["synth", "--target", inputs / "target.json", "--spectrum",
                   inputs / "spectrum.json", "--T", 2, "--K", 1, "--lambda-grid", "1e-4,1e4,3"],
+        "synth-oracle": ["synth", "--target", inputs / "target24.json", "--spectrum",
+                         inputs / "spectrum24.json", "--T", 4, "--K", 3],
         "channel": ["channel", "--target", inputs / "choi.json", "--T", 2, "--K", 1],
         "susy": ["susy", "--superpotential", "0,0,0.5", "--dim", 32],
         "vev": ["vev", "--d2", inputs / "d2.json", "--pvev", "1,2", "--qvev", "3"],

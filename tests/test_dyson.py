@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susygate import dyson
 from susygate.dyson import (
@@ -179,11 +181,30 @@ def test_oracle_convergence_error(monkeypatch):
         propagate_oracle(spec, p)
 
 
+@pytest.mark.parametrize("drive", [1e100, np.nan])
+def test_oracle_refuses_a_step_no_double_resolves(anharmonic_spec, drive):
+    # the squarings of so large a factor overflow; a NaN drive has no bound at all
+    with pytest.raises(OracleConvergenceError, match="Magnus factor norm"):
+        propagate_oracle(anharmonic_spec, ControlPulse(1.0, np.array([drive])))
+
+
 def _step_product(spec, pulse, steps):
-    m = spec.cutoff_raw
-    return dyson._magnus_product(
-        build_h0(spec.c1, spec.c2, m).real, position_op(m).real, pulse, steps
-    )
+    # the whole raw unitary: the factors applied to every column of the identity
+    m, q = spec.cutoff_raw, position_op(spec.cutoff_raw).real
+    mu, h, norms = dyson._centred(build_h0(spec.c1, spec.c2, m).real, q)
+    u = dyson._magnus_product(h, q, norms, np.eye(m), pulse, steps)
+    return np.exp(-1j * mu * pulse.horizon) * u
+
+
+def _eigh_product(h0, q, pulse, steps):
+    # the reference: one eigh of h0 + b̃·Q per Magnus factor
+    dt = pulse.horizon / steps
+    t = (np.arange(steps)[:, None] + dyson.GAUSS_NODES) * dt
+    u = np.eye(h0.shape[0], dtype=complex)
+    for b in (pulse.evaluate(t) @ dyson.CFM4_MIX.T).ravel():
+        w, v = np.linalg.eigh(h0 + b * q)
+        u = (v * np.exp(-0.5j * dt * w)) @ (v.conj().T @ u)
+    return u
 
 
 @pytest.fixture
@@ -206,16 +227,28 @@ def test_oracle_step_product_is_unitary(anharmonic_spec, c03_pulse):
 
 
 def test_real_step_product_matches_complex_eigh(anharmonic_spec, c03_pulse):
-    # the former factor: complex eigh of the complex-typed h0 + b̃·Q
+    # the eigh loop on real h0 and Q, and on their complex-typed copies
     m, steps = anharmonic_spec.cutoff_raw, 64
     h0, q = build_h0(anharmonic_spec.c1, anharmonic_spec.c2, m), position_op(m)
-    dt = c03_pulse.horizon / steps
-    t = (np.arange(steps)[:, None] + dyson.GAUSS_NODES) * dt
-    u = np.eye(m, dtype=complex)
-    for b in (c03_pulse.evaluate(t) @ dyson.CFM4_MIX.T).ravel():
-        w, v = np.linalg.eigh(h0 + b * q)
-        u = (v * np.exp(-0.5j * dt * w)) @ v.conj().T @ u
-    assert np.max(np.abs(_step_product(anharmonic_spec, c03_pulse, steps) - u)) <= 1e-13
+    u = _step_product(anharmonic_spec, c03_pulse, steps)
+    for reference in (_eigh_product(h0.real, q.real, c03_pulse, steps),
+                      _eigh_product(h0, q, c03_pulse, steps)):
+        assert np.max(np.abs(u - reference)) <= 1e-13
+
+
+@settings(max_examples=60, deadline=None)
+@given(n=st.integers(1, 32), depth=st.integers(1, 3), norm=st.sampled_from([0.0, 2.0, 16.0])
+       | st.floats(0.0, 16.0), seed=st.integers(0, 2**32 - 1))
+def test_expm_kernel_matches_eigh(n, depth, norm, seed):
+    # ‖X‖ from 0 (degree 0) through 2 (no scaling) to 16 (three squarings)
+    a = np.random.default_rng(seed).normal(size=(depth, n, n))
+    a += a.transpose(0, 2, 1)
+    scale = np.linalg.norm(a, 2, axis=(1, 2))
+    x = a * (norm / np.where(scale > 0, scale, 1.0))[:, None, None]
+    f = dyson._expm_i(x, norm)
+    w, v = np.linalg.eigh(x)
+    assert np.max(np.abs(f - (v * np.exp(-1j * w)[:, None, :]) @ v.transpose(0, 2, 1))) <= 1e-13
+    assert np.max(np.abs(f.conj().transpose(0, 2, 1) @ f - np.eye(n))) <= 1e-13
 
 
 @pytest.mark.parametrize("coeffs", [np.zeros(3), np.array([0.1, 0.0, 0.0])],

@@ -170,8 +170,24 @@ def test_budget_inactive_when_generous(spec, rng):
             budget=10 * unconstrained.energy + 1.0, allow_nonunitary=True,
         )
     )
-    assert report.multiplier == 0.0
+    assert report.multiplier == 0.0 and report.budget_iterations == 0
     assert "inactive" in report.note
+
+
+def test_budget_iterations_count_the_newton_steps(spec, rng, monkeypatch):
+    import susygate.gate_synth as gate_synth
+
+    prob, _ = planted_problem(spec, rng)
+    unconstrained = synthesize(prob)
+    assert unconstrained.budget_iterations is None
+    bounded = replace(prob, lam=None, budget=0.25 * unconstrained.energy)
+    steps = synthesize(bounded).budget_iterations
+    assert 0 < steps < gate_synth.NEWTON_MAX_ITER
+    # one step fewer stops short of the budget
+    monkeypatch.setattr(gate_synth, "NEWTON_MAX_ITER", steps - 1)
+    short = synthesize(bounded)
+    assert short.budget_iterations == steps - 1
+    assert short.energy > bounded.budget * (1 + 1e-10)
 
 
 def test_sweep_monotone(spec, rng):

@@ -193,6 +193,38 @@ def test_number_lists_refuse_strings_and_booleans(read, obj, where, entry):
         read(obj)
 
 
+_PULSE = ControlPulse(2.0, np.array([0.1, 0.0, 0.2])).to_json()
+_SPECTRUM = compute_spectrum(0.03, 0.01, kept=2, raw_dim=6).to_json()
+_SEEDED = Trajectory(times=np.arange(2.0), states=np.stack([np.eye(2) / 2] * 2), seed=3).to_json()
+
+
+@pytest.mark.parametrize("spoil", [str, lambda value: True], ids=["string", "boolean"])
+@pytest.mark.parametrize(
+    "read, obj, key",
+    [(matrix_from_json, matrix_to_json(np.eye(2)), "rows"),
+     (matrix_from_json, matrix_to_json(np.eye(1)), "cols"),
+     (ControlPulse.from_json, _PULSE, "T"),
+     (ControlPulse.from_json, _PULSE, "K"),
+     (Trajectory.from_json, _SEEDED, "dim"),
+     (Trajectory.from_json, _SEEDED, "seed"),
+     (Spectrum.from_json, _SPECTRUM, "cutoff_raw"),
+     (Spectrum.from_json, _SPECTRUM, "cutoff_kept"),
+     (Spectrum.from_json, _SPECTRUM, "c1"),
+     (Spectrum.from_json, _SPECTRUM, "c2")],
+    ids=["matrix-rows", "matrix-cols", "pulse-T", "pulse-K", "trajectory-dim", "trajectory-seed",
+         "spectrum-cutoff-raw", "spectrum-cutoff-kept", "spectrum-c1", "spectrum-c2"],
+)
+def test_scalar_fields_refuse_strings_and_booleans(read, obj, key, spoil):
+    # int() and float() read "2" as 2 and true as 1
+    with pytest.raises(ValueError, match=f"^{key}: .* is not an? (integer|number)$"):
+        read({**obj, key: spoil(obj[key])})
+
+
+def test_integer_fields_refuse_a_float():
+    with pytest.raises(ValueError, match="rows: 2.0 is not an integer"):
+        matrix_from_json({**matrix_to_json(np.eye(2)), "rows": 2.0})
+
+
 @pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
 def test_save_json_refuses_non_finite(tmp_path, value):
     path = tmp_path / "out.json"
