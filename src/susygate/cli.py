@@ -204,8 +204,10 @@ def cmd_synth(args, ws: Workspace):
         allow_nonunitary=args.allow_nonunitary,
         match_phase=args.match_phase,
     )
+    # an allowed non-unitary target may overflow; save_json refuses what is not finite
     if grid is not None:
-        reports = gate_synth.sweep(prob, grid)
+        with np.errstate(over="ignore", invalid="ignore"):
+            reports = gate_synth.sweep(prob, grid)
         ws.save_json("reports.json", [r.to_json() for r in reports])
         rows = [(r.multiplier, r.energy, r.residual, r.fidelity) for r in reports]
         ws.save_csv("pareto.csv", ["lambda", "energy", "residual", "fidelity"], rows)
@@ -220,7 +222,8 @@ def cmd_synth(args, ws: Workspace):
         ws.save_json("pulse.json", best.pulse.to_json())
         print(f"synth sweep: {len(reports)} points, best residual {best.residual:.3e}")
         return
-    report = gate_synth.synthesize(prob, oracle_check=not args.no_oracle_check)
+    with np.errstate(over="ignore", invalid="ignore"):
+        report = gate_synth.synthesize(prob, oracle_check=not args.no_oracle_check)
     ws.save_json("synth_report.json", report.to_json())
     ws.save_json("pulse.json", report.pulse.to_json())
     print(

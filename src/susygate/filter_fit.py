@@ -9,8 +9,8 @@ on the row-major vec(ρ).  Deterministic evolution integrates
 with a fixed-step classic Runge-Kutta scheme.  The generator is constant,
 so one RK4 step is a fixed d²×d² matrix R; the integrator stacks its powers
 R¹…R^B and advances B steps per batched product, renormalizing each state's
-trace, then tests every state as ``Trajectory.validate`` does, with one
-batched eigenvalue call (so an aborted run has integrated the whole grid).
+trace, then tests every state as ``Trajectory.validate`` does, all at once
+(so an aborted run has integrated the whole grid).
 
 The diffusive unraveling under continuous monitoring of one channel L with
 efficiency η takes the completely positive Kraus-form step of Rouchon &
@@ -211,20 +211,35 @@ class Trajectory:
 
 
 def _hermitian_defect(rho: np.ndarray) -> np.ndarray:
-    """Largest |ρ − ρ†| entry of each state of a stack (..., d, d)."""
+    """Largest |ρ − ρ†| entry of each state of a stack (..., d, d): inf or
+    NaN, without a warning, for a state with a non-finite entry (an infinite
+    diagonal entry gives inf − inf)."""
     i, j = np.nonzero(np.tri(rho.shape[-1], dtype=bool).T)  # np.triu_indices, 4x faster
-    return np.abs(rho[..., i, j] - rho[..., j, i].conj()).max(axis=-1)
+    with np.errstate(invalid="ignore"):
+        return np.abs(rho[..., i, j] - rho[..., j, i].conj()).max(axis=-1)
 
 
 def _state_faults(rho: np.ndarray, floor=EIGENVALUE_FLOOR):
     """Index into ``_STATE_FAULTS`` of the first test each state of a stack
     (..., d, d) fails (3 if none): |ρ − ρ†| ≤ HERMITIAN_TOL, |tr ρ − 1| ≤ 1e-8,
-    smallest eigenvalue ≥ ``floor``; and that eigenvalue, from one eigvalsh,
-    which sees a non-finite state (failing the first test) as zeros."""
+    smallest eigenvalue ≥ ``floor``; and that eigenvalue, which sees a
+    non-finite state (failing the first test) as zeros.
+
+    Like eigvalsh, the eigenvalue reads the real diagonal and the lower
+    triangle.  At d = 2 it is the closed form (a + c)/2 − hypot((a − c)/2, |b|)
+    with a, c the diagonal and b = ρ₁₀: LAPACK takes about 0.6 µs per 2×2
+    matrix, more than a Lindblad step.  Larger states take one batched eigvalsh.
+    """
     herm = _hermitian_defect(rho)
     tr = np.abs(np.einsum("...ii->...", rho).real - 1.0)
     ok = np.isfinite(herm)
-    low = np.linalg.eigvalsh(rho if ok.all() else np.where(ok[..., None, None], rho, 0))[..., 0]
+    safe = rho if ok.all() else np.where(ok[..., None, None], rho, 0)
+    if rho.shape[-1] == 2:
+        # halves before sums, so that no finite state overflows
+        a, c = safe[..., 0, 0].real / 2, safe[..., 1, 1].real / 2
+        low = (a + c) - np.hypot(a - c, np.abs(safe[..., 1, 0]))
+    else:
+        low = np.linalg.eigvalsh(safe)[..., 0]
     return np.where(herm <= HERMITIAN_TOL,
                     np.where(tr <= 1e-8, np.where(low >= floor, 3, 2), 1), 0), low
 
@@ -437,24 +452,39 @@ def _tangents(family: ModelFamily, theta, states: np.ndarray, dt: float) -> np.n
     The generator is affine in θ, so the RK4 step of the block generator
     [[S, 0], [S_j, S]] is [[R, 0], [dR/dθ_j, R]] (Van Loan, IEEE TAC 23,
     395 (1978)) and the tangents obey Y_{k+1} = R Y_k + (dR/dθ_j) ρ_k.
-    Each θ_j gets its own 2d² generator; its stacked powers advance that
+    R, its powers and its RK4 stage inputs are built once.  Each θ_j forms
+    only the lower block rows [A_m, R^m] of the block step and its powers,
+    with A_1 = dR/dθ_j and A_m = A_1·R^{m−1} + R·A_{m−1}; they advance that
     tangent a block at a time from the block's stored state.
     """
     d = states.shape[1]
     n = d * d
     terms = [LindbladModel(h, ()) for h in family.h_terms]
     terms += [LindbladModel(np.zeros((d, d)), (base,)) for base in family.rate_bases]
-    gen = np.kron(np.eye(2), liouvillian(family.at(theta)))
+    s, eye = liouvillian(family.at(theta)), np.eye(n)
     n_steps = states.shape[0] - 1
     b = min(_block_len(2 * n), n_steps)
+    # the inputs y_1..y_4 of the four RK4 stages of R = _rk4_step(S, I, dt)
+    ys = [eye]
+    for c in (0.5, 0.5, 1.0):
+        ys.append(eye + c * dt * (s @ ys[-1]))
+    r = _rk4_step(s, eye, dt)
+    rows = np.empty((b, n, 2 * n), dtype=complex)  # [A_m, R^m] for m = 1..b
+    rows[:, :, n:] = _stacked_powers(r, b).reshape(b, n, n)
 
     flat = states.reshape(-1, n)
     tangents = np.zeros((len(terms), states.shape[0], n), dtype=complex)
     for term, tangent in zip(terms, tangents):
-        gen[n:, :n] = liouvillian(term)
-        # keep the tangent rows [dR^m/dθ_j, R^m] of each power m = 1..b
-        stack = _stacked_powers(_rk4_step(gen, np.eye(2 * n), dt), b).reshape(b, 2 * n, 2 * n)
-        stack = stack[:, n:].reshape(b * n, 2 * n)
+        # stage by stage, each lower block row [S_j, S] of the block
+        # generator times the left block column [y_i; dy_i] of its input
+        row, dy, dks = np.concatenate([liouvillian(term), s], axis=1), np.zeros((n, n)), []
+        for c, y in zip((0.5, 0.5, 1.0, 0.0), ys):
+            dks.append(row @ np.concatenate([y, dy]))
+            dy = c * dt * dks[-1]
+        rows[0, :, :n] = (dt / 6.0) * (dks[0] + 2.0 * dks[1] + 2.0 * dks[2] + dks[3])
+        for m in range(1, b):
+            rows[m, :, :n] = rows[0] @ np.concatenate([rows[m - 1, :, n:], rows[m - 1, :, :n]])
+        stack = rows.reshape(b * n, 2 * n)
         for i in range(0, n_steps, b):
             k = min(b, n_steps - i)
             y = np.concatenate([flat[i], tangent[i]])

@@ -1374,6 +1374,33 @@ def test_synth_non_finite_exits_2(edge_inputs, capfd, extra):
 
 
 @pytest.mark.parametrize(
+    "extra, code",
+    [([], 2), (["--allow-nonunitary"], 3), (["--allow-nonunitary", "--no-oracle-check"], 3),
+     (["--allow-nonunitary", "--lambda-grid", "1e-4,1e4,3"], 3)],
+    ids=["unitarity-check", "allowed", "allowed-no-oracle", "allowed-sweep"],
+)
+def test_synth_huge_target_entry_prints_one_line(edge_inputs, extra, code):
+    # a 1e300 entry overflows the unitarity test and the synthesis; a child
+    # process shows everything NumPy would print to stderr
+    obj = load_json(edge_inputs / "target.json")
+    save_json(edge_inputs / "huge.json", {**obj, "re": [1e300] + obj["re"][1:]})
+    argv = ["synth", "--target", "huge.json", "--spectrum", "spectrum.json", "--T", "2.0",
+            "--K", "1", *extra, "--out-dir", "out"]
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_CHILD, *argv],
+        cwd=edge_inputs, env=cli_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == code, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    if code == 2:
+        assert proc.stderr.startswith("error: huge.json: target is not unitary")
+    else:
+        assert proc.stderr.startswith("numerical failure:")
+    assert not (edge_inputs / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize(
     "flag, value",
     [("--lambda", "nan"), ("--anc-freq", "nan"), ("--coupling", "inf"), ("--T", 0),
      ("--K", 10000), ("--K", 100000000)],

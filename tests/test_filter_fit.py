@@ -5,7 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import random_density
+from conftest import random_density, random_unitary
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -19,6 +19,7 @@ from susygate.filter_fit import (
     _block_len,
     _rk4_step,
     _stacked_powers,
+    _state_faults,
     _tangents,
     ensemble_stats,
     filter_estimate,
@@ -197,8 +198,8 @@ def test_abort_names_first_offending_step(model, rho0, times, t_abort):
     assert f"at t={t_abort};" in str(got.value)
 
 
-def test_one_eigenvalue_call_per_trajectory(monkeypatch):
-    # one for the initial state's check, one for all 2000 integrated states
+def count_eigvalsh(monkeypatch) -> list:
+    """Shapes of the stacks handed to np.linalg.eigvalsh from now on."""
     calls = []
     eigvalsh = np.linalg.eigvalsh
 
@@ -207,8 +208,17 @@ def test_one_eigenvalue_call_per_trajectory(monkeypatch):
         return eigvalsh(a)
 
     monkeypatch.setattr(np.linalg, "eigvalsh", counting)
+    return calls
+
+
+def test_one_eigenvalue_call_per_trajectory(monkeypatch):
+    # a qubit's smallest eigenvalue is a closed form; at d = 3 there is one
+    # call for the initial state's check and one for all 2000 integrated states
+    calls = count_eigvalsh(monkeypatch)
     lindblad_evolve(damping_model(0.7, drive=1.0), RHO_EXCITED, grid(2.0, 1e-3))
-    assert calls == [(2, 2), (2000, 2, 2)]
+    assert calls == []
+    lindblad_evolve(qutrit_model(), RHO_TOP3, grid(2.0, 1e-3))
+    assert calls == [(3, 3), (2000, 3, 3)]
 
 
 def test_non_finite_step_aborts():
@@ -294,17 +304,66 @@ def test_validate_checks_every_state(state, message):
 
 
 def test_validate_makes_one_eigenvalue_call(monkeypatch):
-    traj = lindblad_evolve(damping_model(0.7, drive=1.0), RHO_EXCITED, grid(0.5, 1e-2))
-    calls = []
-    eigvalsh = np.linalg.eigvalsh
+    qubit = lindblad_evolve(damping_model(0.7, drive=1.0), RHO_EXCITED, grid(0.5, 1e-2))
+    qutrit = lindblad_evolve(qutrit_model(), RHO_TOP3, grid(0.5, 1e-2))
+    calls = count_eigvalsh(monkeypatch)
+    qubit.validate()
+    assert calls == []
+    qutrit.validate()
+    assert calls == [(51, 3, 3)]
 
-    def counting(a):
-        calls.append(np.shape(a))
-        return eigvalsh(a)
 
-    monkeypatch.setattr(np.linalg, "eigvalsh", counting)
-    traj.validate()
-    assert calls == [(51, 2, 2)]
+def qubit_state(kind: str, seed: int) -> np.ndarray:
+    """One 2×2 test matrix of the given kind, valid or not."""
+    rng = np.random.default_rng(seed)
+    u = random_unitary(rng, 2)
+    if kind == "mixed":
+        return random_density(rng, 2)
+    if kind in ("pure", "near-pure"):
+        eps = 0.0 if kind == "pure" else 10.0 ** rng.uniform(-16, -9)
+        return (u * [1.0 - eps, eps]) @ u.conj().T
+    if kind == "diagonal-pure":
+        return np.diag([1.0, 0.0][:: rng.choice([1, -1])]).astype(complex)
+    if kind == "negative":
+        # either side of both floors: EIGENVALUE_FLOOR and _check_state's -1e-8
+        low = rng.choice([-2e-6, -1e-6, -5e-7, -2e-8, -1e-8, -5e-9])
+        return (u * [1.0 - low, low]) @ u.conj().T
+    rho = random_density(rng, 2)
+    if kind == "trace":
+        return rho * (1.0 + rng.choice([-1, 1]) * 10.0 ** rng.uniform(np.log10(2e-8), -0.3))
+    if kind == "non-hermitian":
+        e = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
+        return rho + 10.0 ** rng.uniform(np.log10(2e-8), -2) * e / np.abs(e).max()
+    # non-finite: one real or imaginary part of one entry
+    i, j = rng.integers(2, size=2)
+    part = rho.real if rng.integers(2) else rho.imag
+    part[i, j] = rng.choice([np.nan, np.inf, -np.inf])
+    return rho
+
+
+_QUBIT_KINDS = ["mixed", "pure", "near-pure", "diagonal-pure", "negative", "trace",
+                "non-hermitian", "non-finite"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(states=st.lists(st.tuples(st.sampled_from(_QUBIT_KINDS), st.integers(0, 2**32 - 1)),
+                       min_size=1, max_size=12),
+       floor=st.sampled_from([EIGENVALUE_FLOOR, -1e-8]))
+def test_qubit_closed_form_matches_eigvalsh(states, floor):
+    rho = np.stack([qubit_state(kind, seed) for kind, seed in states])
+    fault, low = _state_faults(rho, floor)
+    # reference: the three tests in order, on LAPACK's eigenvalue of the same stack
+    with np.errstate(invalid="ignore"):  # inf − inf on an infinite diagonal entry
+        herm = np.array([np.abs(r - r.conj().T).max() for r in rho])
+    trace_gap = np.abs(np.trace(rho, axis1=1, axis2=2).real - 1.0)
+    finite = np.isfinite(rho).all(axis=(1, 2))
+    ref_low = np.linalg.eigvalsh(np.where(finite[:, None, None], rho, 0))[:, 0]
+    ref = np.where(herm <= 1e-8, np.where(trace_gap <= 1e-8, np.where(ref_low >= floor, 3, 2), 1), 0)
+    assert np.max(np.abs(low - ref_low)) <= 1e-15
+    # a state whose eigenvalue lies within rounding of the floor may fall either side
+    at_floor = (ref >= 2) & (np.abs(ref_low - floor) <= 1e-15)
+    assert np.array_equal(fault[~at_floor], ref[~at_floor])
+    assert np.all((fault[at_floor] == 2) | (fault[at_floor] == 3))
 
 
 # --- stochastic unraveling ----------------------------------------------------
