@@ -11,8 +11,11 @@ become ``--key=value`` after the subcommand name, so any flag given wins.
 
 Exit codes: 0 success, 2 validation error (bad flags, unreadable or
 malformed inputs, an output directory that cannot be made), 3 numerical
-failure (non-convergence, step-size abort, a NaN or infinite result, out of
-memory); a run that exits 3 writes no manifest.
+failure (non-convergence, a LAPACK routine that does not converge,
+step-size abort, a NaN or infinite result, out of memory); a run that exits
+3 prints one ``numerical failure:`` line and writes no manifest.  NumPy's
+floating-point warnings are never printed: a non-finite result is refused
+when it is written.
 Seed resolution order: --seed flag, config file, SUSYGATE_SEED, then 0.
 """
 
@@ -37,7 +40,7 @@ from .errors import SusygateError
 from .fock import is_unitary
 from .plotting import line_plot_svg
 from .serialize import (LineError, float_array, matrix_from_json, matrix_to_json, parse_json,
-                        read_input, save_json)
+                        read_input, save_json, scalar)
 
 # largest time grid the filter subcommands accept; each step stores a d×d state
 MAX_STEPS = 10**7
@@ -204,10 +207,8 @@ def cmd_synth(args, ws: Workspace):
         allow_nonunitary=args.allow_nonunitary,
         match_phase=args.match_phase,
     )
-    # an allowed non-unitary target may overflow; save_json refuses what is not finite
     if grid is not None:
-        with np.errstate(over="ignore", invalid="ignore"):
-            reports = gate_synth.sweep(prob, grid)
+        reports = gate_synth.sweep(prob, grid)
         ws.save_json("reports.json", [r.to_json() for r in reports])
         rows = [(r.multiplier, r.energy, r.residual, r.fidelity) for r in reports]
         ws.save_csv("pareto.csv", ["lambda", "energy", "residual", "fidelity"], rows)
@@ -222,8 +223,7 @@ def cmd_synth(args, ws: Workspace):
         ws.save_json("pulse.json", best.pulse.to_json())
         print(f"synth sweep: {len(reports)} points, best residual {best.residual:.3e}")
         return
-    with np.errstate(over="ignore", invalid="ignore"):
-        report = gate_synth.synthesize(prob, oracle_check=not args.no_oracle_check)
+    report = gate_synth.synthesize(prob, oracle_check=not args.no_oracle_check)
     ws.save_json("synth_report.json", report.to_json())
     ws.save_json("pulse.json", report.pulse.to_json())
     print(
@@ -239,9 +239,11 @@ def cmd_synth(args, ws: Workspace):
 def _square_choi(obj) -> tuple[np.ndarray, int]:
     """Choi matrix and input dimension of a channel target file."""
     target = matrix_from_json(obj)
-    d_in, d_out = int(obj["d_in"]), int(obj["d_out"])
+    d_in, d_out = scalar(obj, "d_in", int), scalar(obj, "d_out", int)
     if d_in != d_out:
         raise ValueError("channel design requires d_in == d_out")
+    if target.shape != (d_in * d_out,) * 2:
+        raise ValueError(f"target Choi shape {target.shape} != {(d_in * d_out,) * 2}")
     return target, d_in
 
 
@@ -299,8 +301,8 @@ def cmd_vev(args, ws: Workspace):
 
 def _load_family(obj) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, int, list]:
     """Family, ρ0, truth, measured operator index and parameter grids of a
-    parsed model file; every size the file sets, and the sign of each rate
-    range, is checked before anything is built, and the truth model, ρ0 and
+    parsed model file; every size the file sets, and the bounds of each
+    range, are checked before anything is built, and the truth model, ρ0 and
     the index after, so that each of their errors names the file."""
     if not isinstance(obj, dict):
         raise ValueError("expected a JSON object")
@@ -320,7 +322,10 @@ def _load_family(obj) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, i
     if math.prod(points) > MAX_GRID_POINTS:
         raise ValueError(f"the parameter grid has {math.prod(points)} points, "
                          f"more than {MAX_GRID_POINTS}")
-    if not all(min(float(lo), float(hi)) >= 0 for lo, hi, _ in ranges[len(h_specs):]):
+    bounds = [float_array(r[:2], "range") for r in ranges]
+    if not all(b.shape == (2,) and np.isfinite(b).all() for b in bounds):
+        raise ValueError("each range needs two finite numbers LO, HI")
+    if not all(b.min() >= 0 for b in bounds[len(h_specs):]):
         raise ValueError("a rate range reaches below 0")
     rho0 = matrix_from_json(obj["rho0"])
     family = filter_fit.ModelFamily(
@@ -330,9 +335,9 @@ def _load_family(obj) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, i
         lindblads=tuple(matrix_from_json(m) for m in obj.get("lindblads", [])),
         param_names=tuple(t["name"] for t in h_specs + r_specs),
     )
-    truth = np.asarray([float(t["truth"]) for t in h_specs + r_specs])
-    meas = int(obj["measurement"])
-    grids = [np.linspace(float(lo), float(hi), n) for lo, hi, n in ranges]
+    truth = np.asarray([scalar(t, "truth", float) for t in h_specs + r_specs])
+    meas = scalar(obj, "measurement", int)
+    grids = [np.linspace(lo, hi, n) for (lo, hi), n in zip(bounds, points)]
     model = family.at(truth)
     filter_fit._check_state(rho0, model.dim)
     if not 0 <= meas < len(model.lindblads):
@@ -678,12 +683,14 @@ def main(argv=None) -> int:
         if "seed" in vars(args) and args.seed is None:
             args.seed = int(os.environ.get("SUSYGATE_SEED") or 0)
         ws = Workspace(Path(args.out_dir))
-        args.func(args, ws)
+        # save_json refuses every non-finite result, so NumPy's warnings would repeat it
+        with np.errstate(all="ignore"):
+            args.func(args, ws)
         config = {k: v for k, v in vars(args).items() if k not in ("command", "func", "config")}
         ws.write_manifest(args.command, config, getattr(args, "seed", None), t0)
     except SystemExit as exc:
         return int(exc.code or 0)
-    except SusygateError as exc:
+    except (SusygateError, np.linalg.LinAlgError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
     except MemoryError as exc:

@@ -538,7 +538,7 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
             return failed
         try:
             traj = lindblad_evolve(family.at(theta), rho0, times)
-        except (StepSizeError, FloatingPointError, ValueError):
+        except (StepSizeError, ValueError):
             costs[key] = np.inf
             return failed
         diff = (traj.states - est.states).reshape(-1)

@@ -245,9 +245,12 @@ def _non_integer_cutoff(inputs):
     return ["gate", "--spectrum", inputs / "bad.json", "--pulse", inputs / "pulse.json"]
 
 
-def _unequal_channel_dims(inputs):
-    save_json(inputs / "bad.json", {**load_json(inputs / "choi.json"), "d_out": 3})
-    return ["channel", "--target", inputs / "bad.json", "--T", 2.0, "--K", 1]
+def _choi_with(key, value):
+    # a Choi target file whose dimensions differ or are not integers
+    def make_argv(inputs):
+        save_json(inputs / "bad.json", {**load_json(inputs / "choi.json"), key: value})
+        return ["channel", "--target", inputs / "bad.json", "--T", 2.0, "--K", 1]
+    return make_argv
 
 
 def _record_with(line: bytes):
@@ -303,9 +306,22 @@ def _model_with(key, value):
     return make_argv
 
 
+# a valid rate term; each _model_with case below overrides one of its fields
+_RATE_TERM = {"name": "gamma", "op": matrix_to_json(np.eye(2)), "range": [0.3, 1.1, 3],
+              "truth": 0.7}
+
+
+def _infinite_range_end(inputs):
+    obj = load_json(inputs / "model.json")
+    term = {**obj["rate_terms"][0], "range": [0.3, 0, 3]}
+    text = json.dumps({**obj, "rate_terms": [term]}).replace("[0.3, 0, 3]", "[0.3, 1e400, 3]")
+    (inputs / "bad.json").write_text(text)
+    return ["filter-sim", "--model", inputs / "bad.json", "--dt", 1e-2, "--T", 0.01]
+
+
 @pytest.mark.parametrize(
     "make_argv",
-    [_infinite_rows, _undecodable_byte, _non_integer_cutoff, _unequal_channel_dims,
+    [_infinite_rows, _undecodable_byte, _non_integer_cutoff, _choi_with("d_out", 3),
      _record_with(b"0.0,x"), _record_with(b"0.0,0.1\xff"), _record_with(b"0.0,0.1\n0.01,0.2"),
      _undecodable_config, _non_unitary_target, _quoted_target_entry, _boolean_vev_tensor_entry,
      _scalar_field("pulse", "T", "2.0"), _scalar_field("pulse", "K", True),
@@ -314,14 +330,22 @@ def _model_with(key, value):
      _model_with("h0", matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]]))),
      _model_with("rho0", matrix_to_json(np.eye(2))), _model_with("measurement", 1),
      _model_with("rate_terms", [{"name": "gamma", "op": matrix_to_json(np.eye(2)),
-                                 "range": [-1.1, -0.3, 3], "truth": 0.7}])],
+                                 "range": [-1.1, -0.3, 3], "truth": 0.7}]),
+     _choi_with("d_in", "2"), _choi_with("d_out", 2.9),
+     _model_with("rate_terms", [{**_RATE_TERM, "range": ["0.3", 1.1, 3]}]),
+     _model_with("rate_terms", [{**_RATE_TERM, "range": [0.3, True, 3]}]),
+     _model_with("rate_terms", [{**_RATE_TERM, "truth": "0.7"}]),
+     _model_with("measurement", 0.9), _infinite_range_end],
     ids=["rows-1e400", "byte-0xff", "cutoff-kept-x", "d-in-ne-d-out",
          "record-dY-x", "record-byte-0xff", "record-extra-row", "config-byte-0xff",
          "target-not-unitary", "target-quoted-entry", "d2-boolean-entry",
          "pulse-T-string", "pulse-K-boolean", "spectrum-cutoff-raw-string",
          "spectrum-c2-boolean", "target-cols-string",
          "model-h0-not-hermitian", "model-rho0-trace-2",
-         "model-measurement-1", "model-rate-range-negative"],
+         "model-measurement-1", "model-rate-range-negative",
+         "choi-d-in-string", "choi-d-out-2.9", "model-range-lo-string",
+         "model-range-hi-boolean", "model-truth-string", "model-measurement-0.9",
+         "model-range-hi-1e400"],
 )
 def test_input_file_error_names_the_file(edge_inputs, capsys, make_argv):
     out = edge_inputs / "out"
@@ -340,7 +364,7 @@ def test_channel_choi_of_wrong_size_exits_2(edge_inputs, capsys):
     assert run_cli("channel", "--target", edge_inputs / "bad.json", "--T", 2.0, "--K", 1,
                    "--out-dir", out) == 2
     err = capsys.readouterr().err
-    assert err == "error: target Choi shape (3, 3) != (4, 4)\n"
+    assert err == f"error: {edge_inputs / 'bad.json'}: target Choi shape (3, 3) != (4, 4)\n"
     assert not (out / "manifest.json").exists()
 
 
@@ -1344,7 +1368,6 @@ def _huge_choi(inputs):
     return ["channel", "--target", inputs / "huge.json", "--T", 2.0, "--K", 1]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow on purpose
 @pytest.mark.parametrize("make_argv", [_huge_pulse, _huge_choi], ids=["gate", "channel"])
 def test_non_finite_result_exits_3_without_manifest(edge_inputs, capsys, make_argv):
     out = edge_inputs / "out"
@@ -1353,6 +1376,36 @@ def test_non_finite_result_exits_3_without_manifest(edge_inputs, capsys, make_ar
     assert not (out / "manifest.json").exists()
     for path in out.glob("*.json"):
         json.loads(path.read_text(), parse_constant=reject_non_finite)
+
+
+def _huge_budget_target(inputs):
+    obj = load_json(inputs / "target.json")
+    save_json(inputs / "huge.json", {**obj, "re": [1e300] + obj["re"][1:]})
+    return ["synth", "--target", inputs / "huge.json", "--spectrum", inputs / "spectrum.json",
+            "--T", 2.0, "--K", 1, "--budget", 1e-3, "--allow-nonunitary", "--no-oracle-check"]
+
+
+def _huge_superpotential(inputs):
+    return ["susy", "--superpotential", "0,0,1e200", "--dim", 16]
+
+
+@pytest.mark.parametrize(
+    "make_argv", [_huge_pulse, _huge_choi, _huge_budget_target, _huge_superpotential],
+    ids=["gate", "channel", "synth-budget", "susy"],
+)
+def test_overflow_exits_3_with_one_line(edge_inputs, make_argv):
+    # NumPy's overflow warnings and a LAPACK routine that does not converge on
+    # the overflowed matrix; a child process shows everything printed to stderr
+    argv = [str(a) for a in make_argv(edge_inputs)]
+    proc = subprocess.run(
+        [sys.executable, "-c", CLI_CHILD, *argv, "--out-dir", "out"],
+        cwd=edge_inputs, env=cli_env(), capture_output=True, text=True, timeout=60,
+    )
+    assert proc.returncode == 3, proc.stderr
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert proc.stderr.startswith("numerical failure:")
+    assert "RuntimeWarning" not in proc.stderr and "Traceback" not in proc.stderr
+    assert not (edge_inputs / "out" / "manifest.json").exists()
 
 
 @pytest.mark.parametrize("flag, value", [("--c1", "nan"), ("--c2", "inf")])
@@ -1597,7 +1650,6 @@ def _with_leaf(obj, path, value):
     return [_with_leaf(v, rest, value) if i == head else v for i, v in enumerate(obj)]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow on purpose
 @pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
 @settings(max_examples=100, deadline=None)
 @given(
@@ -1631,7 +1683,6 @@ _INPUT_KINDS = [("gate", "--spectrum"), ("gate", "--pulse"), ("synth", "--target
                 ("filter-fit --record", "--record"), ("spectrum --config", "--config")]
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # NumPy overflow on purpose
 @pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
 @pytest.mark.filterwarnings("ignore:normal matrix condition")
 @settings(max_examples=400, deadline=None)
