@@ -5,7 +5,8 @@ A channel here arises by evolving system ⊗ ancilla jointly and tracing out
 the ancilla (the unobserved sector).  The ancilla stands in for whatever
 degrees of freedom are averaged over: it carries a free diagonal
 Hamiltonian diag(0, ω_a, 2ω_a, ...) and couples to the system through
-g·(Q ⊗ Q_anc), with Q_anc the ancilla's position-like tridiagonal
+g·(Q ⊗ Q_anc), with Q the kept block of the mode's position (see
+:class:`JointSystem`) and Q_anc the ancilla's position-like tridiagonal
 operator; the drive b(t) acts on the system position only (Q ⊗ I).
 
 Channel comparison uses the Frobenius distance between Choi matrices.
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -26,7 +28,7 @@ from . import dyson
 from .dyson import ControlPulse
 from .fock import is_psd, is_unitary, position_op
 from .solver import gauss_newton
-from .spectrum import Spectrum, build_h0, diagonalize
+from .spectrum import Spectrum, compute_spectrum, diagonalize
 
 
 @dataclass(frozen=True)
@@ -131,9 +133,12 @@ def choi(ch: QuantumChannel) -> np.ndarray:
 class JointSystem:
     """System ⊗ ancilla model used for channel design.
 
-    The system factor is the driven anharmonic mode, ``build_h0`` truncated
-    at the gate dimension itself: the joint model is treated as a concrete
-    finite system, not as a further truncation of something larger.
+    The system factor is the driven anharmonic mode as the gate path models
+    it: ``compute_spectrum`` diagonalizes it at its raw margin, H_sys is the
+    diagonal of the ``sys_dim`` lowest energies, and Q_sys, the kept block
+    of Q, serves both the drive and the coupling.  (``build_h0`` truncated
+    at ``sys_dim`` itself is wrong at its edge: at sys_dim = 2 it commutes
+    with Q, and no harmonic of the drive acts.)
     """
 
     sys_dim: int
@@ -153,16 +158,23 @@ class JointSystem:
     def dim(self) -> int:
         return self.sys_dim * self.anc_dim
 
+    @cached_property
+    def _system(self) -> tuple[np.ndarray, np.ndarray]:
+        """H_sys and Q_sys in the eigenbasis of the mode's kept block,
+        diagonalized once per instance."""
+        spec = compute_spectrum(self.c1, self.c2, kept=self.sys_dim)
+        return np.diag(spec.kept_energies), spec.kept_block(position_op(spec.cutoff_raw))
+
     def hamiltonian(self) -> np.ndarray:
-        h_sys = build_h0(self.c1, self.c2, self.sys_dim)
+        h_sys, q_sys = self._system
         h_anc = np.diag(self.anc_freq * np.arange(self.anc_dim)).astype(complex)
         h = np.kron(h_sys, np.eye(self.anc_dim)) + np.kron(np.eye(self.sys_dim), h_anc)
         if self.anc_dim > 1:
-            h = h + self.coupling * np.kron(position_op(self.sys_dim), position_op(self.anc_dim))
+            h = h + self.coupling * np.kron(q_sys, position_op(self.anc_dim))
         return h
 
     def control_op(self) -> np.ndarray:
-        return np.kron(position_op(self.sys_dim), np.eye(self.anc_dim))
+        return np.kron(self._system[1], np.eye(self.anc_dim))
 
     def spectrum(self) -> Spectrum:
         # Keep every level: the joint model is exact at its own dimension.

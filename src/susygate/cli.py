@@ -242,6 +242,8 @@ def _square_choi(obj) -> tuple[np.ndarray, int]:
     d_in, d_out = scalar(obj, "d_in", int), scalar(obj, "d_out", int)
     if d_in != d_out:
         raise ValueError("channel design requires d_in == d_out")
+    if d_in < 2:
+        raise ValueError(f"channel design requires d_in >= 2, got {d_in}")
     if target.shape != (d_in * d_out,) * 2:
         raise ValueError(f"target Choi shape {target.shape} != {(d_in * d_out,) * 2}")
     return target, d_in

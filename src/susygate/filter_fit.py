@@ -8,9 +8,11 @@ on the row-major vec(ρ).  Deterministic evolution integrates
 
 with a fixed-step classic Runge-Kutta scheme.  The generator is constant,
 so one RK4 step is a fixed d²×d² matrix R; the integrator stacks its powers
-R¹…R^B and advances B steps per batched product, renormalizing each state's
-trace, then tests every state as ``Trajectory.validate`` does, all at once
-(so an aborted run has integrated the whole grid).
+R¹…R^B and advances B steps per batched product, then tests every state as
+``Trajectory.validate`` does, all at once (so an aborted run has integrated
+the whole grid).  R is a polynomial in the generator S, and vec(I)ᵀS = 0,
+so vec(I)ᵀR = vec(I)ᵀ: every step preserves the trace, and no state is
+renormalized.
 
 The diffusive unraveling under continuous monitoring of one channel L with
 efficiency η takes the completely positive Kraus-form step of Rouchon &
@@ -306,14 +308,15 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
 
     One classic RK4 step is the fixed d²×d² matrix R = ``_rk4_step(S, I,
     dt)``.  The powers R¹…R^B are stacked once per call, and each block of
-    B steps is one product R^k·y with y the block's first state; every
-    state is then divided by its own trace, which is the stepwise
-    integrator with per-step renormalization up to rounding.  Once the
-    whole grid is integrated, the first state that :meth:`Trajectory.validate`
-    would reject aborts with :class:`StepSizeError` naming its step, so an
-    abort costs as much as a completed run.
-    ``diagnostics`` holds ``max_trace_drift`` (largest |tr Rρ − 1| over
-    the steps) and ``min_eigenvalue`` (over the integrated states, t > t₀).
+    B steps is one product R^k·y with y the block's first state.  R
+    preserves the trace exactly, so no state is renormalized: the result is
+    the stepwise integrator up to rounding.  Once the whole grid is
+    integrated, the first state that :meth:`Trajectory.validate` would
+    reject aborts with :class:`StepSizeError` naming its step, so an abort
+    costs as much as a completed run.
+    ``diagnostics`` holds ``max_trace_drift`` (largest per-step trace
+    change |tr ρ_{k+1} − tr ρ_k| of the returned states) and
+    ``min_eigenvalue`` (over the integrated states, t > t₀).
     """
     times, dt = _check_grid(times)
     d = model.dim
@@ -321,19 +324,15 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
     rho0 = _check_state(rho0, d)
     n_steps = times.size - 1
     b = min(_block_len(n), n_steps)
-    diag_idx = np.arange(d) * (d + 1)
 
     states = np.empty((times.size, d, d), dtype=complex)
     states[0] = rho0
-    traces = np.empty(n_steps)
     # an unstable step overflows the powers and the states; all are checked below
     with np.errstate(all="ignore"):
         stack = _stacked_powers(_rk4_step(liouvillian(model), np.eye(n), dt), b)
         for i in range(0, n_steps, b):
             k = min(b, n_steps - i)
-            blk = (stack[: k * n] @ states[i].reshape(-1)).reshape(k, n)
-            traces[i : i + k] = blk[:, diag_idx].sum(axis=1).real
-            states[i + 1 : i + 1 + k] = (blk / traces[i : i + k, None]).reshape(k, d, d)
+            states[i + 1 : i + 1 + k] = (stack[: k * n] @ states[i].reshape(-1)).reshape(k, d, d)
 
         fault, low = _state_faults(states[1:])
         k = np.argmax(fault < 3)
@@ -341,10 +340,7 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
             what = (f"state {_STATE_FAULTS[fault[k]]} (smallest eigenvalue {low[k]:.3e})"
                     if np.isfinite(states[1 + k]).all() else "non-finite state")
             raise StepSizeError(f"{what} at t={times[1 + k]:.6g}; reduce the step size")
-        # each block's first trace is relative to its normalized start state
-        prev = np.concatenate(([1.0], traces[:-1]))
-        prev[::b] = 1.0
-        drift = np.abs(traces / prev - 1.0)
+        drift = np.abs(np.diff(np.einsum("kii->k", states).real))
     return Trajectory(
         times=times,
         states=states,
@@ -447,7 +443,8 @@ class FitResult:
 
 def _tangents(family: ModelFamily, theta, states: np.ndarray, dt: float) -> np.ndarray:
     """Exact derivatives dρ_k/dθ_j, shape (n_params, n_times, d, d), of the
-    :func:`lindblad_evolve` trajectory ``states`` of ``family.at(theta)``.
+    :func:`lindblad_evolve` trajectory ``states`` of ``family.at(theta)``,
+    which applies the RK4 step R with no renormalization.
 
     The generator is affine in θ, so the RK4 step of the block generator
     [[S, 0], [S_j, S]] is [[R, 0], [dR/dθ_j, R]] (Van Loan, IEEE TAC 23,
@@ -507,8 +504,9 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
     holds the last state of each integrated point.  Non-finite costs
     (integrator failures at extreme θ) are skipped and reported, and
     :class:`~susygate.errors.NonFiniteError` is raised when every grid
-    point's is.  The result is the lowest-cost point evaluated, with its
-    trajectory.
+    point's is.  An invalid initial state ``est.states[0]`` raises
+    ``ValueError`` before any point is integrated.  The result is the
+    lowest-cost point evaluated, with its trajectory.
     """
     import itertools
 
@@ -520,7 +518,7 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
     if any(g.size == 0 for g in grid):
         raise ValueError("empty parameter grid")
     times, dt = _check_grid(est.times)
-    rho0 = est.states[0]
+    rho0 = _check_state(est.states[0], len(family.h0))
     lo, hi = np.array([[g.min(), g.max()] for g in grid]).T
 
     costs: dict = {}  # distinct θ -> cost (inf if skipped), in evaluation order

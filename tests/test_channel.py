@@ -13,9 +13,9 @@ from susygate.channel import (
     partial_trace,
     synthesize_channel,
 )
-from susygate.dyson import ControlPulse, u0
+from susygate.dyson import ControlPulse, design_matrix, u0
 from susygate.fock import position_op
-from susygate.spectrum import MetastableWarning, build_h0
+from susygate.spectrum import MetastableWarning, compute_spectrum
 
 
 # --- partial trace ----------------------------------------------------------
@@ -165,15 +165,31 @@ def test_channel_invariants_validate(rng):
 
 @pytest.mark.parametrize("sys_dim", [2, 3])
 def test_joint_hamiltonian_uses_anharmonic_builder(sys_dim):
+    # the system factor is the kept block of the mode diagonalized at its raw
+    # margin, as in gate design; its position block drives and couples
     joint = JointSystem(sys_dim=sys_dim, anc_dim=2, anc_freq=1.3, coupling=0.15,
                         c1=0.02, c2=0.01)
+    spec = compute_spectrum(0.02, 0.01, kept=sys_dim)
+    q_sys = spec.kept_block(position_op(spec.cutoff_raw))
     h_anc = np.diag([0.0, 1.3]).astype(complex)
     expected = (
-        np.kron(build_h0(0.02, 0.01, sys_dim), np.eye(2))
+        np.kron(np.diag(spec.kept_energies), np.eye(2))
         + np.kron(np.eye(sys_dim), h_anc)
-        + 0.15 * np.kron(position_op(sys_dim), position_op(2))
+        + 0.15 * np.kron(q_sys, position_op(2))
     )
     assert np.array_equal(joint.hamiltonian(), expected)
+    assert np.array_equal(joint.control_op(), np.kron(q_sys, np.eye(2)))
+    alone = JointSystem(sys_dim=sys_dim, anc_dim=1, c1=0.02, c2=0.01).spectrum()
+    assert np.max(np.abs(alone.energies - spec.kept_energies)) <= 1e-12
+
+
+@pytest.mark.parametrize("anc_dim", [2, 3])
+def test_qubit_design_harmonics_act(anc_dim):
+    # a qubit system factor truncated at its own dimension commutes with Q,
+    # which leaves every harmonic column of the joint design at zero
+    joint = JointSystem(sys_dim=2, anc_dim=anc_dim, coupling=0.15, c1=0.02, c2=0.01)
+    a = design_matrix(joint.spectrum(), 6.0, 2, control=joint.control_op())
+    assert np.linalg.norm(a[:, 1:], axis=0).min() > 0.1
 
 
 def test_joint_pure_cubic_tilt_warns():
@@ -222,12 +238,7 @@ def test_planted_channel_recovery(sys_dim, n_harmonics):
     pulse, report = synthesize_channel(target, joint, 6.0, n_harmonics, lam=0.0)
     assert report.converged
     assert report.distance <= 1e-6
-    if sys_dim == 3:
-        assert np.linalg.norm(pulse.coeffs - beta_star) < 1e-6
-    else:
-        # the qubit Choi matrix ignores both harmonic coefficients, so beta*
-        # is not identifiable; the solver must return the minimum-norm pulse
-        assert np.linalg.norm(pulse.coeffs) <= np.linalg.norm(beta_star)
+    assert np.linalg.norm(pulse.coeffs - beta_star) < 1e-6
 
 
 def test_large_penalty_freezes_pulse():

@@ -253,6 +253,14 @@ def _choi_with(key, value):
     return make_argv
 
 
+def _choi_of_dim(d: int, size: int):
+    # a Choi target whose dimensions match its matrix but are below a qubit's
+    def make_argv(inputs):
+        save_json(inputs / "bad.json", {**matrix_to_json(np.eye(size)), "d_in": d, "d_out": d})
+        return ["channel", "--target", inputs / "bad.json", "--T", 2.0, "--K", 1]
+    return make_argv
+
+
 def _record_with(line: bytes):
     def make_argv(inputs):
         (inputs / "bad.csv").write_bytes(b"t,dY\n" + line + b"\n")
@@ -335,7 +343,8 @@ def _infinite_range_end(inputs):
      _model_with("rate_terms", [{**_RATE_TERM, "range": ["0.3", 1.1, 3]}]),
      _model_with("rate_terms", [{**_RATE_TERM, "range": [0.3, True, 3]}]),
      _model_with("rate_terms", [{**_RATE_TERM, "truth": "0.7"}]),
-     _model_with("measurement", 0.9), _infinite_range_end],
+     _model_with("measurement", 0.9), _infinite_range_end,
+     _choi_of_dim(-2, 4), _choi_of_dim(0, 0), _choi_of_dim(1, 1)],
     ids=["rows-1e400", "byte-0xff", "cutoff-kept-x", "d-in-ne-d-out",
          "record-dY-x", "record-byte-0xff", "record-extra-row", "config-byte-0xff",
          "target-not-unitary", "target-quoted-entry", "d2-boolean-entry",
@@ -345,7 +354,7 @@ def _infinite_range_end(inputs):
          "model-measurement-1", "model-rate-range-negative",
          "choi-d-in-string", "choi-d-out-2.9", "model-range-lo-string",
          "model-range-hi-boolean", "model-truth-string", "model-measurement-0.9",
-         "model-range-hi-1e400"],
+         "model-range-hi-1e400", "choi-dim-minus-2", "choi-dim-0", "choi-dim-1"],
 )
 def test_input_file_error_names_the_file(edge_inputs, capsys, make_argv):
     out = edge_inputs / "out"

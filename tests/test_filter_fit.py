@@ -104,14 +104,40 @@ def test_trace_one_throughout():
     assert np.max(np.abs(traces - 1.0)) < 1e-12
 
 
-def test_per_step_trace_drift_before_renormalization():
-    model = damping_model(0.9, drive=0.7)
-    s = liouvillian(model)
-    dt = 1e-3
-    rho = np.array([[0.3, 0.2 + 0.1j], [0.2 - 0.1j, 0.7]], dtype=complex)
-    y = _rk4_step(s, rho.reshape(-1), dt)
-    drift = abs(y[::3].sum().real - 1.0)
-    assert drift <= 1e-10 * dt
+@settings(max_examples=200, deadline=None)
+@given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), n_ops=st.integers(0, 2),
+       reach=st.floats(0.0, 2.7), dt=st.floats(1e-4, 1.0))
+def test_rk4_step_preserves_trace(d, seed, n_ops, reach, dt):
+    # vec(I)ᵀS = 0 for every generator, so the RK4 step polynomial R keeps
+    # the trace row: vec(I)ᵀR = vec(I)ᵀ, which lindblad_evolve relies on to
+    # skip renormalization.  ``reach`` bounds the step's |λ|·dt through
+    # |S| ≤ 2|H| + 2 sum_k |L_k|², inside RK4's stable range (−2.78 on the
+    # real axis, ±2.83 on the imaginary one)
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=(1 + n_ops, d, d)) + 1j * rng.normal(size=(1 + n_ops, d, d))
+    h = x[0] + x[0].conj().T
+    bound = 2 * np.linalg.norm(h, 2) + 2 * sum(np.linalg.norm(l, 2) ** 2 for l in x[1:])
+    c = reach / (dt * bound)
+    s = liouvillian(LindbladModel(c * h, tuple(np.sqrt(c) * x[1:])))
+    r = _rk4_step(s, np.eye(d * d), dt)
+    trace_row = r[:: d + 1].sum(axis=0)
+    assert np.max(np.abs(trace_row - np.eye(d).reshape(-1))) <= 1e-14
+
+
+LOWER8 = np.diag(np.sqrt(np.arange(1.0, 8.0)), k=1).astype(complex)
+
+
+@pytest.mark.parametrize(
+    "model, rho0, n_steps",
+    [(damping_model(0.7, drive=1.0), RHO_EXCITED, 10**6),
+     (LindbladModel(0.5 * (LOWER8 + LOWER8.conj().T) + np.diag(0.05 * np.arange(8.0) ** 2),
+                    (np.sqrt(0.02) * LOWER8,)), np.eye(8, dtype=complex) / 8, 10**5)],
+    ids=["qubit-1e6", "d8-1e5"],
+)
+def test_trace_stays_one_over_long_runs(model, rho0, n_steps):
+    # no state is renormalized, so rounding is all that moves the trace
+    traj = lindblad_evolve(model, rho0, np.arange(n_steps + 1) * 1e-3)
+    assert np.max(np.abs(np.einsum("tii->t", traj.states).real - 1.0)) <= 1e-10
 
 
 def test_positivity_abort_advises_refinement():
@@ -558,6 +584,16 @@ def test_fit_skips_non_integrable_points():
     fit = fit_parameters(est, family, g)
     assert fit.theta[0] == 0.7  # cost 0 there; the refinement cannot beat it
     assert fit.skipped == [(2000.0,)]
+
+
+def test_fit_rejects_invalid_initial_state_up_front():
+    # the fault is named once, not recorded as a skipped point at every θ
+    family = damping_family()
+    times = grid(2.0, 1e-2)
+    est = lindblad_evolve(family.at([0.7]), RHO_EXCITED, times)
+    est.states[0] = np.diag([1.1, -0.1])
+    with pytest.raises(ValueError, match="initial state has a negative eigenvalue"):
+        fit_parameters(est, family, [np.linspace(0.2, 1.4, 7)])
 
 
 def test_fit_returns_lowest_cost_point():
