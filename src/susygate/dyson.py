@@ -181,6 +181,18 @@ def dyson_gate(
     return u0(spec, pulse.horizon) + (a @ pulse.coeffs).reshape(k, k)
 
 
+def _taylor_plan(rho: float) -> tuple[int, int, int]:
+    """(s, p, q) of :func:`_expm_i` for ‖X‖₂ ≤ ``rho``: the squarings, the
+    Taylor degree in Y = X², and the Paterson–Stockmeyer block Y¹…Y^q."""
+    s = math.ceil(math.log2(rho / 2)) if rho > 2 else 0
+    rho /= 2**s
+    p, term = 0, rho * rho / 2
+    while term * (2 * p + 3) / (2 * p + 3 - rho) >= 2.0**-53:
+        p += 1
+        term *= rho * rho / ((2 * p + 1) * (2 * p + 2))
+    return s, p, math.isqrt(p) + 1
+
+
 def _expm_i(x: np.ndarray, rho: float) -> np.ndarray:
     """exp(−iX) = cos X − i sin X for a stack of real symmetric X with
     ‖X‖₂ ≤ ``rho``.
@@ -191,21 +203,16 @@ def _expm_i(x: np.ndarray, rho: float) -> np.ndarray:
     remainder Σ_{j>2p+1} ρ^j/j! ≤ ρ^{2p+2}/(2p+2)!·(2p+3)/(2p+3−ρ) is below
     2⁻⁵³, each summed by Paterson–Stockmeyer (SIAM J. Comput. 2, 60 (1973)).
     """
-    s = math.ceil(math.log2(rho / 2)) if rho > 2 else 0
-    x, rho = x / 2**s, rho / 2**s
-    p, term = 0, rho * rho / 2
-    while term * (2 * p + 3) / (2 * p + 3 - rho) >= 2.0**-53:
-        p += 1
-        term *= rho * rho / ((2 * p + 1) * (2 * p + 2))
+    s, p, q = _taylor_plan(rho)
+    x = x / 2**s
     y = x @ x
     powers = [y]  # Y¹…Y^q, with q·q > p
-    while len(powers) ** 2 <= p:
+    while len(powers) < q:
         powers.append(powers[-1] @ y)
     diag = np.arange(x.shape[-1])
 
     def poly(coef):
         # blocks Σ_{i<q} coef[j+i]·Y^i, joined by Horner's rule in Y^q
-        q = len(powers)
         acc = np.zeros_like(y)
         for j in reversed(range(0, p + 1, q)):
             if j + q <= p:
@@ -224,6 +231,51 @@ def _expm_i(x: np.ndarray, rho: float) -> np.ndarray:
     return f
 
 
+def _chebyshev_log_bound(a: float, n: int) -> float:
+    """log of 4·e^{a(ρ−ρ⁻¹)/2}·ρ^{−n}/(ρ−1), ρ = 1 + 2n/a: the error of the
+    degree-n Chebyshev interpolant of exp(−iτ(h + bQ)) over a b range of
+    half-width r, a = τ‖Q‖₂·r (Trefethen, ATAP Thm 8.2, with the factor's
+    norm at most e^{τ‖Q‖₂|Im b|} on the Bernstein ellipse E_ρ)."""
+    if a == 0:
+        return -math.inf
+    if n == 0:
+        return math.inf
+    rho = 1 + 2 * n / a
+    # a(ρ − ρ⁻¹)/2 as a/2 + n − a/(2ρ): no inf − inf where 2n/a overflows
+    return math.log(4) + a / 2 + n - a / (2 * rho) - n * math.log(rho) - math.log(2 * n / a)
+
+
+def _chebyshev_degree(a: float, cap: int) -> int:
+    """Smallest degree n < ``cap`` whose bound (:func:`_chebyshev_log_bound`)
+    is below 2⁻⁵³, the cut of :func:`_expm_i`; ``cap`` if there is none."""
+    return next((n for n in range(cap) if _chebyshev_log_bound(a, n) < -53 * math.log(2)), cap)
+
+
+def _interpolation_cap(rho: float, m: int, n_factors: int) -> int:
+    """Lowest degree n at which interpolating ``n_factors`` m×m factors with
+    ‖X‖₂ ≤ ``rho`` costs at least the real multiply-adds of their direct
+    build: (n+1)·(E + 2·N·m²) ≥ N·E, with E = m³·(q + 1 + 2⌊p/q⌋ + 4s) for
+    one :func:`_expm_i` (Y, its powers, both Horner sums, X·sin and the
+    complex squarings) and 2·m² per factor and node for the combination."""
+    s, p, q = _taylor_plan(rho)
+    cost = m**3 * (q + 1 + 2 * (p // q) + 4 * s)
+    return -(-n_factors * cost // (cost + 2 * n_factors * m * m)) - 1
+
+
+def _barycentric(x: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Rows of the interpolation matrix from values at ``nodes`` to values at
+    ``x``: the second barycentric formula with weights ``w`` (Berrut &
+    Trefethen, SIAM Rev. 46, 501 (2004)), and a unit row where x is a node
+    or so near one that w/(x − node) overflows."""
+    with np.errstate(divide="ignore", over="ignore"):
+        lag = w / (x[:, None] - nodes)
+    hit = np.isinf(lag)
+    rows = hit.any(axis=1)
+    lag[rows] = hit[rows]
+    lag /= np.abs(lag).max(axis=1, keepdims=True)  # so that no row sum overflows
+    return lag / lag.sum(axis=1, keepdims=True)
+
+
 def _centred(h0: np.ndarray, ctrl: np.ndarray):
     """(μ, h0 − μI, (‖h0 − μI‖₂, ‖ctrl‖₂)) for real symmetric ``h0`` and
     ``ctrl``, with μ the centre of h0's spectrum: two ``eigvalsh`` calls."""
@@ -232,23 +284,55 @@ def _centred(h0: np.ndarray, ctrl: np.ndarray):
     return mu, h0 - mu * np.eye(h0.shape[0]), ((e[-1] - e[0]) / 2, max(-q[0], q[-1]))
 
 
+def _factors(h: np.ndarray, ctrl: np.ndarray, norms, tau: float, b: np.ndarray):
+    """The factors exp(−iτ(h + b_k·ctrl)), in the order of ``b``, as stacks
+    of at most ``FACTOR_BYTES``, for real symmetric ``h`` and ``ctrl`` with
+    ‖h‖₂ ≤ norms[0] and ‖ctrl‖₂ ≤ norms[1].
+
+    Each factor is the same entire function of one scalar, b.  So
+    :func:`_expm_i` runs at the n+1 Chebyshev points of [min b, max b], with
+    n from :func:`_chebyshev_degree`, and every factor is their barycentric
+    interpolant (:func:`_barycentric`): one real matrix product per stack.
+    Where that costs as much as building each factor by :func:`_expm_i`
+    (:func:`_interpolation_cap`), each factor is built so.
+    """
+    rho = tau * (norms[0] + np.max(np.abs(b)) * norms[1])
+    if not rho < 2.0**53:  # beyond this no double resolves the phase of a factor
+        raise OracleConvergenceError(f"Magnus factor norm {rho:.3g} on {b.size // 2} steps")
+    m = h.shape[0]
+    chunk = max(1, FACTOR_BYTES // (16 * h.size))
+
+    def exact(points):
+        for start in range(0, points.size, chunk):
+            yield _expm_i(tau * (h + points[start : start + chunk, None, None] * ctrl), rho)
+
+    cap = _interpolation_cap(rho, m, b.size)
+    hi, lo = b.max() / 2, b.min() / 2  # halves, so that no finite drive overflows
+    n = _chebyshev_degree(float(tau * norms[1] * (hi - lo)), cap)
+    if n == cap:
+        yield from exact(b)
+        return
+    nodes = hi + lo + (hi - lo) * np.cos(np.pi * np.arange(n + 1) / max(n, 1))
+    w = (-1.0) ** np.arange(n + 1)
+    w[[0, -1]] /= 2
+    values = np.concatenate(list(exact(nodes))).reshape(n + 1, -1).view(float)
+    for start in range(0, b.size, chunk):
+        lag = _barycentric(b[start : start + chunk], nodes, w)
+        yield (lag @ values).view(complex).reshape(-1, m, m)
+
+
 def _magnus_product(
     h: np.ndarray, ctrl: np.ndarray, norms, cols: np.ndarray, pulse: ControlPulse, steps: int
 ) -> np.ndarray:
     """``cols`` after the ``2·steps`` Magnus factors exp(−i dt/2 (h + b̃·ctrl))
     for real symmetric ``h`` and ``ctrl`` with ‖h‖₂ ≤ norms[0] and
-    ‖ctrl‖₂ ≤ norms[1].  The factors are built by :func:`_expm_i` in chunks
-    whose complex stack holds at most ``FACTOR_BYTES``."""
+    ‖ctrl‖₂ ≤ norms[1], built by :func:`_factors`."""
     dt = pulse.horizon / steps
     t = (np.arange(steps)[:, None] + GAUSS_NODES) * dt
     b = (pulse.evaluate(t) @ CFM4_MIX.T).ravel()
-    rho = 0.5 * dt * (norms[0] + np.max(np.abs(b)) * norms[1])
-    if not rho < 2.0**53:  # beyond this no double resolves the phase of a factor
-        raise OracleConvergenceError(f"Magnus factor norm {rho:.3g} on {steps} steps")
-    chunk = max(1, FACTOR_BYTES // (16 * h.size))
     u = np.asarray(cols, dtype=complex)
-    for start in range(0, b.size, chunk):
-        for f in _expm_i(0.5 * dt * (h + b[start : start + chunk, None, None] * ctrl), rho):
+    for stack in _factors(h, ctrl, norms, 0.5 * dt, b):
+        for f in stack:
             u = f @ u
     return u
 
@@ -261,8 +345,9 @@ def propagate_oracle(spec: Spectrum, pulse: ControlPulse) -> tuple[np.ndarray, i
     eigenvectors ``spec.modes[:, :k]`` only, and returns the kept block of
     the product.  Each factor exp(−iτH) is e^{−iτμ}·exp(−iτ(H − μI)) with μ
     the centre of H0's spectrum; the second is a truncated Taylor series
-    (:func:`_expm_i`, accurate to about 1e-14), and the phase e^{−iμT} is
-    applied once to the returned gate.  The grid starts at
+    (:func:`_expm_i`, accurate to about 1e-14) at a few Chebyshev points of
+    the grid's drive range, interpolated to every factor (:func:`_factors`),
+    and the phase e^{−iμT} is applied once to the returned gate.  The grid starts at
     ``ORACLE_START_STEPS`` and is doubled until the estimated Frobenius
     error of the finer grid is below ``ORACLE_TOL``.  With g the gap between
     two successive grids, that estimate is g/15 (step doubling for a

@@ -49,7 +49,8 @@ HERMITIAN_TOL = 1e-8  # largest |ρ − ρ†| entry of a valid state (see _stat
 EIGENVALUE_FLOOR = -1e-6  # and its smallest eigenvalue
 _STATE_FAULTS = ("not Hermitian", "trace differs from 1", "has a negative eigenvalue")
 # lindblad_evolve advances BLOCK_STEPS steps per batched product, fewer when
-# the stacked step-matrix powers (16·d⁴ bytes each) would exceed STACK_BYTES
+# the stacked step-matrix powers (16·d⁴ bytes each) would exceed STACK_BYTES;
+# the state checks read a stack in slices of at most STACK_BYTES
 BLOCK_STEPS = 64
 STACK_BYTES = 4 << 20
 
@@ -212,13 +213,31 @@ class Trajectory:
         )
 
 
+def _slices(rho: np.ndarray) -> list:
+    """The stack ``rho`` (..., d, d) as itself if it holds at most
+    ``STACK_BYTES``, else as (k, d, d) slices of at most that (one state at
+    least), so that a check's temporaries grow with a slice, not a stack."""
+    if rho.nbytes <= STACK_BYTES:
+        return [rho]
+    d = rho.shape[-1]
+    flat = rho.reshape(-1, d, d)
+    step = max(1, STACK_BYTES // (flat.itemsize * d * d))
+    return [flat[i : i + step] for i in range(0, len(flat), step)]
+
+
+def _join(parts: list, shape) -> np.ndarray:
+    """Per-slice results of :func:`_slices` as one array of the stack's ``shape``."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts).reshape(shape)
+
+
 def _hermitian_defect(rho: np.ndarray) -> np.ndarray:
     """Largest |ρ − ρ†| entry of each state of a stack (..., d, d): inf or
     NaN, without a warning, for a state with a non-finite entry (an infinite
     diagonal entry gives inf − inf)."""
     i, j = np.nonzero(np.tri(rho.shape[-1], dtype=bool).T)  # np.triu_indices, 4x faster
     with np.errstate(invalid="ignore"):
-        return np.abs(rho[..., i, j] - rho[..., j, i].conj()).max(axis=-1)
+        parts = [np.abs(s[..., i, j] - s[..., j, i].conj()).max(axis=-1) for s in _slices(rho)]
+    return _join(parts, rho.shape[:-2])
 
 
 def _state_faults(rho: np.ndarray, floor=EIGENVALUE_FLOOR):
@@ -230,8 +249,15 @@ def _state_faults(rho: np.ndarray, floor=EIGENVALUE_FLOOR):
     Like eigvalsh, the eigenvalue reads the real diagonal and the lower
     triangle.  At d = 2 it is the closed form (a + c)/2 − hypot((a − c)/2, |b|)
     with a, c the diagonal and b = ρ₁₀: LAPACK takes about 0.6 µs per 2×2
-    matrix, more than a Lindblad step.  Larger states take one batched eigvalsh.
+    matrix, more than a Lindblad step.  Larger states take one batched
+    eigvalsh per slice (:func:`_slices`); every state is tested on its own,
+    so slicing changes no bit.
     """
+    parts = [_slice_faults(s, floor) for s in _slices(rho)]
+    return tuple(_join(p, rho.shape[:-2]) for p in zip(*parts))
+
+
+def _slice_faults(rho: np.ndarray, floor):
     herm = _hermitian_defect(rho)
     tr = np.abs(np.einsum("...ii->...", rho).real - 1.0)
     ok = np.isfinite(herm)

@@ -1,6 +1,8 @@
+import math
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from susygate import dyson
@@ -251,6 +253,59 @@ def test_expm_kernel_matches_eigh(n, depth, norm, seed):
     assert np.max(np.abs(f.conj().transpose(0, 2, 1) @ f - np.eye(n))) <= 1e-13
 
 
+@settings(max_examples=60, deadline=None)
+@given(m=st.integers(1, 24), h_norm=st.floats(0.0, 8.0), centre=st.floats(-8.0, 8.0),
+       half=st.just(0.0) | st.floats(0.0, 8.0), n_factors=st.integers(2, 300),
+       scale=st.floats(0.01, 1.0), seed=st.integers(0, 2**32 - 1))
+@example(m=8, h_norm=1.0, centre=0.0, half=8.0, n_factors=4, scale=1.0, seed=0)  # direct build
+@example(m=8, h_norm=1.0, centre=0.5, half=0.0, n_factors=64, scale=1.0, seed=0)  # one node
+@example(m=1, h_norm=1.0, centre=5e-324, half=0.0, n_factors=2, scale=1.0, seed=0)  # b̃/2 underflows
+@example(m=1, h_norm=1.0, centre=0.0, half=1.1125369292536007e-308, n_factors=25, scale=1.0,
+         seed=0)  # nodes 2e-308 apart
+def test_factors_match_their_own_exponentials(m, h_norm, centre, half, n_factors, scale, seed):
+    # ‖X‖ up to 16; b̃ from one value (one node) to ranges the cost rule builds directly
+    rng = np.random.default_rng(seed)
+    h, q = (a + a.T for a in rng.normal(size=(2, m, m)))
+    h *= h_norm / np.linalg.norm(h, 2)
+    q /= np.linalg.norm(q, 2)
+    b = centre + half * rng.uniform(-1.0, 1.0, n_factors)
+    tau = scale * 16.0 / max(h_norm + np.max(np.abs(b)), 1.0)
+    factors = np.concatenate(list(dyson._factors(h, q, (h_norm, 1.0), tau, b)))
+    rho = tau * (h_norm + np.max(np.abs(b)))
+    assert np.max(np.abs(factors - dyson._expm_i(tau * (h + b[:, None, None] * q), rho))) <= 1e-14
+    assert np.max(np.abs(factors.conj().transpose(0, 2, 1) @ factors - np.eye(m))) <= 1e-13
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=st.just(0.0) | st.floats(1e-12, 1e3))
+def test_chebyshev_degree_is_the_lowest_that_meets_its_bound(a):
+    cut = -53 * math.log(2)
+    n = dyson._chebyshev_degree(a, 10**6)
+    assert dyson._chebyshev_log_bound(a, n) < cut
+    assert (n == 0) == (a == 0)
+    assert n == 0 or dyson._chebyshev_log_bound(a, n - 1) >= cut
+
+
+def test_chebyshev_degree_stops_at_the_cost_cap(monkeypatch):
+    # the largest grid at the largest factor norm: the cap, not the bound, ends the search
+    cap = dyson._interpolation_cap(2.0**52, 64, 2 * dyson.ORACLE_MAX_STEPS)
+    calls, bound = [], dyson._chebyshev_log_bound
+    monkeypatch.setattr(dyson, "_chebyshev_log_bound", lambda a, n: calls.append(n) or bound(a, n))
+    assert dyson._chebyshev_degree(1e12, cap) == cap
+    assert len(calls) == cap < 10**4
+
+
+def test_oracle_interpolates_at_the_design_point(monkeypatch):
+    # a few exponentials per grid at the benchmark's gate design point, not one per factor
+    spec = compute_spectrum(0.03, 0.01, kept=4, raw_dim=24)
+    base = np.random.default_rng(3).normal(size=7)
+    built, expm_i = [], dyson._expm_i
+    monkeypatch.setattr(dyson, "_expm_i", lambda x, rho: built.append(len(x)) or expm_i(x, rho))
+    _, steps, _ = propagate_oracle(spec, ControlPulse(4.0, 0.1 * base / np.linalg.norm(base)))
+    factors = 2 * (steps // 4 + steps // 2 + steps)  # the three grids 32, 64, 128
+    assert steps == 128 and sum(built) <= factors // 10
+
+
 @pytest.mark.parametrize("coeffs", [np.zeros(3), np.array([0.1, 0.0, 0.0])],
                          ids=["zero", "constant"])
 def test_oracle_stops_on_exact_step(monkeypatch, anharmonic_spec, coeffs):
@@ -271,9 +326,19 @@ def test_oracle_stops_on_exact_step(monkeypatch, anharmonic_spec, coeffs):
 
 
 def _reference(spec, pulse, steps=8192):
-    u = _step_product(spec, pulse, steps)
-    k = spec.cutoff_kept
-    return (spec.modes.conj().T @ u @ spec.modes)[:k, :k]
+    # every factor by _expm_i at its own b̃, not through the oracle's factor build
+    m, k = spec.cutoff_raw, spec.cutoff_kept
+    q = position_op(m).real
+    mu, h, norms = dyson._centred(build_h0(spec.c1, spec.c2, m).real, q)
+    dt = pulse.horizon / steps
+    t = (np.arange(steps)[:, None] + dyson.GAUSS_NODES) * dt
+    b = (pulse.evaluate(t) @ dyson.CFM4_MIX.T).ravel()
+    rho = 0.5 * dt * (norms[0] + np.max(np.abs(b)) * norms[1])
+    u = spec.modes[:, :k].astype(complex)
+    for chunk in np.array_split(b, 64):
+        for f in dyson._expm_i(0.5 * dt * (h + chunk[:, None, None] * q), rho):
+            u = f @ u
+    return np.exp(-1j * mu * pulse.horizon) * (spec.modes[:, :k].conj().T @ u)
 
 
 def test_oracle_within_tolerance_of_fine_grid_on_c03(anharmonic_spec, c03_pulse):

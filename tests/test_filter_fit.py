@@ -392,6 +392,59 @@ def test_qubit_closed_form_matches_eigvalsh(states, floor):
     assert np.all((fault[at_floor] == 2) | (fault[at_floor] == 3))
 
 
+def _faulty_stack(rng, d, n):
+    # valid states, with every fault planted at random positions
+    stack = np.stack([random_density(rng, d) for _ in range(n)])
+    k = rng.permutation(n)
+    stack[k[0], 0, 1] += 1e-3  # not Hermitian
+    stack[k[1]] *= 1.01  # trace
+    stack[k[2]] = np.diag(np.r_[1.1, -0.1, np.zeros(d - 2)])  # negative eigenvalue
+    stack[k[3], 1, 1] = np.nan
+    stack[k[4], 0, 0] = np.inf
+    return stack
+
+
+@pytest.mark.parametrize("d", [2, 3])
+def test_state_checks_in_slices_change_no_bit(monkeypatch, rng, d):
+    stack = _faulty_stack(rng, d, 50)
+    monkeypatch.setattr(filter_fit, "STACK_BYTES", 1 << 40)
+    whole = (*_state_faults(stack), filter_fit._hermitian_defect(stack))
+    # three states per slice: 17 slices, the last one short
+    monkeypatch.setattr(filter_fit, "STACK_BYTES", 3 * 16 * d * d)
+    assert len(filter_fit._slices(stack)) == 17
+    sliced = (*_state_faults(stack), filter_fit._hermitian_defect(stack))
+    for a, b in zip(whole, sliced):
+        assert a.shape == (50,) and np.array_equal(a, b, equal_nan=True)
+    # other stack shapes keep theirs: a grid of stacks, one state, no state
+    grid_faults, grid_low = _state_faults(stack.reshape(5, 10, d, d))
+    assert np.array_equal(grid_faults, whole[0].reshape(5, 10))
+    assert np.array_equal(grid_low, whole[1].reshape(5, 10), equal_nan=True)
+    assert [x.shape for x in _state_faults(stack[0])] == [(), ()]
+    assert [x.shape for x in _state_faults(stack[:0])] == [(0,), (0,)]
+
+
+def test_state_checks_peak_memory_is_per_slice():
+    # six STACK_BYTES of d = 8 states; the whole-stack check peaked at 1.7x the stack
+    family, theta, rho0 = _random_family(8, 1)
+    budget = filter_fit.STACK_BYTES
+    n = 6 * budget // (16 * 64)
+    tracemalloc.start()
+    try:
+        traj = lindblad_evolve(family.at(theta), rho0, np.arange(n) * 1e-2)
+        _, evolve_peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        traj.validate()
+        assert np.max(filter_fit._hermitian_defect(traj.states)) <= filter_fit.HERMITIAN_TOL
+        _, check_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    states = traj.states.nbytes
+    assert states == 6 * budget
+    # the step-matrix powers take one budget; the check, states and per-state results aside, two
+    assert evolve_peak - states < 4 * budget
+    assert check_peak - states < 3 * budget
+
+
 # --- stochastic unraveling ----------------------------------------------------
 
 @pytest.mark.parametrize(
