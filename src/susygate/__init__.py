@@ -22,7 +22,7 @@ from .dyson import (
     propagate_oracle,
     u0,
 )
-from .errors import CutoffError, OracleConvergenceError, StepSizeError, SusygateError
+from .errors import CutoffError, IntegrationError, OracleConvergenceError, SusygateError
 from .filter_fit import (
     LindbladModel,
     ModelFamily,

@@ -11,9 +11,10 @@ become ``--key=value`` after the subcommand name, so any flag given wins.
 
 Exit codes: 0 success, 2 validation error (bad flags, unreadable or
 malformed inputs, an output directory that cannot be made), 3 numerical
-failure (non-convergence, a LAPACK routine that does not converge,
-step-size abort, a NaN or infinite result, out of memory); a run that exits
-3 prints one ``numerical failure:`` line and writes no manifest.  NumPy's
+failure (non-convergence, a LAPACK routine that does not converge, a
+master-equation generator too large to step or whose rounding breaks the
+state check, a NaN or infinite result, out of memory); a run that exits 3
+prints one ``numerical failure:`` line and writes no manifest.  NumPy's
 floating-point warnings are never printed: a non-finite result is refused
 when it is written.
 Seed resolution order: --seed flag, config file, SUSYGATE_SEED, then 0.
@@ -391,20 +392,26 @@ def cmd_filter_sim(args, ws: Workspace):
 
 
 def _read_record(data: bytes, times: np.ndarray) -> np.ndarray:
-    """The dY column of a ``t,dY`` record whose t column is ``times[:-1]``."""
+    """The finite dY column of a ``t,dY`` record whose t column is ``times[:-1]``."""
     rows = list(csv.reader(io.StringIO(data.decode(), newline="")))
     if not rows or rows[0][:2] != ["t", "dY"]:
         raise ValueError("expected CSV with header t,dY")
     tol = 1e-9 * max(1.0, times[-1])
+    record = []
     for line_no, row in enumerate(rows[1:], 2):
-        if len(row) < 2:
-            raise LineError(line_no, "expected columns t,dY")
+        try:
+            t, dy = map(float, row[:2])
+        except ValueError:  # fewer than two columns, or not a number
+            raise LineError(line_no, f"expected numbers t,dY, got {','.join(row)!r}") from None
         step = line_no - 2
-        if step < times.size - 1 and not abs(float(row[0]) - times[step]) <= tol:
+        if step < times.size - 1 and not abs(t - times[step]) <= tol:
             raise LineError(line_no, f"t = {row[0]} is not grid time {times[step]!r}")
+        if not math.isfinite(dy):
+            raise LineError(line_no, f"dY = {row[1]} is not finite")
+        record.append(dy)
     if len(rows) != times.size:
         raise ValueError(f"{len(rows) - 1} rows for {times.size - 1} grid steps")
-    return np.asarray([float(r[1]) for r in rows[1:]])
+    return np.asarray(record)
 
 
 def _filter_and_fit(family, rho0, truth, meas, grids, eta, times, seed, xtol, record=None):

@@ -182,8 +182,11 @@ def dyson_gate(
 
 
 def _taylor_plan(rho: float) -> tuple[int, int, int]:
-    """(s, p, q) of :func:`_expm_i` for ‖X‖₂ ≤ ``rho``: the squarings, the
-    Taylor degree in Y = X², and the Paterson–Stockmeyer block Y¹…Y^q."""
+    """(s, p, q) for ‖X‖ ≤ ``rho``: X is scaled by 2^−s until its bound is at
+    most 2, and the result squared s times (Higham, SIAM J. Matrix Anal.
+    Appl. 26, 1179 (2005)); the Taylor series is cut at degree p in Y = ±X²,
+    the lowest whose remainder Σ_{j>2p+1} ρ^j/j! ≤ ρ^{2p+2}/(2p+2)!·(2p+3)/
+    (2p+3−ρ) is below 2⁻⁵³; Paterson–Stockmeyer sums it over Y¹…Y^q."""
     s = math.ceil(math.log2(rho / 2)) if rho > 2 else 0
     rho /= 2**s
     p, term = 0, rho * rho / 2
@@ -193,23 +196,14 @@ def _taylor_plan(rho: float) -> tuple[int, int, int]:
     return s, p, math.isqrt(p) + 1
 
 
-def _expm_i(x: np.ndarray, rho: float) -> np.ndarray:
-    """exp(−iX) = cos X − i sin X for a stack of real symmetric X with
-    ‖X‖₂ ≤ ``rho``.
-
-    X is scaled by 2^−s until its bound is at most 2, and the result squared
-    s times (Higham, SIAM J. Matrix Anal. Appl. 26, 1179 (2005)).  cos X and
-    sin X/X are Taylor polynomials in Y = X², cut at the lowest degree whose
-    remainder Σ_{j>2p+1} ρ^j/j! ≤ ρ^{2p+2}/(2p+2)!·(2p+3)/(2p+3−ρ) is below
-    2⁻⁵³, each summed by Paterson–Stockmeyer (SIAM J. Comput. 2, 60 (1973)).
-    """
-    s, p, q = _taylor_plan(rho)
-    x = x / 2**s
-    y = x @ x
+def _even_odd_taylor(y: np.ndarray, p: int, q: int):
+    """(Σ_{k≤p} Y^k/(2k)!, Σ_{k≤p} Y^k/(2k+1)!) for a stack Y, each summed by
+    Paterson–Stockmeyer (SIAM J. Comput. 2, 60 (1973)): cos X and sin X/X at
+    Y = −X², cosh A and sinh A/A at Y = A²."""
     powers = [y]  # Y¹…Y^q, with q·q > p
     while len(powers) < q:
         powers.append(powers[-1] @ y)
-    diag = np.arange(x.shape[-1])
+    diag = np.arange(y.shape[-1])
 
     def poly(coef):
         # blocks Σ_{i<q} coef[j+i]·Y^i, joined by Horner's rule in Y^q
@@ -222,13 +216,28 @@ def _expm_i(x: np.ndarray, rho: float) -> np.ndarray:
             acc[..., diag, diag] += coef[j]
         return acc
 
-    signs = [(-1) ** k for k in range(p + 1)]
+    return tuple(poly([1 / math.factorial(2 * k + j) for k in range(p + 1)]) for j in (0, 1))
+
+
+def _expm_i(x: np.ndarray, rho: float) -> np.ndarray:
+    """exp(−iX) = cos X − i sin X for a stack of real symmetric X with
+    ‖X‖₂ ≤ ``rho``, in real arithmetic: the series at Y = −X², scaled and
+    squared as :func:`_taylor_plan` sets."""
+    s, p, q = _taylor_plan(rho)
+    x = x / 2**s
+    cos, sinc = _even_odd_taylor(-(x @ x), p, q)
     f = np.empty(x.shape, dtype=complex)
-    f.real = poly([c / math.factorial(2 * k) for k, c in enumerate(signs)])
-    f.imag = x @ poly([-c / math.factorial(2 * k + 1) for k, c in enumerate(signs)])
-    for _ in range(s):
-        f = f @ f
-    return f
+    f.real, f.imag = cos, -(x @ sinc)
+    return np.linalg.matrix_power(f, 2**s)
+
+
+def expm(a: np.ndarray, rho: float) -> np.ndarray:
+    """exp(A) = cosh A + A·(sinh A/A) for a square A with ‖A‖ ≤ ``rho`` in a
+    submultiplicative norm, as :func:`_expm_i` sums it at Y = A²."""
+    s, p, q = _taylor_plan(rho)
+    a = a / 2**s
+    cosh, sinhc = _even_odd_taylor(a @ a, p, q)
+    return np.linalg.matrix_power(cosh + a @ sinhc, 2**s)
 
 
 def _chebyshev_log_bound(a: float, n: int) -> float:

@@ -20,9 +20,9 @@ class CutoffError(SusygateError):
     """Truncated spectra did not converge under the cutoff used."""
 
 
-class StepSizeError(SusygateError):
-    """An integrated state outside the bounds ``Trajectory.validate``
-    applies; reduce the step size."""
+class IntegrationError(SusygateError):
+    """A master-equation step with ‖S·dt‖ not finite or not below 2⁵³, or an
+    integrated state that ``Trajectory.validate`` rejects (rounding, growing with ‖S‖·T)."""
 
 
 class NonFiniteError(SusygateError):

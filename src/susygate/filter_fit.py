@@ -6,13 +6,13 @@ on the row-major vec(ρ).  Deterministic evolution integrates
 
     dρ/dt = Gρ + ρG† + sum_k L_k ρ L_k†   (generator G⊗I + I⊗Ḡ + sum_k L_k⊗L̄_k)
 
-with a fixed-step classic Runge-Kutta scheme.  The generator is constant,
-so one RK4 step is a fixed d²×d² matrix R; the integrator stacks its powers
-R¹…R^B and advances B steps per batched product, then tests every state as
-``Trajectory.validate`` does, all at once (so an aborted run has integrated
-the whole grid).  R is a polynomial in the generator S, and vec(I)ᵀS = 0,
-so vec(I)ᵀR = vec(I)ᵀ: every step preserves the trace, and no state is
-renormalized.
+by its exact step.  The generator S is constant, so one step is the fixed
+d²×d² matrix R = e^{S·dt}, the TPCP map of the master equation over dt for
+every dt (``dyson.expm``); the integrator stacks its powers R¹…R^B and
+advances B steps per batched product, then tests every state as
+``Trajectory.validate`` does, all at once.  R is a power series in S, and
+vec(I)ᵀS = 0, so vec(I)ᵀR = vec(I)ᵀ: every step preserves the trace, and no
+state is renormalized.
 
 The diffusive unraveling under continuous monitoring of one channel L with
 efficiency η takes the completely positive Kraus-form step of Rouchon &
@@ -41,7 +41,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NonFiniteError, StepSizeError
+from .dyson import expm
+from .errors import IntegrationError, NonFiniteError
 from .serialize import float_array, scalar
 from .solver import gauss_newton, sum_squares
 
@@ -55,6 +56,16 @@ BLOCK_STEPS = 64
 STACK_BYTES = 4 << 20
 
 
+def _hermitian(m, what: str) -> np.ndarray:
+    """``m`` as a complex array; ValueError unless it is square and Hermitian."""
+    m = np.asarray(m, dtype=complex)
+    if m.ndim != 2 or m.shape[0] != m.shape[1]:
+        raise ValueError(f"{what} must be square")
+    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
+        raise ValueError(f"{what} must be Hermitian")
+    return m
+
+
 @dataclass(frozen=True)
 class LindbladModel:
     """Hamiltonian plus a list of Lindblad (jump) operators."""
@@ -63,15 +74,10 @@ class LindbladModel:
     lindblads: tuple
 
     def __post_init__(self):
-        h = np.asarray(self.hamiltonian, dtype=complex)
-        if h.ndim != 2 or h.shape[0] != h.shape[1]:
-            raise ValueError("Hamiltonian must be square")
-        if np.max(np.abs(h - h.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(h))):
-            raise ValueError("Hamiltonian must be Hermitian")
+        h = _hermitian(self.hamiltonian, "Hamiltonian")
         ops = tuple(np.asarray(l, dtype=complex) for l in self.lindblads)
-        for l in ops:
-            if l.shape != h.shape:
-                raise ValueError("Lindblad operator shape mismatch")
+        if any(l.shape != h.shape for l in ops):
+            raise ValueError("Lindblad operator shape mismatch")
         object.__setattr__(self, "hamiltonian", h)
         object.__setattr__(self, "lindblads", ops)
 
@@ -101,10 +107,11 @@ class ModelFamily:
         names = self.param_names or tuple(f"theta{i}" for i in range(n))
         if len(names) != n:
             raise ValueError("param_names length != number of free parameters")
+        shape = _hermitian(self.h0, "h0").shape
+        if any(np.shape(m) != shape for m in (*self.h_terms, *self.rate_bases, *self.lindblads)):
+            raise ValueError(f"every term and Lindblad operator must have h0's shape {shape}")
         for b in self.h_terms:
-            b = np.asarray(b)
-            if np.max(np.abs(b - b.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(b))):
-                raise ValueError("Hamiltonian basis terms must be Hermitian")
+            _hermitian(b, "Hamiltonian basis terms")
         object.__setattr__(self, "param_names", names)
 
     @property
@@ -306,40 +313,38 @@ def _check_state(rho, d) -> np.ndarray:
     return rho
 
 
-def _rk4_step(s: np.ndarray, y: np.ndarray, dt: float) -> np.ndarray:
-    k1 = s @ y
-    k2 = s @ (y + 0.5 * dt * k1)
-    k3 = s @ (y + 0.5 * dt * k2)
-    k4 = s @ (y + dt * k3)
-    return y + (dt / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-
-
 def _block_len(n: int) -> int:
     """Steps per block for a linear step on vectors of length n."""
     return max(1, min(BLOCK_STEPS, STACK_BYTES // (16 * n * n)))
 
 
-def _stacked_powers(r: np.ndarray, b: int) -> np.ndarray:
-    """R¹…R^b stacked as one (b·n, n) matrix, so stack[: k·n] @ y holds
-    the next k states of y ↦ R y."""
-    powers = np.empty((b, *r.shape), dtype=complex)
-    powers[0] = r
+def _step_powers(s: np.ndarray, dt: float, b: int) -> np.ndarray:
+    """R¹…R^b of the step R = e^{S·dt} stacked as one (b·n, n) matrix, so
+    stack[: k·n] @ y holds the next k states of y ↦ R y.  A generator with
+    ‖S·dt‖₁ not finite or not below 2⁵³, past which no double resolves a
+    step, raises :class:`IntegrationError` instead."""
+    a = s * dt
+    rho = float(np.abs(a).sum(axis=0).max())
+    if not rho < 2.0**53:
+        raise IntegrationError(f"step generator norm ‖S·dt‖₁ = {rho:.3g} is not below 2^53")
+    powers = np.empty((b, *s.shape), dtype=complex)
+    powers[0] = expm(a, rho)
     for k in range(1, b):
-        powers[k] = r @ powers[k - 1]
-    return powers.reshape(b * r.shape[0], r.shape[1])
+        powers[k] = powers[0] @ powers[k - 1]
+    return powers.reshape(b * s.shape[0], s.shape[1])
 
 
 def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
     """Deterministic master-equation trajectory on a uniform grid.
 
-    One classic RK4 step is the fixed d²×d² matrix R = ``_rk4_step(S, I,
-    dt)``.  The powers R¹…R^B are stacked once per call, and each block of
-    B steps is one product R^k·y with y the block's first state.  R
-    preserves the trace exactly, so no state is renormalized: the result is
-    the stepwise integrator up to rounding.  Once the whole grid is
-    integrated, the first state that :meth:`Trajectory.validate` would
-    reject aborts with :class:`StepSizeError` naming its step, so an abort
-    costs as much as a completed run.
+    One step is the fixed d²×d² matrix R = e^{S·dt} (:func:`_step_powers`).
+    The powers R¹…R^B are stacked once per call, and each block of B steps
+    is one product R^k·y with y the block's first state.  R preserves the
+    trace, so no state is renormalized: the result is the stepwise
+    integrator up to rounding.  That rounding grows with ‖S‖·T, not with
+    dt; once the whole grid is integrated, the first state that
+    :meth:`Trajectory.validate` would reject aborts with
+    :class:`IntegrationError` naming its step.
     ``diagnostics`` holds ``max_trace_drift`` (largest per-step trace
     change |tr ρ_{k+1} − tr ρ_k| of the returned states) and
     ``min_eigenvalue`` (over the integrated states, t > t₀).
@@ -353,20 +358,19 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
 
     states = np.empty((times.size, d, d), dtype=complex)
     states[0] = rho0
-    # an unstable step overflows the powers and the states; all are checked below
+    # a huge generator overflows its norm, which _step_powers refuses
     with np.errstate(all="ignore"):
-        stack = _stacked_powers(_rk4_step(liouvillian(model), np.eye(n), dt), b)
-        for i in range(0, n_steps, b):
-            k = min(b, n_steps - i)
-            states[i + 1 : i + 1 + k] = (stack[: k * n] @ states[i].reshape(-1)).reshape(k, d, d)
+        stack = _step_powers(liouvillian(model), dt, b)
+    for i in range(0, n_steps, b):
+        k = min(b, n_steps - i)
+        states[i + 1 : i + 1 + k] = (stack[: k * n] @ states[i].reshape(-1)).reshape(k, d, d)
 
-        fault, low = _state_faults(states[1:])
-        k = np.argmax(fault < 3)
-        if fault[k] < 3:
-            what = (f"state {_STATE_FAULTS[fault[k]]} (smallest eigenvalue {low[k]:.3e})"
-                    if np.isfinite(states[1 + k]).all() else "non-finite state")
-            raise StepSizeError(f"{what} at t={times[1 + k]:.6g}; reduce the step size")
-        drift = np.abs(np.diff(np.einsum("kii->k", states).real))
+    fault, low = _state_faults(states[1:])
+    k = np.argmax(fault < 3)
+    if fault[k] < 3:
+        raise IntegrationError(f"state {_STATE_FAULTS[fault[k]]} (smallest eigenvalue "
+                               f"{low[k]:.3e}) at t={times[1 + k]:.6g}")
+    drift = np.abs(np.diff(np.einsum("kii->k", states).real))
     return Trajectory(
         times=times,
         states=states,
@@ -470,44 +474,27 @@ class FitResult:
 def _tangents(family: ModelFamily, theta, states: np.ndarray, dt: float) -> np.ndarray:
     """Exact derivatives dρ_k/dθ_j, shape (n_params, n_times, d, d), of the
     :func:`lindblad_evolve` trajectory ``states`` of ``family.at(theta)``,
-    which applies the RK4 step R with no renormalization.
+    which applies the step R = e^{S·dt} with no renormalization.
 
-    The generator is affine in θ, so the RK4 step of the block generator
-    [[S, 0], [S_j, S]] is [[R, 0], [dR/dθ_j, R]] (Van Loan, IEEE TAC 23,
-    395 (1978)) and the tangents obey Y_{k+1} = R Y_k + (dR/dθ_j) ρ_k.
-    R, its powers and its RK4 stage inputs are built once.  Each θ_j forms
-    only the lower block rows [A_m, R^m] of the block step and its powers,
-    with A_1 = dR/dθ_j and A_m = A_1·R^{m−1} + R·A_{m−1}; they advance that
-    tangent a block at a time from the block's stored state.
+    The generator is affine in θ, so the exponential of the block generator
+    [[S, 0], [S_j, S]]·dt is [[R, 0], [dR/dθ_j, R]] (Van Loan, IEEE TAC 23,
+    395 (1978)), and the tangents obey Y_{k+1} = R Y_k + (dR/dθ_j) ρ_k.
+    Each θ_j takes one such exponential; the lower block rows [A_m, R^m] of
+    its powers advance that tangent a block at a time from the block's
+    stored state.
     """
     d = states.shape[1]
     n = d * d
     terms = [LindbladModel(h, ()) for h in family.h_terms]
     terms += [LindbladModel(np.zeros((d, d)), (base,)) for base in family.rate_bases]
-    s, eye = liouvillian(family.at(theta)), np.eye(n)
+    s = liouvillian(family.at(theta))
     n_steps = states.shape[0] - 1
     b = min(_block_len(2 * n), n_steps)
-    # the inputs y_1..y_4 of the four RK4 stages of R = _rk4_step(S, I, dt)
-    ys = [eye]
-    for c in (0.5, 0.5, 1.0):
-        ys.append(eye + c * dt * (s @ ys[-1]))
-    r = _rk4_step(s, eye, dt)
-    rows = np.empty((b, n, 2 * n), dtype=complex)  # [A_m, R^m] for m = 1..b
-    rows[:, :, n:] = _stacked_powers(r, b).reshape(b, n, n)
-
     flat = states.reshape(-1, n)
     tangents = np.zeros((len(terms), states.shape[0], n), dtype=complex)
     for term, tangent in zip(terms, tangents):
-        # stage by stage, each lower block row [S_j, S] of the block
-        # generator times the left block column [y_i; dy_i] of its input
-        row, dy, dks = np.concatenate([liouvillian(term), s], axis=1), np.zeros((n, n)), []
-        for c, y in zip((0.5, 0.5, 1.0, 0.0), ys):
-            dks.append(row @ np.concatenate([y, dy]))
-            dy = c * dt * dks[-1]
-        rows[0, :, :n] = (dt / 6.0) * (dks[0] + 2.0 * dks[1] + 2.0 * dks[2] + dks[3])
-        for m in range(1, b):
-            rows[m, :, :n] = rows[0] @ np.concatenate([rows[m - 1, :, n:], rows[m - 1, :, :n]])
-        stack = rows.reshape(b * n, 2 * n)
+        gen = np.block([[s, np.zeros_like(s)], [liouvillian(term), s]])
+        stack = _step_powers(gen, dt, b).reshape(b, 2 * n, 2 * n)[:, n:].reshape(b * n, 2 * n)
         for i in range(0, n_steps, b):
             k = min(b, n_steps - i)
             y = np.concatenate([flat[i], tangent[i]])
@@ -527,11 +514,11 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
     never integrated, so θ* stays inside the declared ranges.  Each
     distinct θ is integrated once: ``curve`` and ``skipped`` list distinct
     points in evaluation order, grid points first, and ``final_states``
-    holds the last state of each integrated point.  Non-finite costs
-    (integrator failures at extreme θ) are skipped and reported, and
-    :class:`~susygate.errors.NonFiniteError` is raised when every grid
-    point's is.  An invalid initial state ``est.states[0]`` raises
-    ``ValueError`` before any point is integrated.  The result is the
+    holds the last state of each integrated point.  A point whose model or
+    integration fails (:class:`~susygate.errors.IntegrationError`) is
+    skipped and reported, and :class:`~susygate.errors.NonFiniteError` is
+    raised when every grid point is.  An invalid initial state
+    ``est.states[0]`` raises ``ValueError`` before any point is integrated.  The result is the
     lowest-cost point evaluated, with its trajectory.
     """
     import itertools
@@ -562,7 +549,7 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
             return failed
         try:
             traj = lindblad_evolve(family.at(theta), rho0, times)
-        except (StepSizeError, ValueError):
+        except (IntegrationError, ValueError):
             costs[key] = np.inf
             return failed
         diff = (traj.states - est.states).reshape(-1)

@@ -5,6 +5,7 @@ import hashlib
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tempfile
@@ -186,10 +187,11 @@ def test_numerical_failure_exits_3(tmp_path):
 
 
 def test_fit_without_a_finite_cost_exits_3(edge_inputs, capsys):
-    # a 2500-fold rate aborts the Lindblad integration at every grid point
+    # a 1e20-fold rate gives every grid point a step generator norm
+    # ‖S·dt‖₁ above 2⁵³, which the Lindblad integration refuses
     obj = load_json(edge_inputs / "model.json")
     (term,) = obj["rate_terms"]
-    op = {**term["op"], "re": [50 * x for x in term["op"]["re"]]}
+    op = {**term["op"], "re": [1e10 * x for x in term["op"]["re"]]}
     save_json(edge_inputs / "model.json", {**obj, "rate_terms": [{**term, "op": op}]})
     out = edge_inputs / "out"
     assert run_cli("filter-fit", "--model", edge_inputs / "model.json", "--dt", 1e-2, "--T", 0.1,
@@ -198,10 +200,10 @@ def test_fit_without_a_finite_cost_exits_3(edge_inputs, capsys):
     assert not (out / "manifest.json").exists()
 
 
-def test_fit_past_the_rk4_edge_exits_3(tmp_path, capsys):
-    # ω·dt = 2.828428 lies just past RK4's √8 edge, so every grid point
-    # integrates to states below the eigenvalue floor of Trajectory.validate;
-    # no fitted trajectory may be written that the reader would reject
+def test_fit_of_a_fast_rotation_exits_0(tmp_path, capsys):
+    # ω·dt = 2.828428 lies just past √8, the stability edge of an explicit
+    # Runge–Kutta step; the exact step integrates every grid point, and the
+    # fitted trajectory it writes is one the reader accepts
     lower = np.array([[0.0, 1.0], [0.0, 0.0]])
     save_json(tmp_path / "model.json", {
         "rho0": matrix_to_json(np.full((2, 2), 0.5)),
@@ -212,10 +214,10 @@ def test_fit_past_the_rk4_edge_exits_3(tmp_path, capsys):
     })
     out = tmp_path / "out"
     assert run_cli("filter-fit", "--model", tmp_path / "model.json", "--dt", 0.01, "--T", 0.6,
-                   "--out-dir", out) == 3
-    err = capsys.readouterr().err
-    assert err == "numerical failure: no parameter point produced a finite cost\n"
-    assert not (out / "manifest.json").exists()
+                   "--out-dir", out) == 0
+    assert capsys.readouterr().err == ""
+    assert load_json(out / "fit_report.json")["skipped"] == []
+    Trajectory.from_json(load_json(out / "fitted_trajectory.json")).validate()
 
 
 def test_missing_key_is_named(edge_inputs, capsys):
@@ -361,7 +363,8 @@ def test_input_file_error_names_the_file(edge_inputs, capsys, make_argv):
     assert run_cli(*make_argv(edge_inputs), "--out-dir", out) == 2
     (bad,) = edge_inputs.glob("bad.*")
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {bad}: ") and err.count("\n") == 1
+    # a record's unparsable value also names its line
+    assert re.match(rf"error: {re.escape(str(bad))}(:2)?: ", err) and err.count("\n") == 1
     assert "Traceback" not in err
     assert not (out / "manifest.json").exists()
 
@@ -830,6 +833,19 @@ def test_filter_fit_short_record_row_exits_2(tmp_path, capsys):
     assert run_cli("filter-fit", "--model", model_path, "--record", record,
                    "--dt", 1e-2, "--T", 0.01, "--out-dir", tmp_path) == 2
     assert f"{record}:2" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("dy", ["nan", "inf", "-inf", "1e400", "x"])
+def test_filter_fit_bad_record_value_exits_2(tmp_path, capsys, dy):
+    # a value that is not a finite number is named by its line
+    model_path = write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 3))
+    record = tmp_path / "record.csv"
+    record.write_text(f"t,dY\n0.0,{dy}\n")
+    assert run_cli("filter-fit", "--model", model_path, "--record", record,
+                   "--dt", 1e-2, "--T", 0.01, "--out-dir", tmp_path / "fit") == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {record}:2: ") and err.count("\n") == 1
+    assert not (tmp_path / "fit" / "manifest.json").exists()
 
 
 def test_filter_fit_record_without_header_exits_2(tmp_path, capsys):

@@ -10,16 +10,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from susygate import filter_fit
-from susygate.errors import StepSizeError
+from susygate.errors import IntegrationError
 from susygate.filter_fit import (
     EIGENVALUE_FLOOR,
     LindbladModel,
     ModelFamily,
     Trajectory,
     _block_len,
-    _rk4_step,
-    _stacked_powers,
     _state_faults,
+    _step_powers,
     _tangents,
     ensemble_stats,
     filter_estimate,
@@ -107,21 +106,40 @@ def test_trace_one_throughout():
 @settings(max_examples=200, deadline=None)
 @given(d=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), n_ops=st.integers(0, 2),
        reach=st.floats(0.0, 2.7), dt=st.floats(1e-4, 1.0))
-def test_rk4_step_preserves_trace(d, seed, n_ops, reach, dt):
-    # vec(I)ᵀS = 0 for every generator, so the RK4 step polynomial R keeps
-    # the trace row: vec(I)ᵀR = vec(I)ᵀ, which lindblad_evolve relies on to
-    # skip renormalization.  ``reach`` bounds the step's |λ|·dt through
-    # |S| ≤ 2|H| + 2 sum_k |L_k|², inside RK4's stable range (−2.78 on the
-    # real axis, ±2.83 on the imaginary one)
+def test_step_preserves_trace(d, seed, n_ops, reach, dt):
+    # vec(I)ᵀS = 0 for every generator, so the step series R = e^{S·dt}
+    # keeps the trace row: vec(I)ᵀR = vec(I)ᵀ, which lindblad_evolve relies
+    # on to skip renormalization.  ``reach`` bounds the step's |λ|·dt through
+    # |S| ≤ 2|H| + 2 sum_k |L_k|²
     rng = np.random.default_rng(seed)
     x = rng.normal(size=(1 + n_ops, d, d)) + 1j * rng.normal(size=(1 + n_ops, d, d))
     h = x[0] + x[0].conj().T
     bound = 2 * np.linalg.norm(h, 2) + 2 * sum(np.linalg.norm(l, 2) ** 2 for l in x[1:])
     c = reach / (dt * bound)
     s = liouvillian(LindbladModel(c * h, tuple(np.sqrt(c) * x[1:])))
-    r = _rk4_step(s, np.eye(d * d), dt)
+    r = _step_powers(s, dt, 1)
     trace_row = r[:: d + 1].sum(axis=0)
     assert np.max(np.abs(trace_row - np.eye(d).reshape(-1))) <= 1e-14
+
+
+def _diagonalizable_generator(rng, n, reach):
+    # S = V·Λ·V⁻¹ with a well-conditioned V and eigenvalues of |λ| ≤ reach
+    # in the closed left half-plane, as a Lindblad generator's are
+    v = np.eye(n) + 0.3 * rng.normal(size=(n, n)) / np.sqrt(n)
+    lam = -np.abs(rng.normal(size=n)) + 1j * rng.normal(size=n)
+    lam *= reach / np.abs(lam).max()
+    return v, lam, (v * lam) @ np.linalg.inv(v)
+
+
+@pytest.mark.parametrize("reach", [1e-3, 1e-1, 1.0, 10.0, 1e2, 1e3])
+@pytest.mark.parametrize("n", [4, 9])
+def test_step_is_the_exponential(rng, n, reach):
+    # against V·e^{Λ·dt}·V⁻¹, and the semigroup law R(dt)² = R(2·dt)
+    v, lam, s = _diagonalizable_generator(rng, n, reach)
+    exact = (v * np.exp(lam)) @ np.linalg.inv(v)
+    r, r2 = _step_powers(s, 1.0, 2).reshape(2, n, n)
+    assert np.max(np.abs(r - exact)) <= 1e-14 * max(1.0, reach)
+    assert np.max(np.abs(r2 - _step_powers(s, 2.0, 1))) <= 1e-14 * max(1.0, reach)
 
 
 LOWER8 = np.diag(np.sqrt(np.arange(1.0, 8.0)), k=1).astype(complex)
@@ -140,30 +158,15 @@ def test_trace_stays_one_over_long_runs(model, rho0, n_steps):
     assert np.max(np.abs(np.einsum("tii->t", traj.states).real - 1.0)) <= 1e-10
 
 
-def test_positivity_abort_advises_refinement():
-    times = grid(2.0, 0.5)  # absurdly coarse step destabilizes RK4
-    with pytest.raises(StepSizeError, match="step size"):
-        lindblad_evolve(damping_model(8.0), RHO_EXCITED, times)
-
-
 def stepwise_evolve(model, rho0, times):
-    """Reference integrator: one RK4 step and one trace renormalization at
-    a time; stops with StepSizeError at the first state with an eigenvalue
-    below the floor that Trajectory.validate applies."""
-    s = liouvillian(model)
+    """Reference integrator: one step and one trace renormalization at a time."""
+    r = _step_powers(liouvillian(model), times[1] - times[0], 1)
     d = model.dim
-    dt = times[1] - times[0]
     y = np.asarray(rho0, dtype=complex).reshape(-1)
     states = [y.reshape(d, d)]
-    for t in times[1:]:
-        y = _rk4_step(s, y, dt)
+    for _ in times[1:]:
+        y = r @ y
         y = y / y[:: d + 1].sum().real
-        low = np.linalg.eigvalsh(y.reshape(d, d)).min()
-        if low < EIGENVALUE_FLOOR:
-            raise StepSizeError(
-                "state has a negative eigenvalue "
-                f"(smallest eigenvalue {low:.3e}) at t={t:.6g}; reduce the step size"
-            )
         states.append(y.reshape(d, d))
     return np.stack(states)
 
@@ -199,29 +202,59 @@ RHO_PLUS = np.full((2, 2), 0.5, dtype=complex)
 
 
 @pytest.mark.parametrize(
-    "model, rho0, times, t_abort",
-    [(damping_model(8.0), RHO_EXCITED, grid(2.0, 0.5), "0.5"),
-     (damping_model(2000.0), RHO_EXCITED, grid(1.0, 1e-2), "0.01"),
-     (LindbladModel(0.5 * (2.8284271335 / 1e-2) * SZ, ()), RHO_PLUS, grid(2.0, 1e-2), "0.91"),
-     (LindbladModel(141.4214 * SZ, ()), RHO_PLUS, grid(0.4, 1e-2), "0.01")],
-    ids=["gamma8-dt0.5", "gamma2000-dt0.01", "rk4-edge-step91", "rk4-edge-41-points"],
+    "model, rho0, times",
+    [(damping_model(8.0), RHO_EXCITED, grid(2.0, 0.5)),
+     (damping_model(2000.0), RHO_EXCITED, grid(1.0, 1e-2)),
+     (LindbladModel(0.5 * (2.8284271335 / 1e-2) * SZ, ()), RHO_PLUS, grid(2.0, 1e-2)),
+     (LindbladModel(141.4214 * SZ, ()), RHO_PLUS, grid(0.4, 1e-2))],
+    ids=["gamma8-dt0.5", "gamma2000-dt0.01", "rotation-200-steps", "rotation-40-steps"],
 )
-def test_abort_names_first_offending_step(model, rho0, times, t_abort):
-    # gamma = 2000 at dt = 1e-2 grows about 5.5e3 per step, so the stacked
-    # powers of the step matrix reach 1e239; no overflow warning may escape.
-    # A rotation at y = ω·dt = 2.8284271335, 8.8e-9 past the RK4 edge √8 on
-    # the imaginary axis, grows so slowly that it first crosses the eigenvalue
-    # floor at step 91, in the second block, and the blocks after it still run.
-    # At y = 2.828428 the smallest eigenvalue is -1.1e-6 after one step and
-    # -4.4e-5 after 40, which Trajectory.validate rejects
-    with pytest.raises(StepSizeError) as ref:
-        stepwise_evolve(model, rho0, times)
+def test_coarse_steps_are_exact(model, rho0, times):
+    # steps far past the stability edge of any explicit scheme (γ·dt up to
+    # 20, ω·dt = 2√2 at rotation frequency ω = 2·h0[0, 0]) give the exact
+    # solution: ρ₁₁ = e^{−γt} under damping, ρ₀₁ = e^{−iωt}/2 under rotation
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(StepSizeError) as got:
-            lindblad_evolve(model, rho0, times)
-    assert str(got.value) == str(ref.value)
-    assert f"at t={t_abort};" in str(got.value)
+        traj = lindblad_evolve(model, rho0, times)
+    traj.validate()
+    assert traj.diagnostics["min_eigenvalue"] >= -1e-12
+    if model.lindblads:
+        gamma = np.abs(model.lindblads[0][0, 1]) ** 2
+        assert np.max(np.abs(traj.states[:, 1, 1].real - np.exp(-gamma * times))) <= 1e-15
+    else:
+        omega = 2 * model.hamiltonian[0, 0].real
+        assert np.max(np.abs(traj.states[:, 0, 1] - 0.5 * np.exp(-1j * omega * times))) <= 1e-12
+
+
+def test_abort_names_first_offending_step():
+    # at ω·dt = 1e6 rounding in the step map moves the trace by about 1e-10
+    # per step, so it leaves the 1e-8 bound after some tens of steps; the
+    # error names the first state outside it, so the grid that stops one
+    # step earlier integrates and validates, and the one that ends there aborts
+    model = LindbladModel(5e5 * SZ + 3e5 * SX, (np.sqrt(1e5) * LOWER,))
+    times = np.arange(2001) * 1.0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with pytest.raises(IntegrationError, match=r"^state .* at t=\d+$") as got:
+            lindblad_evolve(model, RHO_PLUS, times)
+    k = int(str(got.value).rsplit("=", 1)[1])
+    lindblad_evolve(model, RHO_PLUS, times[:k]).validate()
+    with pytest.raises(IntegrationError) as again:
+        lindblad_evolve(model, RHO_PLUS, times[: k + 1])
+    assert str(again.value) == str(got.value)
+
+
+def test_positivity_abort_names_first_negative_state(monkeypatch):
+    # a bit flip at negative rate −γ keeps trace and Hermiticity but not
+    # positivity: from |1⟩, ρ₀₀(t) = (1 − e^{2γt})/2 ≈ −γt first passes the
+    # eigenvalue floor −1e-6 at t = 334 for γ = 3e-9
+    model = LindbladModel(np.zeros((2, 2)), (np.sqrt(3e-9) * SX,))
+    monkeypatch.setattr(filter_fit, "liouvillian", lambda m: -liouvillian(m))
+    with pytest.raises(IntegrationError) as got:
+        lindblad_evolve(model, RHO_EXCITED, np.arange(401) * 1.0)
+    assert str(got.value) == ("state has a negative eigenvalue "
+                              "(smallest eigenvalue -1.002e-06) at t=334")
+    lindblad_evolve(model, RHO_EXCITED, np.arange(334) * 1.0).validate()
 
 
 def count_eigvalsh(monkeypatch) -> list:
@@ -248,15 +281,18 @@ def test_one_eigenvalue_call_per_trajectory(monkeypatch):
 
 
 def test_non_finite_step_aborts():
-    # the RK4 step matrix of a 1e100 Hamiltonian at dt = 1 overflows
-    model = LindbladModel(1e100 * SX, ())
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with pytest.raises(StepSizeError, match=r"non-finite state at t=1;.*step size"):
-            lindblad_evolve(model, RHO_EXCITED, grid(2.0, 1.0))
+    # no double resolves a step of norm 2⁵³ or more, and 2e308 overflows
+    # to inf; either is refused before any step, not by an OverflowError
+    for scale in (1e100, 1e308):
+        model = LindbladModel(scale * SX, ())
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            with pytest.raises(IntegrationError, match=r"‖S·dt‖₁ = (2e\+100|inf) is not"):
+                lindblad_evolve(model, RHO_EXCITED, grid(2.0, 1.0))
 
 
-# ω·dt of the fastest coherence: stable steps, just past RK4's √8 edge, and overflow
+# ω·dt of the fastest coherence: slow, within 1e-5 of √8 (an explicit
+# Runge–Kutta step's stability edge), and fast
 _REACH = st.one_of(st.floats(0.0, 4.0), st.floats(-9.0, -5.0).map(lambda e: np.sqrt(8.0) + 10**e),
                    st.floats(4.0, 1e3))
 
@@ -266,8 +302,9 @@ _REACH = st.one_of(st.floats(0.0, 4.0), st.floats(-9.0, -5.0).map(lambda e: np.s
        reach=_REACH, rate=st.floats(0.0, 1e3), dt=st.floats(1e-4, 1.0),
        n_points=st.integers(2, 200), pure=st.booleans())
 def test_evolve_aborts_or_returns_valid_states(d, seed, n_ops, reach, rate, dt, n_points, pure):
-    # an integration that returns has only states that Trajectory.validate
-    # accepts; a pure start has no eigenvalue margin for a slow RK4 growth
+    # the exact step integrates every example, and every state it returns
+    # is one that Trajectory.validate accepts, even from a pure start with
+    # no eigenvalue margin
     rng = np.random.default_rng(seed)
 
     def unit():
@@ -281,11 +318,7 @@ def test_evolve_aborts_or_returns_valid_states(d, seed, n_ops, reach, rate, dt, 
                           tuple(np.sqrt(rate) * unit() for _ in range(n_ops)))
     psi = unit()[0]
     rho0 = np.outer(psi, psi.conj()) / np.vdot(psi, psi).real if pure else random_density(rng, d)
-    try:
-        traj = lindblad_evolve(model, rho0, np.arange(n_points) * dt)
-    except StepSizeError:
-        return
-    traj.validate()
+    lindblad_evolve(model, rho0, np.arange(n_points) * dt).validate()
 
 
 def test_diagnostics_stay_out_of_json():
@@ -604,8 +637,17 @@ def test_family_builds_models():
 
 
 def test_family_rejects_non_hermitian_terms():
-    with pytest.raises(ValueError, match="Hermitian"):
-        ModelFamily(h0=np.eye(2), h_terms=(LOWER,))
+    # and every operator of another shape than a square Hermitian h0
+    for kwargs, message in [
+        ({"h_terms": (LOWER,)}, "basis terms must be Hermitian"),
+        ({"h0": LOWER}, "h0 must be Hermitian"),
+        ({"h0": np.ones((2, 3))}, "h0 must be square"),
+        ({"h_terms": (np.eye(3),)}, r"h0's shape \(2, 2\)"),
+        ({"rate_bases": (LOWER3,)}, r"h0's shape \(2, 2\)"),
+        ({"lindblads": (LOWER3,)}, r"h0's shape \(2, 2\)"),
+    ]:
+        with pytest.raises(ValueError, match=message):
+            ModelFamily(**{"h0": np.eye(2), **kwargs})
 
 
 def test_self_fit_recovers_grid_point_exactly():
@@ -633,10 +675,12 @@ def test_fit_skips_non_integrable_points():
     family = damping_family()
     times = grid(2.0, 1e-2)
     est = lindblad_evolve(family.at([0.7]), RHO_EXCITED, times)
-    g = [np.array([0.7, 2000.0])]  # second point destabilizes the integrator
+    # a rate of 2000 integrates; at 1e18, ‖S·dt‖₁ exceeds 2⁵³
+    g = [np.array([0.7, 2000.0, 1e18])]
     fit = fit_parameters(est, family, g)
     assert fit.theta[0] == 0.7  # cost 0 there; the refinement cannot beat it
-    assert fit.skipped == [(2000.0,)]
+    assert [t for t, _ in fit.curve] == [(0.7,), (2000.0,)]
+    assert fit.skipped == [(1e18,)]
 
 
 def test_fit_rejects_invalid_initial_state_up_front():
@@ -770,6 +814,20 @@ def _two_term_family(d):
     )
 
 
+def test_tangents_match_central_differences_on_coarse_steps():
+    # γ·dt = 4, far past where an explicit step would be stable
+    family, theta, dt = damping_family(), np.array([8.0]), 0.5
+    times = grid(2.0, dt)
+    traj = lindblad_evolve(family.at(theta), RHO_EXCITED, times)
+    (tangent,) = _tangents(family, theta, traj.states, dt)
+    h = 1e-5
+    up = lindblad_evolve(family.at(theta + h), RHO_EXCITED, times).states
+    down = lindblad_evolve(family.at(theta - h), RHO_EXCITED, times).states
+    fd = (up - down) / (2 * h)
+    assert np.max(np.abs(fd)) > 0.01
+    assert np.max(np.abs(tangent - fd)) <= 1e-9
+
+
 @pytest.mark.parametrize("d", [2, 3], ids=["qubit", "qutrit"])
 def test_tangents_match_central_differences(d):
     family = _two_term_family(d)
@@ -802,7 +860,7 @@ def _dense_tangents(family, theta, states, dt):
     gen[n:, :n] = np.concatenate([liouvillian(t) for t in terms])
     n_steps = states.shape[0] - 1
     b = min(_block_len(size), n_steps)
-    stack = _stacked_powers(_rk4_step(gen, np.eye(size), dt), b).reshape(b, size, size)
+    stack = _step_powers(gen, dt, b).reshape(b, size, size)
     stack = stack[:, n:].reshape(b * p * n, size)
     flat = states.reshape(-1, n)
     tangents = np.zeros((states.shape[0], p * n), dtype=complex)

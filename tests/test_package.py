@@ -5,9 +5,9 @@ from susygate import channel, dyson, fock, spectrum, susy_toy
 
 # the package's exported names; a new export has to be added here on purpose
 PUBLIC = [
-    "ControlPulse", "CutoffError", "GradedSpace", "JointSystem", "LindbladModel",
-    "MetastableWarning", "ModelFamily", "OracleConvergenceError", "QuantumChannel",
-    "Spectrum", "StepSizeError", "SusyPair", "SusygateError", "SynthesisProblem",
+    "ControlPulse", "CutoffError", "GradedSpace", "IntegrationError", "JointSystem",
+    "LindbladModel", "MetastableWarning", "ModelFamily", "OracleConvergenceError",
+    "QuantumChannel", "Spectrum", "SusyPair", "SusygateError", "SynthesisProblem",
     "SynthesisReport", "Trajectory", "VevControl", "WittenIndexReport",
     "annihilation_op", "apply_channel", "build_h0", "choi", "compute_spectrum",
     "design_matrix", "diagonalize", "dyson_channel", "dyson_gate", "ensemble_stats",
