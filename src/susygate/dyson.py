@@ -256,19 +256,11 @@ def _chebyshev_log_bound(a: float, n: int) -> float:
 
 def _chebyshev_degree(a: float, cap: int) -> int:
     """Smallest degree n < ``cap`` whose bound (:func:`_chebyshev_log_bound`)
-    is below 2⁻⁵³, the cut of :func:`_expm_i`; ``cap`` if there is none."""
-    return next((n for n in range(cap) if _chebyshev_log_bound(a, n) < -53 * math.log(2)), cap)
-
-
-def _interpolation_cap(rho: float, m: int, n_factors: int) -> int:
-    """Lowest degree n at which interpolating ``n_factors`` m×m factors with
-    ‖X‖₂ ≤ ``rho`` costs at least the real multiply-adds of their direct
-    build: (n+1)·(E + 2·N·m²) ≥ N·E, with E = m³·(q + 1 + 2⌊p/q⌋ + 4s) for
-    one :func:`_expm_i` (Y, its powers, both Horner sums, X·sin and the
-    complex squarings) and 2·m² per factor and node for the combination."""
-    s, p, q = _taylor_plan(rho)
-    cost = m**3 * (q + 1 + 2 * (p // q) + 4 * s)
-    return -(-n_factors * cost // (cost + 2 * n_factors * m * m)) - 1
+    is below 2⁻⁵³, the cut of :func:`_expm_i`; ``cap`` if there is none.
+    The search starts at ⌊a/2⌋: for n ≤ a/2, ρ ≤ 2, and the log-bound is at
+    least log 4 + 0.8·n > 0, so no lower degree meets it."""
+    cut = -53 * math.log(2)
+    return next((n for n in range(int(a // 2), cap) if _chebyshev_log_bound(a, n) < cut), cap)
 
 
 def _barycentric(x: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -302,8 +294,8 @@ def _factors(h: np.ndarray, ctrl: np.ndarray, norms, tau: float, b: np.ndarray):
     :func:`_expm_i` runs at the n+1 Chebyshev points of [min b, max b], with
     n from :func:`_chebyshev_degree`, and every factor is their barycentric
     interpolant (:func:`_barycentric`): one real matrix product per stack.
-    Where that costs as much as building each factor by :func:`_expm_i`
-    (:func:`_interpolation_cap`), each factor is built so.
+    Where n + 1 nodes are not fewer than the factors, each factor is built
+    by :func:`_expm_i` instead.
     """
     rho = tau * (norms[0] + np.max(np.abs(b)) * norms[1])
     if not rho < 2.0**53:  # beyond this no double resolves the phase of a factor
@@ -315,7 +307,7 @@ def _factors(h: np.ndarray, ctrl: np.ndarray, norms, tau: float, b: np.ndarray):
         for start in range(0, points.size, chunk):
             yield _expm_i(tau * (h + points[start : start + chunk, None, None] * ctrl), rho)
 
-    cap = _interpolation_cap(rho, m, b.size)
+    cap = b.size - 1
     hi, lo = b.max() / 2, b.min() / 2  # halves, so that no finite drive overflows
     n = _chebyshev_degree(float(tau * norms[1] * (hi - lo)), cap)
     if n == cap:

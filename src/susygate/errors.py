@@ -22,7 +22,8 @@ class CutoffError(SusygateError):
 
 class IntegrationError(SusygateError):
     """A master-equation step with ‖S·dt‖ not finite or not below 2⁵³, or an
-    integrated state that ``Trajectory.validate`` rejects (rounding, growing with ‖S‖·T)."""
+    integrated state that ``Trajectory.validate`` rejects (rounding in the
+    step, growing with ‖S·dt‖: at ω·dt = 1e10 the first state is not Hermitian)."""
 
 
 class NonFiniteError(SusygateError):

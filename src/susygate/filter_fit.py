@@ -12,7 +12,8 @@ every dt (``dyson.expm``); the integrator stacks its powers R¹…R^B and
 advances B steps per batched product, then tests every state as
 ``Trajectory.validate`` does, all at once.  R is a power series in S, and
 vec(I)ᵀS = 0, so vec(I)ᵀR = vec(I)ᵀ: every step preserves the trace, and no
-state is renormalized.
+state is renormalized.  The computed R misses that identity by about
+eps·‖S·dt‖, so the integrator restores it once, before stacking the powers.
 
 The diffusive unraveling under continuous monitoring of one channel L with
 efficiency η takes the completely positive Kraus-form step of Rouchon &
@@ -43,6 +44,7 @@ import numpy as np
 
 from .dyson import expm
 from .errors import IntegrationError, NonFiniteError
+from .fock import require_hermitian
 from .serialize import float_array, scalar
 from .solver import gauss_newton, sum_squares
 
@@ -56,16 +58,6 @@ BLOCK_STEPS = 64
 STACK_BYTES = 4 << 20
 
 
-def _hermitian(m, what: str) -> np.ndarray:
-    """``m`` as a complex array; ValueError unless it is square and Hermitian."""
-    m = np.asarray(m, dtype=complex)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"{what} must be square")
-    if np.max(np.abs(m - m.conj().T)) > 1e-10 * max(1.0, np.max(np.abs(m))):
-        raise ValueError(f"{what} must be Hermitian")
-    return m
-
-
 @dataclass(frozen=True)
 class LindbladModel:
     """Hamiltonian plus a list of Lindblad (jump) operators."""
@@ -74,7 +66,7 @@ class LindbladModel:
     lindblads: tuple
 
     def __post_init__(self):
-        h = _hermitian(self.hamiltonian, "Hamiltonian")
+        h = require_hermitian(self.hamiltonian, "Hamiltonian")
         ops = tuple(np.asarray(l, dtype=complex) for l in self.lindblads)
         if any(l.shape != h.shape for l in ops):
             raise ValueError("Lindblad operator shape mismatch")
@@ -107,11 +99,11 @@ class ModelFamily:
         names = self.param_names or tuple(f"theta{i}" for i in range(n))
         if len(names) != n:
             raise ValueError("param_names length != number of free parameters")
-        shape = _hermitian(self.h0, "h0").shape
+        shape = require_hermitian(self.h0, "h0").shape
         if any(np.shape(m) != shape for m in (*self.h_terms, *self.rate_bases, *self.lindblads)):
             raise ValueError(f"every term and Lindblad operator must have h0's shape {shape}")
         for b in self.h_terms:
-            _hermitian(b, "Hamiltonian basis terms")
+            require_hermitian(b, "Hamiltonian basis terms")
         object.__setattr__(self, "param_names", names)
 
     @property
@@ -318,32 +310,38 @@ def _block_len(n: int) -> int:
     return max(1, min(BLOCK_STEPS, STACK_BYTES // (16 * n * n)))
 
 
-def _step_powers(s: np.ndarray, dt: float, b: int) -> np.ndarray:
-    """R¹…R^b of the step R = e^{S·dt} stacked as one (b·n, n) matrix, so
-    stack[: k·n] @ y holds the next k states of y ↦ R y.  A generator with
-    ‖S·dt‖₁ not finite or not below 2⁵³, past which no double resolves a
-    step, raises :class:`IntegrationError` instead."""
+def _step(s: np.ndarray, dt: float) -> np.ndarray:
+    """The step R = e^{S·dt}.  A generator with ‖S·dt‖₁ not finite or not
+    below 2⁵³, past which no double resolves a step, raises
+    :class:`IntegrationError` instead."""
     a = s * dt
     rho = float(np.abs(a).sum(axis=0).max())
     if not rho < 2.0**53:
         raise IntegrationError(f"step generator norm ‖S·dt‖₁ = {rho:.3g} is not below 2^53")
-    powers = np.empty((b, *s.shape), dtype=complex)
-    powers[0] = expm(a, rho)
+    return expm(a, rho)
+
+
+def _powers(r: np.ndarray, b: int) -> np.ndarray:
+    """R¹…R^b stacked as one (b·n, n) matrix, so stack[: k·n] @ y holds the
+    next k states of y ↦ R y."""
+    powers = np.empty((b, *r.shape), dtype=complex)
+    powers[0] = r
     for k in range(1, b):
-        powers[k] = powers[0] @ powers[k - 1]
-    return powers.reshape(b * s.shape[0], s.shape[1])
+        powers[k] = r @ powers[k - 1]
+    return powers.reshape(b * r.shape[0], r.shape[1])
 
 
 def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
     """Deterministic master-equation trajectory on a uniform grid.
 
-    One step is the fixed d²×d² matrix R = e^{S·dt} (:func:`_step_powers`).
+    One step is the fixed d²×d² matrix R = e^{S·dt} (:func:`_step`).
     The powers R¹…R^B are stacked once per call, and each block of B steps
     is one product R^k·y with y the block's first state.  R preserves the
-    trace, so no state is renormalized: the result is the stepwise
-    integrator up to rounding.  That rounding grows with ‖S‖·T, not with
-    dt; once the whole grid is integrated, the first state that
-    :meth:`Trajectory.validate` would reject aborts with
+    trace, and its trace rows are corrected once to sum to vec(I)ᵀ where
+    rounding moved them, so no state is renormalized: the result is the
+    stepwise integrator up to rounding.  That rounding grows with ‖S·dt‖
+    and the step count; once the whole grid is integrated, the first state
+    that :meth:`Trajectory.validate` would reject aborts with
     :class:`IntegrationError` naming its step.
     ``diagnostics`` holds ``max_trace_drift`` (largest per-step trace
     change |tr ρ_{k+1} − tr ρ_k| of the returned states) and
@@ -358,9 +356,14 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
 
     states = np.empty((times.size, d, d), dtype=complex)
     states[0] = rho0
-    # a huge generator overflows its norm, which _step_powers refuses
+    # a huge generator overflows its norm, which _step refuses.  The trace
+    # rows of the computed R miss vec(I)ᵀ by about eps·‖S·dt‖, a drift that
+    # every step would add to, so their sum's error is shared out over them
     with np.errstate(all="ignore"):
-        stack = _step_powers(liouvillian(model), dt, b)
+        r = _step(liouvillian(model), dt)
+        diag = r[:: d + 1]
+        diag -= (diag.sum(axis=0) - np.eye(d).reshape(-1)) / d
+        stack = _powers(r, b)
     for i in range(0, n_steps, b):
         k = min(b, n_steps - i)
         states[i + 1 : i + 1 + k] = (stack[: k * n] @ states[i].reshape(-1)).reshape(k, d, d)
@@ -494,7 +497,7 @@ def _tangents(family: ModelFamily, theta, states: np.ndarray, dt: float) -> np.n
     tangents = np.zeros((len(terms), states.shape[0], n), dtype=complex)
     for term, tangent in zip(terms, tangents):
         gen = np.block([[s, np.zeros_like(s)], [liouvillian(term), s]])
-        stack = _step_powers(gen, dt, b).reshape(b, 2 * n, 2 * n)[:, n:].reshape(b * n, 2 * n)
+        stack = _powers(_step(gen, dt), b).reshape(b, 2 * n, 2 * n)[:, n:].reshape(b * n, 2 * n)
         for i in range(0, n_steps, b):
             k = min(b, n_steps - i)
             y = np.concatenate([flat[i], tangent[i]])

@@ -54,6 +54,18 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
     return bool(np.max(np.abs(a - a.conj().T)) <= tol)
 
 
+def require_hermitian(a, what: str) -> np.ndarray:
+    """``a`` as a complex array; ValueError unless it is square and Hermitian:
+    max|a − a†| ≤ 1e-10·max(1, max|a|)."""
+    a = np.asarray(a, dtype=complex)
+    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+        raise ValueError(f"{what} must be square, got shape {a.shape}")
+    scale = max(1.0, np.max(np.abs(a), initial=0.0))
+    if np.max(np.abs(a - a.conj().T), initial=0.0) > 1e-10 * scale:
+        raise ValueError(f"{what} must be Hermitian")
+    return a
+
+
 def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import momentum_op, position_op
+from .fock import momentum_op, position_op, require_hermitian
 from .serialize import float_array, matrix_from_json, matrix_to_json, scalar
 
 
@@ -130,15 +130,10 @@ def diagonalize(h: np.ndarray, kept: int, c1: float = 0.0, c2: float = 0.0) -> S
     Rejects non-Hermitian input; eigenvector phases follow the
     largest-component-real-positive convention.
     """
-    h = np.asarray(h, dtype=complex)
-    if h.ndim != 2 or h.shape[0] != h.shape[1]:
-        raise ValueError(f"Hamiltonian must be square, got {h.shape}")
+    h = require_hermitian(h, "Hamiltonian")
     m = h.shape[0]
     if not (1 <= kept <= m):
         raise ValueError(f"kept={kept} outside [1, {m}]")
-    scale = max(1.0, float(np.max(np.abs(h))))
-    if np.max(np.abs(h - h.conj().T)) > 1e-10 * scale:
-        raise ValueError("Hamiltonian is not Hermitian within 1e-10")
     w, v = np.linalg.eigh(h)
     return Spectrum(w, _fix_phases(v), m, kept, float(c1), float(c2))
 

@@ -263,7 +263,7 @@ def test_expm_kernel_matches_eigh(n, depth, norm, seed):
 @example(m=1, h_norm=1.0, centre=0.0, half=1.1125369292536007e-308, n_factors=25, scale=1.0,
          seed=0)  # nodes 2e-308 apart
 def test_factors_match_their_own_exponentials(m, h_norm, centre, half, n_factors, scale, seed):
-    # ‖X‖ up to 16; b̃ from one value (one node) to ranges the cost rule builds directly
+    # ‖X‖ up to 16; b̃ from one value (one node) to ranges that need more nodes than factors
     rng = np.random.default_rng(seed)
     h, q = (a + a.T for a in rng.normal(size=(2, m, m)))
     h *= h_norm / np.linalg.norm(h, 2)
@@ -286,13 +286,21 @@ def test_chebyshev_degree_is_the_lowest_that_meets_its_bound(a):
     assert n == 0 or dyson._chebyshev_log_bound(a, n - 1) >= cut
 
 
-def test_chebyshev_degree_stops_at_the_cost_cap(monkeypatch):
-    # the largest grid at the largest factor norm: the cap, not the bound, ends the search
-    cap = dyson._interpolation_cap(2.0**52, 64, 2 * dyson.ORACLE_MAX_STEPS)
+@settings(max_examples=100, deadline=None)
+@given(a=st.floats(1e-12, 1e3))
+def test_no_chebyshev_degree_up_to_half_a_meets_its_bound(a):
+    # the reason the degree search may start at ⌊a/2⌋
+    cut = -53 * math.log(2)
+    assert all(dyson._chebyshev_log_bound(a, n) >= cut for n in range(1, int(a // 2) + 1))
+
+
+def test_chebyshev_degree_stops_at_the_factor_cap(monkeypatch):
+    # the largest grid's factor count: a start at ⌊a/2⌋ lies past it, so no bound is evaluated
+    cap = 2 * dyson.ORACLE_MAX_STEPS - 1
     calls, bound = [], dyson._chebyshev_log_bound
     monkeypatch.setattr(dyson, "_chebyshev_log_bound", lambda a, n: calls.append(n) or bound(a, n))
     assert dyson._chebyshev_degree(1e12, cap) == cap
-    assert len(calls) == cap < 10**4
+    assert calls == []
 
 
 def test_oracle_interpolates_at_the_design_point(monkeypatch):
@@ -304,6 +312,20 @@ def test_oracle_interpolates_at_the_design_point(monkeypatch):
     _, steps, _ = propagate_oracle(spec, ControlPulse(4.0, 0.1 * base / np.linalg.norm(base)))
     factors = 2 * (steps // 4 + steps // 2 + steps)  # the three grids 32, 64, 128
     assert steps == 128 and sum(built) <= factors // 10
+
+
+def test_oracle_builds_directly_where_nodes_outnumber_factors(monkeypatch):
+    # a strong drive: the first grid's degree needs more nodes than its 64 factors,
+    # and every finer grid interpolates from fewer nodes than it has factors
+    grids, expm_i, magnus_product = [], dyson._expm_i, dyson._magnus_product
+    monkeypatch.setattr(dyson, "_expm_i", lambda x, rho: grids[-1].append(len(x)) or expm_i(x, rho))
+    monkeypatch.setattr(dyson, "_magnus_product",
+                        lambda *args: grids.append([]) or magnus_product(*args))
+    spec = compute_spectrum(0.0, 0.0, kept=4)
+    _, steps, _ = propagate_oracle(spec, ControlPulse(2.0, np.array([0.0, 400.0, 0.0])))
+    factors = [2 * dyson.ORACLE_START_STEPS << k for k in range(len(grids))]
+    assert steps == factors[-1] // 2 and sum(grids[0]) == factors[0]
+    assert all(sum(built) < n for built, n in zip(grids[1:], factors[1:]))
 
 
 @pytest.mark.parametrize("coeffs", [np.zeros(3), np.array([0.1, 0.0, 0.0])],

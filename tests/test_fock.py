@@ -12,6 +12,7 @@ from susygate.fock import (
     momentum_op,
     odd_part,
     position_op,
+    require_hermitian,
     tau,
 )
 
@@ -68,6 +69,18 @@ def test_predicates(rng):
     assert is_psd(h @ h.conj().T)
     assert not is_psd(-np.eye(3))
     assert not is_hermitian(np.zeros((2, 3)))
+
+
+def test_require_hermitian_scales_its_tolerance_with_the_entries():
+    # one rule for every Hamiltonian: max|a − a†| ≤ 1e-10·max(1, max|a|)
+    h = np.diag([1e6, -1e6]).astype(complex)
+    h[0, 1] = 5e-5
+    assert np.array_equal(require_hermitian(h, "H"), h)
+    h[0, 1] = 2e-4
+    with pytest.raises(ValueError, match=r"^H must be Hermitian$"):
+        require_hermitian(h, "H")
+    with pytest.raises(ValueError, match=r"^H must be square, got shape \(2, 3\)$"):
+        require_hermitian(np.zeros((2, 3)), "H")
 
 
 def test_is_unitary_accepts_hermitian_exponentials(rng):
