@@ -535,10 +535,10 @@ def cmd_demo(args, ws: Workspace):
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict]:
-    """The top-level parser and each subcommand's parser by name, built once
-    per process: ``main`` only reads them, and each ``parse_args`` call fills
-    a fresh namespace."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
+    """The top-level parser, each subcommand's parser by name and each
+    subcommand's ``--config`` finder by name, built once per process:
+    ``main`` only reads them, and each parse call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="susygate",
         description="gate/channel synthesis and filtering for a driven anharmonic mode",
@@ -629,7 +629,16 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict]:
     p = add("demo", cmd_demo, trajectory, help="end-to-end record -> filter -> fit showcase")
     p.set_defaults(eta=0.4, T=4.0)
 
-    return parser, subparsers
+    # --config alone may be shortened, to any prefix no other option shares
+    finders = {}
+    for name, p in subparsers.items():
+        spellings = [s for s in ("--config"[:n] for n in range(3, 9))
+                     if all(o == "--config" or not o.startswith(s)
+                            for o in p._option_string_actions)]
+        finders[name] = argparse.ArgumentParser(prog=f"susygate {name}", add_help=False,
+                                                allow_abbrev=False)
+        finders[name].add_argument(*spellings, dest="config")
+    return parser, subparsers, finders
 
 
 def _config_argv(subparser: argparse.ArgumentParser, data: bytes) -> list[str]:
@@ -672,18 +681,11 @@ def _config_argv(subparser: argparse.ArgumentParser, data: bytes) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser, subparsers = build_parser()
+    parser, subparsers, finders = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if argv and argv[0] in subparsers:
-            # --config alone may be shortened, to any prefix no other option shares
-            options = subparsers[argv[0]]._option_string_actions
-            spellings = [s for s in ("--config"[:n] for n in range(3, 9))
-                         if all(o == "--config" or not o.startswith(s) for o in options)]
-            finder = argparse.ArgumentParser(prog=f"susygate {argv[0]}", add_help=False,
-                                             allow_abbrev=False)
-            finder.add_argument(*spellings, dest="config")
-            found, rest = finder.parse_known_args(argv[1:])
+        if argv and argv[0] in finders:
+            found, rest = finders[argv[0]].parse_known_args(argv[1:])
             if found.config is not None:
                 decode = functools.partial(_config_argv, subparsers[argv[0]])
                 argv[1:] = read_input(found.config, decode) + rest

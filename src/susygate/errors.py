@@ -27,5 +27,6 @@ class IntegrationError(SusygateError):
 
 
 class NonFiniteError(SusygateError):
-    """A result holds NaN or an infinity: one to be written, or every cost
-    of a fit's parameter grid."""
+    """A result holds NaN or an infinity: one to be written, every cost of a
+    fit's parameter grid, or a Hamiltonian that ``fock.require_hermitian``
+    checks (a finite but huge input overflows to one)."""

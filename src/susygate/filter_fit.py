@@ -8,12 +8,12 @@ on the row-major vec(ρ).  Deterministic evolution integrates
 
 by its exact step.  The generator S is constant, so one step is the fixed
 d²×d² matrix R = e^{S·dt}, the TPCP map of the master equation over dt for
-every dt (``dyson.expm``); the integrator stacks its powers R¹…R^B and
-advances B steps per batched product, then tests every state as
-``Trajectory.validate`` does, all at once.  R is a power series in S, and
-vec(I)ᵀS = 0, so vec(I)ᵀR = vec(I)ᵀ: every step preserves the trace, and no
-state is renormalized.  The computed R misses that identity by about
-eps·‖S·dt‖, so the integrator restores it once, before stacking the powers.
+every dt (``dyson.expm``); the integrator advances m steps per batched
+product with R^m, squaring it as the filled rows double, then tests every
+state as ``Trajectory.validate`` does, all at once.  R is a power series in
+S, and vec(I)ᵀS = 0, so vec(I)ᵀR = vec(I)ᵀ: every step preserves the trace,
+and no state is renormalized.  The computed R misses that identity by about
+eps·‖S·dt‖, so the integrator restores it once, before any power is taken.
 
 The diffusive unraveling under continuous monitoring of one channel L with
 efficiency η takes the completely positive Kraus-form step of Rouchon &
@@ -51,9 +51,9 @@ from .solver import gauss_newton, sum_squares
 HERMITIAN_TOL = 1e-8  # largest |ρ − ρ†| entry of a valid state (see _state_faults)
 EIGENVALUE_FLOOR = -1e-6  # and its smallest eigenvalue
 _STATE_FAULTS = ("not Hermitian", "trace differs from 1", "has a negative eigenvalue")
-# lindblad_evolve advances BLOCK_STEPS steps per batched product, fewer when
-# the stacked step-matrix powers (16·d⁴ bytes each) would exceed STACK_BYTES;
-# the state checks read a stack in slices of at most STACK_BYTES
+# _propagate squares a step on vectors of length N to powers m ≤ BLOCK_STEPS
+# with m·16·N² ≤ STACK_BYTES, so a large model pays few N³ squarings; the
+# state checks read a stack in slices of at most STACK_BYTES
 BLOCK_STEPS = 64
 STACK_BYTES = 4 << 20
 
@@ -306,7 +306,8 @@ def _check_state(rho, d) -> np.ndarray:
 
 
 def _block_len(n: int) -> int:
-    """Steps per block for a linear step on vectors of length n."""
+    """Largest power m of a linear step on vectors of length n that
+    :func:`_propagate` advances by (the rows one product writes)."""
     return max(1, min(BLOCK_STEPS, STACK_BYTES // (16 * n * n)))
 
 
@@ -321,28 +322,31 @@ def _step(s: np.ndarray, dt: float) -> np.ndarray:
     return expm(a, rho)
 
 
-def _powers(r: np.ndarray, b: int) -> np.ndarray:
-    """R¹…R^b stacked as one (b·n, n) matrix, so stack[: k·n] @ y holds the
-    next k states of y ↦ R y."""
-    powers = np.empty((b, *r.shape), dtype=complex)
-    powers[0] = r
-    for k in range(1, b):
-        powers[k] = r @ powers[k - 1]
-    return powers.reshape(b * r.shape[0], r.shape[1])
+def _propagate(r: np.ndarray, ys: np.ndarray, given: int = 0) -> None:
+    """Fill rows 1… of ``ys`` (T, N) with R^k applied to row 0, in the columns
+    after the first ``given``, which the caller fills: rows [i, i + k), k ≤ m,
+    are the rows m before them times R^m, squared while 2m ≤ ``_block_len(N)``."""
+    cap, n_rows = _block_len(ys.shape[1]), ys.shape[0]
+    power, m, i = r, 1, 1
+    while i < n_rows:
+        k = min(m, n_rows - i)
+        np.matmul(ys[i - m : i - m + k], power[given:].T, out=ys[i : i + k, given:])
+        i += k
+        if 2 * m <= cap and i < n_rows:
+            power, m = power @ power, 2 * m
 
 
 def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
     """Deterministic master-equation trajectory on a uniform grid.
 
-    One step is the fixed d²×d² matrix R = e^{S·dt} (:func:`_step`).
-    The powers R¹…R^B are stacked once per call, and each block of B steps
-    is one product R^k·y with y the block's first state.  R preserves the
-    trace, and its trace rows are corrected once to sum to vec(I)ᵀ where
-    rounding moved them, so no state is renormalized: the result is the
-    stepwise integrator up to rounding.  That rounding grows with ‖S·dt‖
-    and the step count; once the whole grid is integrated, the first state
-    that :meth:`Trajectory.validate` would reject aborts with
-    :class:`IntegrationError` naming its step.
+    One step is the fixed d²×d² matrix R = e^{S·dt} (:func:`_step`), and
+    m states at a time are one product with R^m, squared as they double
+    (:func:`_propagate`).  R preserves the trace, and its trace rows are
+    corrected once to sum to vec(I)ᵀ where rounding moved them, so no state
+    is renormalized: the result is the stepwise integrator up to rounding.
+    That rounding grows with ‖S·dt‖ and the step count; once the whole grid
+    is integrated, the first state that :meth:`Trajectory.validate` would
+    reject aborts with :class:`IntegrationError` naming its step.
     ``diagnostics`` holds ``max_trace_drift`` (largest per-step trace
     change |tr ρ_{k+1} − tr ρ_k| of the returned states) and
     ``min_eigenvalue`` (over the integrated states, t > t₀).
@@ -351,8 +355,6 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
     d = model.dim
     n = d * d
     rho0 = _check_state(rho0, d)
-    n_steps = times.size - 1
-    b = min(_block_len(n), n_steps)
 
     states = np.empty((times.size, d, d), dtype=complex)
     states[0] = rho0
@@ -363,10 +365,7 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
         r = _step(liouvillian(model), dt)
         diag = r[:: d + 1]
         diag -= (diag.sum(axis=0) - np.eye(d).reshape(-1)) / d
-        stack = _powers(r, b)
-    for i in range(0, n_steps, b):
-        k = min(b, n_steps - i)
-        states[i + 1 : i + 1 + k] = (stack[: k * n] @ states[i].reshape(-1)).reshape(k, d, d)
+        _propagate(r, states.reshape(times.size, n))
 
     fault, low = _state_faults(states[1:])
     k = np.argmax(fault < 3)
@@ -482,26 +481,23 @@ def _tangents(family: ModelFamily, theta, states: np.ndarray, dt: float) -> np.n
     The generator is affine in θ, so the exponential of the block generator
     [[S, 0], [S_j, S]]·dt is [[R, 0], [dR/dθ_j, R]] (Van Loan, IEEE TAC 23,
     395 (1978)), and the tangents obey Y_{k+1} = R Y_k + (dR/dθ_j) ρ_k.
-    Each θ_j takes one such exponential; the lower block rows [A_m, R^m] of
-    its powers advance that tangent a block at a time from the block's
-    stored state.
+    Each θ_j takes one such exponential, and :func:`_propagate` runs it on
+    rows (ρ_k, Y_k) whose first half holds the stored states: a product
+    with the lower block rows [A_m, R^m] of its power advances the tangent
+    m steps from the stored trajectory.
     """
     d = states.shape[1]
     n = d * d
     terms = [LindbladModel(h, ()) for h in family.h_terms]
     terms += [LindbladModel(np.zeros((d, d)), (base,)) for base in family.rate_bases]
     s = liouvillian(family.at(theta))
-    n_steps = states.shape[0] - 1
-    b = min(_block_len(2 * n), n_steps)
-    flat = states.reshape(-1, n)
-    tangents = np.zeros((len(terms), states.shape[0], n), dtype=complex)
+    ys = np.zeros((states.shape[0], 2 * n), dtype=complex)  # the tangent starts at 0
+    ys[:, :n] = states.reshape(-1, n)
+    tangents = np.empty((len(terms), states.shape[0], n), dtype=complex)
     for term, tangent in zip(terms, tangents):
         gen = np.block([[s, np.zeros_like(s)], [liouvillian(term), s]])
-        stack = _powers(_step(gen, dt), b).reshape(b, 2 * n, 2 * n)[:, n:].reshape(b * n, 2 * n)
-        for i in range(0, n_steps, b):
-            k = min(b, n_steps - i)
-            y = np.concatenate([flat[i], tangent[i]])
-            tangent[i + 1 : i + 1 + k] = (stack[: k * n] @ y).reshape(k, n)
+        _propagate(_step(gen, dt), ys, given=n)
+        tangent[:] = ys[:, n:]
     return tangents.reshape(len(terms), -1, d, d)
 
 
@@ -517,11 +513,11 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
     never integrated, so θ* stays inside the declared ranges.  Each
     distinct θ is integrated once: ``curve`` and ``skipped`` list distinct
     points in evaluation order, grid points first, and ``final_states``
-    holds the last state of each integrated point.  A point whose model or
-    integration fails (:class:`~susygate.errors.IntegrationError`) is
-    skipped and reported, and :class:`~susygate.errors.NonFiniteError` is
-    raised when every grid point is.  An invalid initial state
-    ``est.states[0]`` raises ``ValueError`` before any point is integrated.  The result is the
+    holds the last state of each integrated point.  A point whose model
+    fails or overflows, or whose integration fails (:class:`IntegrationError`),
+    is skipped and reported, and :class:`NonFiniteError` is raised when every
+    grid point is.  An invalid initial state ``est.states[0]`` raises
+    ``ValueError`` before any point is integrated.  The result is the
     lowest-cost point evaluated, with its trajectory.
     """
     import itertools
@@ -552,7 +548,7 @@ def fit_parameters(est: Trajectory, family: ModelFamily, grid, xtol: float = 1e-
             return failed
         try:
             traj = lindblad_evolve(family.at(theta), rho0, times)
-        except (IntegrationError, ValueError):
+        except (IntegrationError, NonFiniteError, ValueError):
             costs[key] = np.inf
             return failed
         diff = (traj.states - est.states).reshape(-1)

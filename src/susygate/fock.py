@@ -16,6 +16,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import NonFiniteError
+
 # largest truncation any operator is built at; a dense complex matrix of this
 # size already takes 256 MiB
 MAX_CUTOFF = 4096
@@ -56,10 +58,15 @@ def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
 
 def require_hermitian(a, what: str) -> np.ndarray:
     """``a`` as a complex array; ValueError unless it is square and Hermitian:
-    max|a − a†| ≤ 1e-10·max(1, max|a|)."""
+    max|a − a†| ≤ 1e-10·max(1, max|a|).  A NaN or infinite entry, which
+    that test would let through, is a numerical failure
+    (:class:`~susygate.errors.NonFiniteError`): finite inputs reach it by
+    overflow."""
     a = np.asarray(a, dtype=complex)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise ValueError(f"{what} must be square, got shape {a.shape}")
+    if not np.isfinite(a).all():
+        raise NonFiniteError(f"{what} has a non-finite entry")
     scale = max(1.0, np.max(np.abs(a), initial=0.0))
     if np.max(np.abs(a - a.conj().T), initial=0.0) > 1e-10 * scale:
         raise ValueError(f"{what} must be Hermitian")

@@ -20,8 +20,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import fock
 from .errors import CutoffError
-from .fock import momentum_op, position_op
 
 
 @dataclass(frozen=True)
@@ -76,8 +76,8 @@ def _poly_of_matrix(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
 
 
 def _pair_at(w_coeffs: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    q = position_op(cutoff)
-    p = momentum_op(cutoff)
+    q = fock.position_op(cutoff)
+    p = fock.momentum_op(cutoff)
     d1 = np.polynomial.polynomial.polyder(w_coeffs)
     d2 = np.polynomial.polynomial.polyder(w_coeffs, 2)
     wp = _poly_of_matrix(d1, q)
@@ -89,7 +89,9 @@ def _pair_at(w_coeffs: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]
 def susy_pair(w_coeffs, cutoff: int) -> SusyPair:
     """Build the partner pair and verify that the lowest levels are
     cutoff-converged (compared against a 1.5× larger truncation).  The
-    partners' spectra from that check are kept on the pair."""
+    partners' spectra from that check are kept on the pair.  That check's
+    ⌈1.5·cutoff⌉ levels must not exceed ``fock.MAX_CUTOFF``, which bounds the
+    cutoff by 2730; a larger one is refused before anything is built."""
     w = np.asarray(w_coeffs, dtype=float).reshape(-1)
     if w.size < 3:
         raise ValueError("superpotential degree must be >= 2")
@@ -97,6 +99,8 @@ def susy_pair(w_coeffs, cutoff: int) -> SusyPair:
         raise ValueError("superpotential coefficients must be finite")
     if cutoff < 8:
         raise ValueError("cutoff too small for a meaningful pair")
+    if cutoff > (limit := 2 * fock.MAX_CUTOFF // 3):  # largest c with ⌈1.5·c⌉ ≤ MAX_CUTOFF
+        raise ValueError(f"cutoff {cutoff} exceeds the limit of {limit}")
     h_plus, h_minus = _pair_at(w, cutoff)
     bigger = int(np.ceil(1.5 * cutoff))
     hp2, hm2 = _pair_at(w, bigger)

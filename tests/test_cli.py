@@ -186,6 +186,23 @@ def test_numerical_failure_exits_3(tmp_path):
                    "--out-dir", tmp_path) == 3
 
 
+def test_overflowing_hamiltonian_exits_3(tmp_path, capsys):
+    # c2 = 1e306 is finite, but H0's quartic entries overflow to ±inf
+    assert run_cli("spectrum", "--c2", 1e306, "--dim", 4, "--out-dir", tmp_path) == 3
+    assert capsys.readouterr().err == "numerical failure: Hamiltonian has a non-finite entry\n"
+
+
+def test_susy_cutoff_beyond_its_check_exits_2_naming_it(tmp_path, capsys, monkeypatch):
+    # the check's ⌈1.5·30⌉ = 45 levels exceed a limit of 40: the given cutoff
+    # and its own limit are named, not the check's cutoff
+    from susygate import fock
+
+    monkeypatch.setattr(fock, "MAX_CUTOFF", 40)
+    assert run_cli("susy", "--superpotential", "0,0,0.5", "--dim", 30,
+                   "--out-dir", tmp_path) == 2
+    assert capsys.readouterr().err == "error: cutoff 30 exceeds the limit of 26\n"
+
+
 def test_fit_without_a_finite_cost_exits_3(edge_inputs, capsys):
     # a 1e20-fold rate gives every grid point a step generator norm
     # ‖S·dt‖₁ above 2⁵³, which the Lindblad integration refuses

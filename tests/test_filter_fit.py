@@ -17,7 +17,7 @@ from susygate.filter_fit import (
     ModelFamily,
     Trajectory,
     _block_len,
-    _powers,
+    _propagate,
     _state_faults,
     _step,
     _tangents,
@@ -138,9 +138,35 @@ def test_step_is_the_exponential(rng, n, reach):
     # against V·e^{Λ·dt}·V⁻¹, and the semigroup law R(dt)² = R(2·dt)
     v, lam, s = _diagonalizable_generator(rng, n, reach)
     exact = (v * np.exp(lam)) @ np.linalg.inv(v)
-    r, r2 = _powers(_step(s, 1.0), 2).reshape(2, n, n)
+    r = _step(s, 1.0)
+    r2 = r @ r
     assert np.max(np.abs(r - exact)) <= 1e-14 * max(1.0, reach)
     assert np.max(np.abs(r2 - _step(s, 2.0))) <= 1e-14 * max(1.0, reach)
+
+
+@pytest.mark.parametrize("given", [0, "half"])
+@pytest.mark.parametrize("n, cap", [(4, 64), (256, 4)])
+def test_propagate_matches_the_stepwise_loop(rng, n, cap, given):
+    # a block-triangular step [[A, 0], [B, A]], as the tangents take, at
+    # lengths around the largest power: the squared powers give the states
+    # of the stepwise loop, and the first `given` columns are only read
+    assert _block_len(n) == cap
+    given = n // 2 if given == "half" else 0
+    h = n // 2
+    r = np.zeros((n, n), dtype=complex)
+    r[:h, :h] = r[h:, h:] = 0.99 * random_unitary(rng, h)
+    r[h:, :h] = 0.1 * random_unitary(rng, h)
+    for length in (1, 2, cap, cap + 1, 2 * cap + 1):
+        ref = np.empty((length, n), dtype=complex)
+        ref[0] = rng.normal(size=n) + 1j * rng.normal(size=n)
+        for k in range(1, length):
+            ref[k] = r @ ref[k - 1]
+        ys = np.full((length, n), np.nan, dtype=complex)
+        ys[0] = ref[0]
+        ys[:, :given] = ref[:, :given]
+        _propagate(r, ys, given)
+        assert np.array_equal(ys[:, :given], ref[:, :given]), length
+        assert np.max(np.abs(ys - ref)) <= 1e-14 * np.max(np.abs(ref)), length
 
 
 LOWER8 = np.diag(np.sqrt(np.arange(1.0, 8.0)), k=1).astype(complex)
@@ -687,6 +713,19 @@ def test_fit_skips_non_integrable_points():
     assert fit.skipped == [(1e18,)]
 
 
+def test_fit_skips_a_point_whose_model_overflows():
+    # 1e308·2σx overflows to inf in H(θ), which the model refuses; the scan
+    # skips that point as it skips a generator too large to step.  The CLI
+    # runs with NumPy's overflow warning off, and so does this test
+    family = ModelFamily(h0=np.zeros((2, 2)), h_terms=(2 * SX,), rate_bases=(LOWER,))
+    times = grid(2.0, 1e-2)
+    est = lindblad_evolve(family.at([0.0, 0.7]), RHO_EXCITED, times)
+    with np.errstate(over="ignore"):
+        fit = fit_parameters(est, family, [np.array([0.0, 1e308]), np.array([0.7])])
+    assert fit.skipped == [(1e308, 0.7)]
+    assert fit.theta.tolist() == [0.0, 0.7]
+
+
 def test_fit_rejects_invalid_initial_state_up_front():
     # the fault is named once, not recorded as a skipped point at every θ
     family = damping_family()
@@ -862,17 +901,10 @@ def _dense_tangents(family, theta, states, dt):
     size = (p + 1) * n
     gen = np.kron(np.eye(p + 1), liouvillian(family.at(theta)))
     gen[n:, :n] = np.concatenate([liouvillian(t) for t in terms])
-    n_steps = states.shape[0] - 1
-    b = min(_block_len(size), n_steps)
-    stack = _powers(_step(gen, dt), b).reshape(b, size, size)
-    stack = stack[:, n:].reshape(b * p * n, size)
-    flat = states.reshape(-1, n)
-    tangents = np.zeros((states.shape[0], p * n), dtype=complex)
-    for i in range(0, n_steps, b):
-        k = min(b, n_steps - i)
-        y = np.concatenate([flat[i], tangents[i]])
-        tangents[i + 1 : i + 1 + k] = (stack[: k * p * n] @ y).reshape(k, p * n)
-    return tangents.reshape(-1, p, d, d).transpose(1, 0, 2, 3)
+    ys = np.zeros((states.shape[0], size), dtype=complex)
+    ys[:, :n] = states.reshape(-1, n)
+    _propagate(_step(gen, dt), ys, given=n)
+    return ys[:, n:].reshape(-1, p, d, d).transpose(1, 0, 2, 3)
 
 
 def _random_family(d, p, seed=0):

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from susygate.errors import NonFiniteError
+from susygate.filter_fit import LindbladModel
 from susygate.fock import (
     MAX_CUTOFF,
     GradedSpace,
@@ -81,6 +83,21 @@ def test_require_hermitian_scales_its_tolerance_with_the_entries():
         require_hermitian(h, "H")
     with pytest.raises(ValueError, match=r"^H must be square, got shape \(2, 3\)$"):
         require_hermitian(np.zeros((2, 3)), "H")
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_require_hermitian_refuses_non_finite_entries(bad):
+    # |a − a†| is NaN there, which no tolerance test rejects; overflow of a
+    # finite input gets there, so it is a numerical failure, not a bad input
+    from susygate.spectrum import diagonalize
+
+    h = np.array([[bad, 0], [0, 1]], dtype=complex)
+    with pytest.raises(NonFiniteError, match=r"^Hamiltonian has a non-finite entry$"):
+        diagonalize(h, 1)
+    with pytest.raises(NonFiniteError, match=r"^Hamiltonian has a non-finite entry$"):
+        LindbladModel(h, ())
+    with pytest.raises(ValueError, match=r"^H must be Hermitian$"):
+        require_hermitian(np.array([[0, 1], [2, 0]]), "H")
 
 
 def test_is_unitary_accepts_hermitian_exponentials(rng):

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from susygate import fock, susy_toy
 from susygate.errors import CutoffError
 from susygate.fock import position_op
 from susygate.spectrum import build_h0
@@ -88,6 +89,21 @@ def test_pair_hamiltonians_hermitian():
 def test_cutoff_error_when_unconverged():
     with pytest.raises(CutoffError, match="cutoff"):
         susy_pair([0.0, 0.0, 0.0, 0.0, 0.0, 1.0], cutoff=8)
+
+
+def test_cutoff_whose_check_exceeds_the_limit_is_refused_up_front(monkeypatch):
+    # the convergence check builds ⌈1.5·cutoff⌉ levels, so the largest
+    # cutoff is 2730 at the default limit of 4096, and 26 at a limit of 40
+    assert 2 * fock.MAX_CUTOFF // 3 == 2730
+    built = []
+    monkeypatch.setattr(fock, "MAX_CUTOFF", 40)
+    monkeypatch.setattr(susy_toy, "_pair_at", lambda w, cutoff: built.append(cutoff))
+    with pytest.raises(ValueError, match=r"^cutoff 27 exceeds the limit of 26$"):
+        susy_pair([0.0, 0.0, 0.5], cutoff=27)
+    assert built == []
+    with pytest.raises(TypeError):  # 26 passes the bound and reaches the stub
+        susy_pair([0.0, 0.0, 0.5], cutoff=26)
+    assert built == [26]
 
 
 def test_degree_guard():
