@@ -103,8 +103,16 @@ def kraus_from_unitary(u: np.ndarray, anc_state: np.ndarray) -> QuantumChannel:
     if not is_unitary(u, tol=1e-8):
         raise ValueError("joint operator is not unitary to 1e-08")
     d_sys = u.shape[0] // d_anc
-    ops = np.einsum("xiyb,b->ixy", u.reshape(d_sys, d_anc, d_sys, d_anc), anc_state)
-    return QuantumChannel(kraus=ops, d_in=d_sys, d_out=d_sys)
+    return QuantumChannel(_trace_ancilla(u, anc_state), d_sys, d_sys)
+
+
+def _trace_ancilla(u: np.ndarray, anc_state: np.ndarray) -> np.ndarray:
+    """Kraus stacks K_i = (I ⊗ <i|) U (I ⊗ |anc>), shape (..., d_anc, d, d), of
+    joint operators U, shape (..., d·d_anc, d·d_anc).  Nothing is checked:
+    first-order gates are only approximately unitary."""
+    d_anc = anc_state.size
+    d = u.shape[-1] // d_anc
+    return np.einsum("...xiyb,b->...ixy", u.reshape(*u.shape[:-2], d, d_anc, d, d_anc), anc_state)
 
 
 def apply_channel(ch: QuantumChannel, rho: np.ndarray) -> np.ndarray:
@@ -181,17 +189,6 @@ class JointSystem:
         return diagonalize(self.hamiltonian(), kept=self.dim, c1=self.c1, c2=self.c2)
 
 
-
-def _kraus_stack(joint: JointSystem, spec: Spectrum, gates: np.ndarray) -> np.ndarray:
-    """Kraus stacks K_i = (I ⊗ <i|) U (I ⊗ |0>), shape (..., anc_dim, d, d), of
-    joint gates U, (..., dim, dim) in the eigenbasis, after ``Spectrum.to_fock``.
-    First-order gates are only approximately unitary; no unitarity is checked."""
-    d, a = joint.sys_dim, joint.anc_dim
-    u_fock = spec.to_fock(gates)
-    u4 = u_fock.reshape(*u_fock.shape[:-2], d, a, d, a)
-    return u4[..., 0].swapaxes(-2, -3)
-
-
 def dyson_channel(joint: JointSystem, pulse: ControlPulse) -> QuantumChannel:
     """Channel realized by the first-order joint gate followed by tracing
     out the ancilla from its ground state.  The gate is only approximately
@@ -199,7 +196,8 @@ def dyson_channel(joint: JointSystem, pulse: ControlPulse) -> QuantumChannel:
     it via ``tp_defect`` rather than expecting exact trace preservation."""
     spec = joint.spectrum()
     u_eig = dyson.dyson_gate(spec, pulse, control=joint.control_op())
-    return QuantumChannel(_kraus_stack(joint, spec, u_eig), joint.sys_dim, joint.sys_dim)
+    ops = _trace_ancilla(spec.to_fock(u_eig), np.eye(joint.anc_dim)[0])
+    return QuantumChannel(ops, joint.sys_dim, joint.sys_dim)
 
 
 @dataclass
@@ -246,8 +244,9 @@ def synthesize_channel(
     dim = joint.dim
     a = dyson.design_matrix(spec, horizon, n_harmonics, control=joint.control_op())
     u0 = dyson.u0(spec, horizon)
-    factors = _kraus_columns(_kraus_stack(
-        joint, spec, np.concatenate([u0[None], a.T.reshape(-1, dim, dim)])
+    ground = np.eye(joint.anc_dim)[0]
+    factors = _kraus_columns(_trace_ancilla(
+        spec.to_fock(np.concatenate([u0[None], a.T.reshape(-1, dim, dim)])), ground
     ))
     c0, cs = factors[0], factors[1:]
     n_params = 2 * n_harmonics + 1
@@ -271,7 +270,8 @@ def synthesize_channel(
     beta, converged = gauss_newton(evaluate, np.zeros(n_params), 1e-10)
 
     pulse = ControlPulse(horizon, beta)
-    ch = QuantumChannel(_kraus_stack(joint, spec, u0 + (a @ beta).reshape(dim, dim)), d, d)
+    ch = QuantumChannel(_trace_ancilla(spec.to_fock(u0 + (a @ beta).reshape(dim, dim)), ground),
+                        d, d)
     report = ChannelSynthesisReport(
         pulse=pulse,
         distance=float(np.linalg.norm(choi(ch) - target_choi)),

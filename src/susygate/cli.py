@@ -6,8 +6,8 @@ fixed names; each run also writes ``manifest.json`` recording the resolved
 configuration, input hashes, package versions, seed and wall time, so any
 artifact can be regenerated from its manifest alone.
 Input hashes are of the bytes that were parsed.  Options are spelled in
-full, but ``--config FILE`` may be shortened; its lines ``key=value``
-become ``--key=value`` after the subcommand name, so any flag given wins.
+full; the lines ``key=value`` of ``--config FILE`` become ``--key=value``
+after the subcommand name, so any flag given wins.
 
 Exit codes: 0 success, 2 validation error (bad flags, unreadable or
 malformed inputs, an output directory that cannot be made), 3 numerical
@@ -326,8 +326,8 @@ def _load_family(obj) -> tuple[filter_fit.ModelFamily, np.ndarray, np.ndarray, i
         raise ValueError(f"the parameter grid has {math.prod(points)} points, "
                          f"more than {MAX_GRID_POINTS}")
     bounds = [float_array(r[:2], "range") for r in ranges]
-    if not all(b.shape == (2,) and np.isfinite(b).all() for b in bounds):
-        raise ValueError("each range needs two finite numbers LO, HI")
+    if not all(b.shape == (2,) for b in bounds):
+        raise ValueError("each range needs two numbers LO, HI")
     if not all(b.min() >= 0 for b in bounds[len(h_specs):]):
         raise ValueError("a rate range reaches below 0")
     rho0 = matrix_from_json(obj["rho0"])
@@ -535,10 +535,10 @@ def cmd_demo(args, ws: Workspace):
 
 
 @functools.cache
-def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
-    """The top-level parser, each subcommand's parser by name and each
-    subcommand's ``--config`` finder by name, built once per process:
-    ``main`` only reads them, and each parse call fills a fresh namespace."""
+def build_parser() -> tuple[argparse.ArgumentParser, dict, argparse.ArgumentParser]:
+    """The top-level parser, each subcommand's parser by name and the
+    ``--config`` finder, built once per process: ``main`` only reads them,
+    and each parse call fills a fresh namespace."""
     parser = argparse.ArgumentParser(
         prog="susygate",
         description="gate/channel synthesis and filtering for a driven anharmonic mode",
@@ -629,16 +629,9 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, dict]:
     p = add("demo", cmd_demo, trajectory, help="end-to-end record -> filter -> fit showcase")
     p.set_defaults(eta=0.4, T=4.0)
 
-    # --config alone may be shortened, to any prefix no other option shares
-    finders = {}
-    for name, p in subparsers.items():
-        spellings = [s for s in ("--config"[:n] for n in range(3, 9))
-                     if all(o == "--config" or not o.startswith(s)
-                            for o in p._option_string_actions)]
-        finders[name] = argparse.ArgumentParser(prog=f"susygate {name}", add_help=False,
-                                                allow_abbrev=False)
-        finders[name].add_argument(*spellings, dest="config")
-    return parser, subparsers, finders
+    finder = argparse.ArgumentParser(prog="susygate", add_help=False, allow_abbrev=False)
+    finder.add_argument("--config")
+    return parser, subparsers, finder
 
 
 def _config_argv(subparser: argparse.ArgumentParser, data: bytes) -> list[str]:
@@ -681,11 +674,11 @@ def _config_argv(subparser: argparse.ArgumentParser, data: bytes) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser, subparsers, finders = build_parser()
+    parser, subparsers, finder = build_parser()
     argv = list(sys.argv[1:] if argv is None else argv)
     try:
-        if argv and argv[0] in finders:
-            found, rest = finders[argv[0]].parse_known_args(argv[1:])
+        if argv and argv[0] in subparsers:
+            found, rest = finder.parse_known_args(argv[1:])
             if found.config is not None:
                 decode = functools.partial(_config_argv, subparsers[argv[0]])
                 argv[1:] = read_input(found.config, decode) + rest

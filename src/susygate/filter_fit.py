@@ -51,10 +51,9 @@ from .solver import gauss_newton, sum_squares
 HERMITIAN_TOL = 1e-8  # largest |ρ − ρ†| entry of a valid state (see _state_faults)
 EIGENVALUE_FLOOR = -1e-6  # and its smallest eigenvalue
 _STATE_FAULTS = ("not Hermitian", "trace differs from 1", "has a negative eigenvalue")
-# _propagate squares a step on vectors of length N to powers m ≤ BLOCK_STEPS
-# with m·16·N² ≤ STACK_BYTES, so a large model pays few N³ squarings; the
-# state checks read a stack in slices of at most STACK_BYTES
-BLOCK_STEPS = 64
+# _propagate squares a step on vectors of length N to powers m ≤ STACK_BYTES/(16·N²),
+# so a large model pays few N³ squarings; the state checks read a stack in slices
+# of at most STACK_BYTES
 STACK_BYTES = 4 << 20
 
 
@@ -194,8 +193,6 @@ class Trajectory:
                              f"expected dim² = {d * d}")
         if coords.shape != (len(rows), d * d):
             raise ValueError(f"expected one row of {d * d} numbers per state")
-        if not np.isfinite(coords).all():
-            raise ValueError("state coordinates must be finite")
         i, j = np.triu_indices(d, 1)
         re, im = coords[:, d : d + i.size], coords[:, d + i.size :]
         # part by part, so every stored bit survives (see matrix_from_json)
@@ -307,8 +304,8 @@ def _check_state(rho, d) -> np.ndarray:
 
 def _block_len(n: int) -> int:
     """Largest power m of a linear step on vectors of length n that
-    :func:`_propagate` advances by (the rows one product writes)."""
-    return max(1, min(BLOCK_STEPS, STACK_BYTES // (16 * n * n)))
+    :func:`_propagate` advances by: the m complex rows one product writes."""
+    return max(1, STACK_BYTES // (16 * n * n))
 
 
 def _step(s: np.ndarray, dt: float) -> np.ndarray:

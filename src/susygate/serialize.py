@@ -11,6 +11,7 @@ Hermitian coordinates.  Every input file is read through
 from __future__ import annotations
 
 import json
+import math
 from pathlib import Path
 
 import numpy as np
@@ -29,24 +30,31 @@ def matrix_to_json(a: np.ndarray) -> dict:
 
 
 def float_array(values, name: str) -> np.ndarray:
-    """A JSON number, or a (nested) list of them, as a float array.  NumPy
-    would read a string such as "1.5" or a boolean as a number, so either
-    raises ValueError naming ``name``; null is left to become NaN."""
+    """A JSON number, or a (nested) list of them, as a finite float array.
+    NumPy would read a string such as "1.5" or a boolean as a number, and
+    null as NaN; each of these, and NaN or ±inf (JSON's ``NaN``,
+    ``Infinity`` or an overflowing 1e400), raises ValueError naming ``name``."""
     items = values if type(values) is list else [values]
     while items and all(type(v) is list for v in items):
         items = [x for v in items for x in v]
     if not {str, bool}.isdisjoint(map(type, items)):
         raise ValueError(f"{name}: a string or a boolean where a number belongs")
-    return np.asarray(values, dtype=float)
+    array = np.asarray(values, dtype=float)
+    if not np.isfinite(array).all():
+        raise ValueError(f"{name}: null, NaN or an infinite number where a finite one belongs")
+    return array
 
 
 def scalar(obj: dict, key: str, kind: type[int] | type[float]) -> int | float:
-    """``obj[key]`` as an int or a float.  An int takes only a JSON integer,
-    a float also takes one; a string or a boolean, which ``int`` and ``float``
-    would convert, raises ValueError naming ``key``."""
+    """``obj[key]`` as an int or a finite float.  An int takes only a JSON
+    integer, a float also takes one; a string or a boolean, which ``int`` and
+    ``float`` would convert, or a NaN or ±inf float raises ValueError naming
+    ``key``."""
     value = obj[key]
     if type(value) not in ((int,) if kind is int else (int, float)):
         raise ValueError(f"{key}: {value!r} is not {'an integer' if kind is int else 'a number'}")
+    if type(value) is float and not math.isfinite(value):
+        raise ValueError(f"{key}: {value!r} is not a finite number")
     return kind(value)
 
 
@@ -64,8 +72,6 @@ def matrix_from_json(obj: dict) -> np.ndarray:
             f"entry count {len(re)}/{len(im)} does not match {rows}x{cols}"
         )
     re, im = float_array(re, "re"), float_array(im, "im")
-    if not (np.isfinite(re).all() and np.isfinite(im).all()):
-        raise ValueError("matrix entries must be finite")
     # part by part: re + 1j * im would turn a -0.0 into +0.0
     a = np.empty(rows * cols, dtype=complex)
     a.real, a.imag = re, im

@@ -81,19 +81,6 @@ class Spectrum:
         """A ``(..., raw, raw)`` stack of eigenbasis operators in the Fock basis."""
         return self.modes @ ops @ self.modes.conj().T
 
-    def validate(self, tol: float = 1e-10) -> None:
-        if self.energies.shape != (self.cutoff_raw,):
-            raise ValueError("energies length != cutoff_raw")
-        if self.modes.shape != (self.cutoff_raw, self.cutoff_raw):
-            raise ValueError("modes must be square of size cutoff_raw")
-        if not (1 <= self.cutoff_kept <= self.cutoff_raw):
-            raise ValueError("cutoff_kept must lie in [1, cutoff_raw]")
-        if np.any(np.diff(self.energies) < -tol):
-            raise ValueError("energies not ascending")
-        gram = self.modes.conj().T @ self.modes
-        if np.max(np.abs(gram - np.eye(self.cutoff_raw))) > tol:
-            raise ValueError("modes not unitary within tolerance")
-
     def to_json(self) -> dict:
         return {
             **vars(self),
@@ -111,7 +98,16 @@ class Spectrum:
             c1=scalar(obj, "c1", float),
             c2=scalar(obj, "c2", float),
         )
-        spec.validate(tol=1e-8)
+        if spec.energies.shape != (spec.cutoff_raw,):
+            raise ValueError("energies length != cutoff_raw")
+        if spec.modes.shape != (spec.cutoff_raw, spec.cutoff_raw):
+            raise ValueError("modes must be square of size cutoff_raw")
+        if not (1 <= spec.cutoff_kept <= spec.cutoff_raw):
+            raise ValueError("cutoff_kept must lie in [1, cutoff_raw]")
+        if np.any(np.diff(spec.energies) < -1e-8):
+            raise ValueError("energies not ascending")
+        if np.max(np.abs(spec.modes.conj().T @ spec.modes - np.eye(spec.cutoff_raw))) > 1e-8:
+            raise ValueError("modes not unitary within tolerance")
         return spec
 
 

@@ -69,20 +69,21 @@ class SusyPair:
 
 
 def _poly_of_matrix(coeffs: np.ndarray, q: np.ndarray) -> np.ndarray:
-    out = coeffs[-1] * np.eye(q.shape[0], dtype=complex)
+    out = coeffs[-1] * np.eye(q.shape[0])
     for c in coeffs[-2::-1]:
-        out = out @ q + c * np.eye(q.shape[0], dtype=complex)
+        out = out @ q + c * np.eye(q.shape[0])
     return out
 
 
 def _pair_at(w_coeffs: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
-    q = fock.position_op(cutoff)
+    # Q and P² are real in the Fock basis, so the pair is real symmetric
+    q = fock.position_op(cutoff).real
     p = fock.momentum_op(cutoff)
     d1 = np.polynomial.polynomial.polyder(w_coeffs)
     d2 = np.polynomial.polynomial.polyder(w_coeffs, 2)
     wp = _poly_of_matrix(d1, q)
     wpp = _poly_of_matrix(np.atleast_1d(d2), q)
-    kinetic = 0.5 * (p @ p + wp @ wp)
+    kinetic = 0.5 * ((p @ p).real + wp @ wp)
     return kinetic + 0.5 * wpp, kinetic - 0.5 * wpp  # (h_plus, h_minus)
 
 

@@ -5,6 +5,7 @@ from conftest import random_density, random_unitary
 
 from susygate.channel import (
     JointSystem,
+    _trace_ancilla,
     QuantumChannel,
     apply_channel,
     choi,
@@ -215,6 +216,36 @@ def test_zero_pulse_channel_is_the_traced_free_gate(sys_dim):
     ground = np.eye(2)[0]
     via_dyson = dyson_channel(joint, ControlPulse(2.0, np.zeros(3))).kraus
     assert np.array_equal(via_dyson, kraus_from_unitary(gate, ground).kraus)
+
+
+@pytest.mark.parametrize("d_sys, d_anc", [(3, 2), (2, 3)])
+def test_ancilla_trace_of_joint_unitaries_is_kraus_from_unitary(rng, d_sys, d_anc):
+    # a stack of random 6×6 joint unitaries, the ancilla in a superposition
+    # of all its levels: one call on the stack gives each unitary's operators
+    # K_i = (I ⊗ <i|) U (I ⊗ |a>)
+    gates = np.stack([random_unitary(rng, 6) for _ in range(4)])
+    anc = rng.normal(size=d_anc) + 1j * rng.normal(size=d_anc)
+    anc /= np.linalg.norm(anc)
+    kraus = _trace_ancilla(gates, anc)
+    assert kraus.shape == (4, d_anc, d_sys, d_sys)
+    for u, ops in zip(gates, kraus):
+        assert np.array_equal(ops, kraus_from_unitary(u, anc).kraus)
+        for i, k in enumerate(ops):
+            bra = np.kron(np.eye(d_sys), np.eye(d_anc)[i][None])
+            assert np.max(np.abs(k - bra @ u @ np.kron(np.eye(d_sys), anc[:, None]))) <= 1e-14
+
+
+def test_ancilla_trace_of_first_order_gates_is_their_ground_column():
+    # the joint gates of the channel design are not unitary; from the ground
+    # state, the stack's operators are the gates' column blocks U[(x, i), (y, 0)]
+    joint = JointSystem(sys_dim=3, anc_dim=2, coupling=0.15)
+    spec = joint.spectrum()
+    a = design_matrix(spec, 2.0, 2, control=joint.control_op())
+    gates = spec.to_fock(np.concatenate([u0(spec, 2.0)[None], a.T.reshape(-1, 6, 6)]))
+    kraus = _trace_ancilla(gates, np.eye(2)[0])
+    assert np.array_equal(kraus, gates.reshape(-1, 3, 2, 3, 2)[..., 0].swapaxes(-2, -3))
+    for u, ops in zip(gates, kraus):
+        assert np.array_equal(ops, _trace_ancilla(u, np.eye(2)[0]))
 
 
 def test_zero_pulse_optimal_for_free_target():

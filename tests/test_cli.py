@@ -346,6 +346,40 @@ def _infinite_range_end(inputs):
     return ["filter-sim", "--model", inputs / "bad.json", "--dt", 1e-2, "--T", 0.01]
 
 
+# a Hamiltonian term for the edge model, whose own h_terms list is empty
+_H_TERM = {"name": "omega", "op": matrix_to_json(np.diag([0.5, -0.5])), "range": [0.0, 1.0, 2],
+           "truth": 0.5}
+
+
+def _non_finite(command, flag, leaf, token):
+    # an input of ``command`` whose number at ``leaf`` is a raw JSON token:
+    # null (which NumPy reads as NaN), NaN, Infinity or 1e400 (which parses as inf)
+    def make_argv(inputs):
+        name, *extra = command.split()
+        argv, _ = _input_argv(name, inputs)
+        obj = load_json(argv[argv.index(flag) + 1])
+        if leaf[0] == "h_terms":
+            obj = {**obj, "h_terms": [_H_TERM]}
+        text = json.dumps(_with_leaf(obj, leaf, _LEAF)).replace(json.dumps(_LEAF), token)
+        (inputs / "bad.json").write_text(text)
+        argv[argv.index(flag) + 1] = inputs / "bad.json"
+        return argv + extra
+    return make_argv
+
+
+_NON_FINITE_CASES = [
+    *[(command, "--pulse", ("coeffs", 0), token) for command in ("gate", "gate --oracle")
+      for token in ("null", "NaN", "Infinity", "1e400")],
+    ("gate", "--spectrum", ("energies", 0), "null"),
+    ("synth", "--spectrum", ("energies", 0), "null"),
+    ("gate --oracle", "--spectrum", ("c2",), "1e400"),
+    ("filter-sim", "--model", ("rate_terms", 0, "truth"), "1e400"),
+    ("filter-sim", "--model", ("rate_terms", 0, "truth"), "NaN"),
+    ("filter-sim", "--model", ("h_terms", 0, "truth"), "1e400"),
+    ("vev", "--d2", (0, 0, 0), "null"),
+]
+
+
 @pytest.mark.parametrize(
     "make_argv",
     [_infinite_rows, _undecodable_byte, _non_integer_cutoff, _choi_with("d_out", 3),
@@ -363,7 +397,8 @@ def _infinite_range_end(inputs):
      _model_with("rate_terms", [{**_RATE_TERM, "range": [0.3, True, 3]}]),
      _model_with("rate_terms", [{**_RATE_TERM, "truth": "0.7"}]),
      _model_with("measurement", 0.9), _infinite_range_end,
-     _choi_of_dim(-2, 4), _choi_of_dim(0, 0), _choi_of_dim(1, 1)],
+     _choi_of_dim(-2, 4), _choi_of_dim(0, 0), _choi_of_dim(1, 1),
+     *[_non_finite(*case) for case in _NON_FINITE_CASES]],
     ids=["rows-1e400", "byte-0xff", "cutoff-kept-x", "d-in-ne-d-out",
          "record-dY-x", "record-byte-0xff", "record-extra-row", "config-byte-0xff",
          "target-not-unitary", "target-quoted-entry", "d2-boolean-entry",
@@ -373,7 +408,9 @@ def _infinite_range_end(inputs):
          "model-measurement-1", "model-rate-range-negative",
          "choi-d-in-string", "choi-d-out-2.9", "model-range-lo-string",
          "model-range-hi-boolean", "model-truth-string", "model-measurement-0.9",
-         "model-range-hi-1e400", "choi-dim-minus-2", "choi-dim-0", "choi-dim-1"],
+         "model-range-hi-1e400", "choi-dim-minus-2", "choi-dim-0", "choi-dim-1",
+         *[f"{c.replace(' --', '-')}-{f[2:]}-{'.'.join(map(str, leaf))}-{t}"
+           for c, f, leaf, t in _NON_FINITE_CASES]],
 )
 def test_input_file_error_names_the_file(edge_inputs, capsys, make_argv):
     out = edge_inputs / "out"
@@ -935,14 +972,23 @@ def test_config_file_defaults_and_override(tmp_path):
 
 
 @pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
-@pytest.mark.parametrize("spelling", [["--config={cfg}"], ["--conf", "{cfg}"]],
-                         ids=["equals", "prefix"])
+@pytest.mark.parametrize("spelling", [["--config={cfg}"]], ids=["equals"])
 def test_config_spellings_apply_the_file(tmp_path, spelling):
     cfg = tmp_path / "run.cfg"
     cfg.write_text("c1=0.02\n")
     argv = [a.format(cfg=cfg) for a in spelling]
     assert run_cli("spectrum", *argv, "--dim", 3, "--out-dir", tmp_path) == 0
     assert load_json(tmp_path / "manifest.json")["config"]["c1"] == 0.02
+
+
+def test_config_prefix_exits_2(tmp_path, capsys):
+    # --config is spelled in full, like every other option
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("c1=0.02\n")
+    out = tmp_path / "out"
+    assert run_cli("spectrum", "--conf", cfg, "--dim", 3, "--out-dir", out) == 2
+    assert "unrecognized arguments: --conf" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command, prefix", [("spectrum", "--c"), ("channel", "--co")])
@@ -1711,6 +1757,9 @@ def test_extreme_leaf_exit_code_contract(shared_edge_inputs, command, data):
         argv[argv.index(flag) + 1] = out / "input.json"
         status = run_cli(*argv, "--out-dir", out / "run")
         assert status in (0, 2, 3)
+        if value in ("Infinity", "-Infinity", "NaN", "1e400"):
+            # every number of these inputs is read, and a non-finite one is refused
+            assert status == 2
         if status == 0:
             for artifact in (out / "run").glob("*.json"):
                 json.loads(artifact.read_text(), parse_constant=reject_non_finite)

@@ -166,8 +166,8 @@ _TRAJECTORY = Trajectory(times=np.arange(3.0), states=np.stack([np.eye(2) / 2] *
                          record=np.zeros(2)).to_json()
 
 
-@pytest.mark.parametrize("entry", ["1.5", True], ids=["string", "boolean"])
-@pytest.mark.parametrize(
+# (reader, a valid object, the path of one entry of a number list)
+_NUMBER_LISTS = pytest.mark.parametrize(
     "read, obj, where",
     [(matrix_from_json, matrix_to_json(np.eye(2)), ("re", 1)),
      (matrix_from_json, matrix_to_json(np.eye(2)), ("im", 2)),
@@ -181,16 +181,33 @@ _TRAJECTORY = Trajectory(times=np.arange(3.0), states=np.stack([np.eye(2) / 2] *
     ids=["matrix-re", "matrix-im", "trajectory-states", "trajectory-times",
          "trajectory-record", "pulse-coeffs", "spectrum-energies"],
 )
-def test_number_lists_refuse_strings_and_booleans(read, obj, where, entry):
-    # NumPy reads "1.5" as 1.5 and true as 1.0; a reader must not
+
+
+def _with_entry(obj, where, entry):
     obj = json.loads(json.dumps(obj))
     *path, last = where
     parent = obj
     for key in path:
         parent = parent[key]
     parent[last] = entry
+    return obj
+
+
+@pytest.mark.parametrize("entry", ["1.5", True], ids=["string", "boolean"])
+@_NUMBER_LISTS
+def test_number_lists_refuse_strings_and_booleans(read, obj, where, entry):
+    # NumPy reads "1.5" as 1.5 and true as 1.0; a reader must not
     with pytest.raises(ValueError, match="a string or a boolean where a number belongs"):
-        read(obj)
+        read(_with_entry(obj, where, entry))
+
+
+@pytest.mark.parametrize("entry", [None, float("nan"), float("inf"), -float("inf")],
+                         ids=["null", "nan", "inf", "-inf"])
+@_NUMBER_LISTS
+def test_number_lists_refuse_non_finite_numbers(read, obj, where, entry):
+    # NumPy reads null as NaN, and JSON's 1e400 parses as inf
+    with pytest.raises(ValueError, match=f"^{where[0]}: null, NaN or an infinite number"):
+        read(_with_entry(obj, where, entry))
 
 
 _PULSE = ControlPulse(2.0, np.array([0.1, 0.0, 0.2])).to_json()
@@ -218,6 +235,16 @@ def test_scalar_fields_refuse_strings_and_booleans(read, obj, key, spoil):
     # int() and float() read "2" as 2 and true as 1
     with pytest.raises(ValueError, match=f"^{key}: .* is not an? (integer|number)$"):
         read({**obj, key: spoil(obj[key])})
+
+
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("read, obj, key", [(ControlPulse.from_json, _PULSE, "T"),
+                                            (Spectrum.from_json, _SPECTRUM, "c1"),
+                                            (Spectrum.from_json, _SPECTRUM, "c2")],
+                         ids=["pulse-T", "spectrum-c1", "spectrum-c2"])
+def test_float_fields_refuse_non_finite_numbers(read, obj, key, value):
+    with pytest.raises(ValueError, match=f"^{key}: {value!r} is not a finite number$"):
+        read({**obj, key: value})
 
 
 def test_integer_fields_refuse_a_float():

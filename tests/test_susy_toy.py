@@ -81,7 +81,9 @@ def test_positive_spectra_pair(coeffs, cutoff):
 
 
 def test_pair_hamiltonians_hermitian():
+    # Q and P² are real, so the pair is built real symmetric
     pair = susy_pair([0.0, 0.2, 0.5, 0.1], cutoff=48)
+    assert pair.h_plus.dtype == pair.h_minus.dtype == np.float64
     assert np.max(np.abs(pair.h_plus - pair.h_plus.conj().T)) < 1e-12
     assert np.max(np.abs(pair.h_minus - pair.h_minus.conj().T)) < 1e-12
 
