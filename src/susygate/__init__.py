@@ -37,8 +37,6 @@ from .fock import (
     GradedSpace,
     annihilation_op,
     even_part,
-    is_hermitian,
-    is_psd,
     is_unitary,
     momentum_op,
     odd_part,

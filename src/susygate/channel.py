@@ -26,7 +26,8 @@ import numpy as np
 
 from . import dyson
 from .dyson import ControlPulse
-from .fock import is_psd, is_unitary, position_op
+from .filter_fit import _STATE_FAULTS, _state_faults
+from .fock import is_unitary, position_op
 from .solver import gauss_newton
 from .spectrum import Spectrum, compute_spectrum, diagonalize
 
@@ -63,30 +64,23 @@ def partial_trace(rho: np.ndarray, dims: tuple[int, int], which: str = "anc") ->
 
     ``which="anc"`` keeps the system factor, ``which="sys"`` keeps the
     ancilla.  The operation is total (any square matrix of the right size);
-    a warning is emitted if the input is far from a density matrix.
+    a warning names the first fault if the input fails the state test of
+    trajectories (``filter_fit._state_faults``: Hermitian and trace 1 within
+    1e-8, no eigenvalue below −1e-6; a NaN entry fails it).
     """
     d_sys, d_anc = dims
     rho = np.asarray(rho, dtype=complex)
     if rho.shape != (d_sys * d_anc, d_sys * d_anc):
         raise ValueError(f"shape {rho.shape} does not factor as {d_sys}x{d_anc}")
-    _warn_if_not_state(rho)
+    if (fault := _state_faults(rho)[0]) < 3:
+        warnings.warn(f"input is not a normalized state ({_STATE_FAULTS[fault]}); tracing anyway",
+                      stacklevel=2)
     r4 = rho.reshape(d_sys, d_anc, d_sys, d_anc)
     if which == "anc":
         return np.einsum("iaja->ij", r4)
     if which == "sys":
         return np.einsum("iaib->ab", r4)
     raise ValueError(f"which must be 'sys' or 'anc', got {which!r}")
-
-
-def _warn_if_not_state(rho, tol=1e-6):
-    herm = np.max(np.abs(rho - rho.conj().T))
-    tr = abs(np.trace(rho) - 1.0)
-    if herm > tol or tr > tol or not is_psd(rho, tol):
-        warnings.warn(
-            f"input is not a normalized state (hermiticity defect {herm:.2e}, "
-            f"trace defect {tr:.2e}); tracing anyway",
-            stacklevel=3,
-        )
 
 
 def kraus_from_unitary(u: np.ndarray, anc_state: np.ndarray) -> QuantumChannel:
@@ -96,11 +90,11 @@ def kraus_from_unitary(u: np.ndarray, anc_state: np.ndarray) -> QuantumChannel:
     u = np.asarray(u, dtype=complex)
     anc_state = np.asarray(anc_state, dtype=complex).reshape(-1)
     d_anc = anc_state.size
-    if abs(np.linalg.norm(anc_state) - 1.0) > 1e-8:
+    if not abs(np.linalg.norm(anc_state) - 1.0) <= 1e-8:
         raise ValueError("ancilla state must be normalized")
     if u.ndim != 2 or u.shape[0] != u.shape[1] or u.shape[0] % d_anc:
         raise ValueError(f"operator shape {u.shape} does not factor over d_anc={d_anc}")
-    if not is_unitary(u, tol=1e-8):
+    if not is_unitary(u):
         raise ValueError("joint operator is not unitary to 1e-08")
     d_sys = u.shape[0] // d_anc
     return QuantumChannel(_trace_ancilla(u, anc_state), d_sys, d_sys)

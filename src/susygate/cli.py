@@ -187,7 +187,7 @@ HANDLER_PARSED = {"lambda_grid": _parse_grid, "superpotential": _float_list,
 def _gate_target(obj, allow_nonunitary: bool) -> np.ndarray:
     """Matrix of a gate target file, checked for unitarity unless allowed not to be."""
     target = matrix_from_json(obj)
-    if not (allow_nonunitary or is_unitary(target, tol=1e-8)):
+    if not (allow_nonunitary or is_unitary(target)):
         raise ValueError("target is not unitary to 1e-8 (set --allow-nonunitary)")
     return target
 

@@ -184,7 +184,7 @@ class Trajectory:
             d, rows, times = scalar(obj, "dim", int), obj["states"], obj["times"]
             bad = next((k for k, row in enumerate(rows) if len(row) != d * d), None)
             coords = None if bad is not None else float_array(rows, "states")
-        except (KeyError, TypeError, OverflowError) as exc:
+        except (KeyError, TypeError) as exc:
             raise ValueError(f"not a trajectory object: {exc}") from exc
         if d < 1:
             raise ValueError(f"dim must be at least 1, got {d}")
@@ -281,14 +281,19 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
 
 
 def _check_grid(times) -> tuple[np.ndarray, float]:
+    """``times`` as a float array and its step dt.  ValueError unless it is
+    a finite, strictly increasing, uniform 1-D grid of at least two points;
+    each test is written so that NaN fails it."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("times must be a 1-D grid with at least two points")
+    if not np.isfinite(times).all():
+        raise ValueError("times must be finite")
     dts = np.diff(times)
-    if np.any(dts <= 0):
+    if not (dts > 0).all():
         raise ValueError("times must be strictly increasing")
     dt = dts[0]
-    if np.max(np.abs(dts - dt)) > 1e-9 * max(dt, 1.0):
+    if not np.max(np.abs(dts - dt)) <= 1e-9 * max(dt, 1.0):
         raise ValueError("times must be a uniform grid")
     return times, float(dt)
 

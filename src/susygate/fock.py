@@ -49,13 +49,6 @@ def momentum_op(cutoff: int) -> np.ndarray:
     return 1j * (a.conj().T - a) / np.sqrt(2.0)
 
 
-def is_hermitian(a: np.ndarray, tol: float = 1e-10) -> bool:
-    a = np.asarray(a)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
-        return False
-    return bool(np.max(np.abs(a - a.conj().T)) <= tol)
-
-
 def require_hermitian(a, what: str) -> np.ndarray:
     """``a`` as a complex array; ValueError unless it is square and Hermitian:
     max|a − a†| ≤ 1e-10·max(1, max|a|).  A NaN or infinite entry, which
@@ -73,19 +66,14 @@ def require_hermitian(a, what: str) -> np.ndarray:
     return a
 
 
-def is_unitary(a: np.ndarray, tol: float = 1e-10) -> bool:
+def is_unitary(a: np.ndarray) -> bool:
+    """Whether ``a`` is square with max|a†a − I| ≤ 1e-8, the one unitarity
+    rule for targets, joint gates and eigenbases; a NaN entry fails it."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     eye = np.eye(a.shape[0])
-    return bool(np.max(np.abs(a.conj().T @ a - eye)) <= tol)
-
-
-def is_psd(a: np.ndarray, tol: float = 1e-10) -> bool:
-    if not is_hermitian(a, tol):
-        return False
-    w = np.linalg.eigvalsh(np.asarray(a))
-    return bool(w.min() >= -tol)
+    return bool(np.max(np.abs(a.conj().T @ a - eye)) <= 1e-8)
 
 
 @dataclass(frozen=True)

@@ -56,7 +56,7 @@ class SynthesisProblem:
         k = self.spec.cutoff_kept
         if g.shape != (k, k):
             raise ValueError(f"target shape {g.shape} != kept dim {k}")
-        if not self.allow_nonunitary and not is_unitary(g, tol=1e-8):
+        if not self.allow_nonunitary and not is_unitary(g):
             raise ValueError("target is not unitary to 1e-8 (set allow_nonunitary)")
         if (self.lam is None) == (self.budget is None):
             raise ValueError("set exactly one of lam and budget")

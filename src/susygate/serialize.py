@@ -33,13 +33,17 @@ def float_array(values, name: str) -> np.ndarray:
     """A JSON number, or a (nested) list of them, as a finite float array.
     NumPy would read a string such as "1.5" or a boolean as a number, and
     null as NaN; each of these, and NaN or ±inf (JSON's ``NaN``,
-    ``Infinity`` or an overflowing 1e400), raises ValueError naming ``name``."""
+    ``Infinity``, an overflowing 1e400 or an integer too large for a
+    double), raises ValueError naming ``name``."""
     items = values if type(values) is list else [values]
     while items and all(type(v) is list for v in items):
         items = [x for v in items for x in v]
     if not {str, bool}.isdisjoint(map(type, items)):
         raise ValueError(f"{name}: a string or a boolean where a number belongs")
-    array = np.asarray(values, dtype=float)
+    try:
+        array = np.asarray(values, dtype=float)
+    except OverflowError:  # an integer too large for a double
+        array = np.array(np.inf)
     if not np.isfinite(array).all():
         raise ValueError(f"{name}: null, NaN or an infinite number where a finite one belongs")
     return array
@@ -48,14 +52,18 @@ def float_array(values, name: str) -> np.ndarray:
 def scalar(obj: dict, key: str, kind: type[int] | type[float]) -> int | float:
     """``obj[key]`` as an int or a finite float.  An int takes only a JSON
     integer, a float also takes one; a string or a boolean, which ``int`` and
-    ``float`` would convert, or a NaN or ±inf float raises ValueError naming
-    ``key``."""
+    ``float`` would convert, a NaN or ±inf float, or for a float an integer
+    too large for a double raises ValueError naming ``key``."""
     value = obj[key]
     if type(value) not in ((int,) if kind is int else (int, float)):
         raise ValueError(f"{key}: {value!r} is not {'an integer' if kind is int else 'a number'}")
-    if type(value) is float and not math.isfinite(value):
+    try:
+        number = kind(value)
+    except OverflowError:  # an integer too large for a double
+        number = math.inf
+    if kind is float and not math.isfinite(number):
         raise ValueError(f"{key}: {value!r} is not a finite number")
-    return kind(value)
+    return number
 
 
 def matrix_from_json(obj: dict) -> np.ndarray:

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .fock import momentum_op, position_op, require_hermitian
+from .fock import is_unitary, momentum_op, position_op, require_hermitian
 from .serialize import float_array, matrix_from_json, matrix_to_json, scalar
 
 
@@ -106,7 +106,7 @@ class Spectrum:
             raise ValueError("cutoff_kept must lie in [1, cutoff_raw]")
         if np.any(np.diff(spec.energies) < -1e-8):
             raise ValueError("energies not ascending")
-        if np.max(np.abs(spec.modes.conj().T @ spec.modes - np.eye(spec.cutoff_raw))) > 1e-8:
+        if not is_unitary(spec.modes):
             raise ValueError("modes not unitary within tolerance")
         return spec
 

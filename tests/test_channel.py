@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -43,8 +45,28 @@ def test_trace_preserved(rng):
 
 
 def test_partial_trace_warns_on_nonstate(rng):
-    with pytest.warns(UserWarning, match="not a normalized state"):
-        partial_trace(np.eye(4) * 2.0, (2, 2))
+    # the state rule of trajectories: Hermitian and trace 1 within 1e-8, no
+    # eigenvalue below −1e-6; the warning names the first test that fails
+    for rho, fault in [
+        (np.eye(4) * 2.0, "trace differs from 1"),
+        (np.eye(4) / 4 * (1 + 1e-7), "trace differs from 1"),
+        (np.full((4, 4), np.nan), "not Hermitian"),
+        (random_density(rng, 4) + 1e-7j * np.triu(np.ones((4, 4)), 1), "not Hermitian"),
+        (np.diag([1.5, -0.5, 0.0, 0.0]), "has a negative eigenvalue"),
+    ]:
+        with pytest.warns(UserWarning) as record:
+            partial_trace(rho, (2, 2))
+        assert [str(w.message) for w in record] == [
+            f"input is not a normalized state ({fault}); tracing anyway"
+        ]
+        assert record[0].filename == __file__  # points at the caller
+
+
+def test_partial_trace_of_a_state_does_not_warn(rng):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for d_sys, d_anc in [(2, 2), (3, 2), (1, 4)]:
+            partial_trace(random_density(rng, d_sys * d_anc), (d_sys, d_anc))
 
 
 def test_partial_trace_dimension_mismatch():
@@ -94,8 +116,10 @@ def test_non_unitary_rejected():
 
 
 def test_unnormalized_ancilla_rejected(rng):
-    with pytest.raises(ValueError, match="normalized"):
-        kraus_from_unitary(random_unitary(rng, 4), np.array([1.0, 1.0]))
+    # a NaN norm fails too; it would give an all-NaN Kraus stack
+    for anc in ([1.0, 1.0], [np.nan, 0.0]):
+        with pytest.raises(ValueError, match="^ancilla state must be normalized$"):
+            kraus_from_unitary(random_unitary(rng, 4), np.array(anc))
 
 
 @pytest.mark.parametrize(

@@ -423,6 +423,21 @@ def test_input_file_error_names_the_file(edge_inputs, capsys, make_argv):
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("key, value, message", [
+    ("T", 10**400, f"T: {10**400} is not a finite number"),
+    ("coeffs", [10**400, 0.0, 0.0], "coeffs: null, NaN or an infinite number where a finite one "
+                                    "belongs"),
+], ids=["T", "coeffs"])
+def test_integer_too_large_for_a_double_names_its_field(edge_inputs, capsys, key, value, message):
+    # float() of a 401-digit JSON integer overflows; the line names the field, as for 1e400
+    save_json(edge_inputs / "bad.json", {**load_json(edge_inputs / "pulse.json"), key: value})
+    out = edge_inputs / "out"
+    assert run_cli("gate", "--spectrum", edge_inputs / "spectrum.json",
+                   "--pulse", edge_inputs / "bad.json", "--out-dir", out) == 2
+    assert capsys.readouterr().err == f"error: {edge_inputs / 'bad.json'}: {message}\n"
+    assert not (out / "manifest.json").exists()
+
+
 def test_channel_choi_of_wrong_size_exits_2(edge_inputs, capsys):
     # d_in = d_out = 2 promises a 4x4 Choi matrix; a 3x3 one is refused
     save_json(edge_inputs / "bad.json", {**matrix_to_json(np.eye(3)), "d_in": 2, "d_out": 2})

@@ -363,6 +363,27 @@ def test_nonuniform_grid_rejected():
         lindblad_evolve(damping_model(1.0), RHO_EXCITED, np.array([0, 0.1, 0.3]))
 
 
+_GRID_USERS = {
+    "lindblad_evolve": lambda times: lindblad_evolve(damping_model(1.0), RHO_EXCITED, times),
+    "sme_simulate": lambda times: sme_simulate(damping_model(1.0), 0, 1.0, RHO_EXCITED, times, 1),
+    "filter_estimate": lambda times: filter_estimate(damping_model(1.0), np.zeros(times.size - 1),
+                                                     0, 1.0, RHO_EXCITED, times),
+    "fit_parameters": lambda times: fit_parameters(
+        Trajectory(times=times, states=np.stack([RHO_EXCITED] * times.size)),
+        damping_family(), [np.array([0.5, 1.0])]),
+}
+
+
+@pytest.mark.parametrize("times", [[0.0, np.nan, 2.0], [0.0, 1.0, np.nan], [0.0, 1.0, np.inf]],
+                         ids=["nan-inside", "nan-last", "inf-last"])
+@pytest.mark.parametrize("use", list(_GRID_USERS))
+def test_non_finite_time_grid_rejected(use, times):
+    # every grid test compares a difference of times, which NaN passes: the
+    # grid gave dt = nan, and the integrators NaN states
+    with pytest.raises(ValueError, match="^times must be finite$"):
+        _GRID_USERS[use](np.array(times))
+
+
 def test_trajectory_json_roundtrip():
     times = grid(0.5, 1e-2)
     traj = lindblad_evolve(damping_model(1.0), RHO_EXCITED, times)

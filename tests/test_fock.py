@@ -8,8 +8,6 @@ from susygate.fock import (
     GradedSpace,
     annihilation_op,
     even_part,
-    is_hermitian,
-    is_psd,
     is_unitary,
     momentum_op,
     odd_part,
@@ -44,7 +42,7 @@ def test_position_momentum_entries():
     p = momentum_op(5)
     n = np.arange(4)
     assert np.allclose(np.diagonal(p, 1), -1j * np.sqrt((n + 1) / 2.0))
-    assert is_hermitian(q) and is_hermitian(p)
+    assert np.array_equal(q, q.conj().T) and np.array_equal(p, p.conj().T)
 
 
 @pytest.mark.parametrize("m", [2, 5, 16, 64])
@@ -65,12 +63,16 @@ def test_number_operator_on_trusted_block():
 def test_predicates(rng):
     h = rng.normal(size=(5, 5)) + 1j * rng.normal(size=(5, 5))
     h = h + h.conj().T
-    assert is_hermitian(h)
-    assert not is_hermitian(h + 1e-8 * 1j * np.eye(5))
+    assert np.array_equal(require_hermitian(h, "H"), h)
+    with pytest.raises(ValueError, match=r"^H must be Hermitian$"):
+        require_hermitian(h + 1e-8 * 1j * np.eye(5), "H")
+    # one unitarity rule, max|a†a − I| ≤ 1e-8, that a NaN entry fails
+    q, _ = np.linalg.qr(h)
+    assert is_unitary(q)
+    assert is_unitary(q * (1 + 4e-9)) and not is_unitary(q * (1 + 6e-9))
     assert not is_unitary(h)
-    assert is_psd(h @ h.conj().T)
-    assert not is_psd(-np.eye(3))
-    assert not is_hermitian(np.zeros((2, 3)))
+    assert not is_unitary(np.where(np.eye(5) == 1, np.nan, q))
+    assert not is_unitary(np.zeros((2, 3)))
 
 
 def test_require_hermitian_scales_its_tolerance_with_the_entries():
@@ -109,7 +111,9 @@ def test_is_unitary_accepts_hermitian_exponentials(rng):
     h = (h + h.conj().T) / 2
     spec = diagonalize(h, kept=64)
     phases = np.exp(-1j * spec.energies * 0.37)
-    assert is_unitary((spec.modes * phases) @ spec.modes.conj().T, tol=1e-10)
+    u = (spec.modes * phases) @ spec.modes.conj().T
+    assert is_unitary(u)
+    assert np.max(np.abs(u.conj().T @ u - np.eye(64))) <= 1e-10
 
 
 class TestGradedAlgebra:

@@ -11,11 +11,10 @@ PUBLIC = [
     "SynthesisReport", "Trajectory", "VevControl", "WittenIndexReport",
     "annihilation_op", "apply_channel", "build_h0", "choi", "compute_spectrum",
     "design_matrix", "diagonalize", "dyson_channel", "dyson_gate", "ensemble_stats",
-    "even_part", "filter_estimate", "fit_parameters", "is_hermitian", "is_psd",
-    "is_unitary", "kraus_from_unitary", "lindblad_evolve", "momentum_op", "odd_part",
-    "partial_trace", "perturbative_energies", "position_op", "propagate_oracle",
-    "sme_simulate", "susy_pair", "sweep", "synthesize", "synthesize_channel", "tau",
-    "u0", "vev_control", "witten_index",
+    "even_part", "filter_estimate", "fit_parameters", "is_unitary", "kraus_from_unitary",
+    "lindblad_evolve", "momentum_op", "odd_part", "partial_trace", "perturbative_energies",
+    "position_op", "propagate_oracle", "sme_simulate", "susy_pair", "sweep", "synthesize",
+    "synthesize_channel", "tau", "u0", "vev_control", "witten_index",
 ]
 SUBMODULES = ["channel", "dyson", "errors", "filter_fit", "fock", "gate_synth",
               "serialize", "solver", "spectrum", "susy_toy"]
@@ -44,10 +43,15 @@ def test_deleted_names_stay_deleted():
         (filter_fit, "BLOCK_STEPS"),
         (channel, "_kraus_stack"),
         (spectrum.Spectrum, "validate"),
+        (fock, "is_hermitian"),
+        (fock, "is_psd"),
+        (channel, "_warn_if_not_state"),
     ]:
         assert not hasattr(owner, name), name
-    for name in ("effective_hamiltonian", "channel_distance", "creation_op"):
+    for name in ("effective_hamiltonian", "channel_distance", "creation_op", "is_hermitian",
+                 "is_psd"):
         assert not hasattr(susygate, name), name
     assert list(inspect.signature(spectrum.perturbative_energies).parameters) == [
         "c1", "c2", "n_max",
     ]
+    assert list(inspect.signature(fock.is_unitary).parameters) == ["a"]

@@ -201,11 +201,12 @@ def test_number_lists_refuse_strings_and_booleans(read, obj, where, entry):
         read(_with_entry(obj, where, entry))
 
 
-@pytest.mark.parametrize("entry", [None, float("nan"), float("inf"), -float("inf")],
-                         ids=["null", "nan", "inf", "-inf"])
+@pytest.mark.parametrize("entry", [None, float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["null", "nan", "inf", "-inf", "int-1e400"])
 @_NUMBER_LISTS
 def test_number_lists_refuse_non_finite_numbers(read, obj, where, entry):
-    # NumPy reads null as NaN, and JSON's 1e400 parses as inf
+    # NumPy reads null as NaN, JSON's 1e400 parses as inf, and a JSON integer
+    # too large for a double overflows its conversion
     with pytest.raises(ValueError, match=f"^{where[0]}: null, NaN or an infinite number"):
         read(_with_entry(obj, where, entry))
 
@@ -237,7 +238,8 @@ def test_scalar_fields_refuse_strings_and_booleans(read, obj, key, spoil):
         read({**obj, key: spoil(obj[key])})
 
 
-@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf")])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), -float("inf"), 10**400],
+                         ids=["nan", "inf", "-inf", "int-1e400"])
 @pytest.mark.parametrize("read, obj, key", [(ControlPulse.from_json, _PULSE, "T"),
                                             (Spectrum.from_json, _SPECTRUM, "c1"),
                                             (Spectrum.from_json, _SPECTRUM, "c2")],

@@ -3,6 +3,7 @@ from collections import defaultdict
 import numpy as np
 import pytest
 
+from susygate.serialize import matrix_from_json, matrix_to_json
 from susygate.spectrum import (
     MetastableWarning,
     Spectrum,
@@ -141,6 +142,16 @@ def test_spectrum_json_roundtrip():
     assert np.allclose(back.energies, spec.energies)
     assert np.allclose(back.modes, spec.modes)
     assert back.cutoff_kept == 5 and back.c1 == 0.01
+
+
+def test_spectrum_json_refuses_non_unitary_modes():
+    # the package's one unitarity rule, max|V†V − I| ≤ 1e-8
+    obj = compute_spectrum(0.01, 0.005, kept=2, raw_dim=8).to_json()
+    modes = matrix_from_json(obj["modes"])
+    Spectrum.from_json({**obj, "modes": matrix_to_json(modes * (1 + 4e-9))})
+    for bad in (modes * (1 + 6e-9), np.where(np.eye(8) == 1, modes, 2 * modes)):
+        with pytest.raises(ValueError, match="^modes not unitary within tolerance$"):
+            Spectrum.from_json({**obj, "modes": matrix_to_json(bad)})
 
 
 # --- perturbative energies --------------------------------------------------
