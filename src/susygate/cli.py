@@ -48,8 +48,8 @@ MAX_STEPS = 10**7
 # most points a --lambda-grid sweep or a model file's parameter grid sets;
 # each keeps a full report or costs one full integration
 MAX_GRID_POINTS = 10**4
-# largest model dimension d a model file sets; the SME step stacks three
-# d²×d² complex superoperators, 48·d⁴ bytes (48 MiB at d = 32)
+# largest model dimension d a model file sets; the SME step stack holds
+# 3(d²+2)·d² complex entries, 16 bytes each (about 48 MiB at d = 32)
 MAX_MODEL_DIM = 32
 # most free parameters p a model file declares; each costs the fit one
 # tangent generator of side 2d² and one Gauss–Newton column, and the
@@ -187,6 +187,8 @@ HANDLER_PARSED = {"lambda_grid": _parse_grid, "superpotential": _float_list,
 def _gate_target(obj, allow_nonunitary: bool) -> np.ndarray:
     """Matrix of a gate target file, checked for unitarity unless allowed not to be."""
     target = matrix_from_json(obj)
+    if target.size == 0:
+        raise ValueError(f"target is an empty {target.shape[0]}x{target.shape[1]} matrix")
     if not (allow_nonunitary or is_unitary(target)):
         raise ValueError("target is not unitary to 1e-8 (set --allow-nonunitary)")
     return target
@@ -460,6 +462,7 @@ def cmd_filter_fit(args, ws: Workspace):
             **_fit_fields(family, grids, truth, fit),
             "n_evaluations": len(fit.curve),
             "skipped": [list(t) for t in fit.skipped],
+            "filter_diagnostics": est.diagnostics,
             "fitted_diagnostics": fit.trajectory.diagnostics,
         },
     )

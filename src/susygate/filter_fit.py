@@ -30,6 +30,14 @@ simulator draws dY = √η tr((L+L†)ρ) dt + dW and records it; the filter
 takes dY from a record and is otherwise the same step.  Each step is a
 positive map, so states stay positive semidefinite by construction.
 
+The step is folded into one fixed stack (:func:`_sme_stack`) of three
+(d²+2)×d² blocks [K_j; vec(I)ᵀK_j; ℓᵀK_j], with ℓ·vec(ρ) = √η tr((L+L†)ρ).
+One product with vec(ρ), mixed by (1, dY, dY²), gives the unnormalized
+next state ρ′, its trace t and ℓ·vec(ρ′): the state is ρ′/t, and the next
+mean is ℓ·vec(ρ′)/t, so no step sums a diagonal or takes a second product.
+The range of t is returned as a diagnostic: far from 1, the step does not
+resolve the measurement.
+
 Fitting scans a parameter grid, then runs damped Gauss–Newton from the
 best grid point with exact trajectory sensitivities as its Jacobian.
 
@@ -131,8 +139,8 @@ class Trajectory:
 
     ``record[i]`` is the increment dY accumulated over
     [times[i], times[i+1]].  ``diagnostics`` holds what the integrator
-    measured along the way (see :func:`lindblad_evolve`); it is not part
-    of the JSON schema.
+    measured along the way (see :func:`lindblad_evolve` and
+    :func:`sme_simulate`); it is not part of the JSON schema.
 
     In JSON each d×d state is the row of its d² real Hermitian
     coordinates: the real diagonal, then Re and then Im of the strict upper
@@ -282,14 +290,17 @@ def liouvillian(model: LindbladModel) -> np.ndarray:
 
 def _check_grid(times) -> tuple[np.ndarray, float]:
     """``times`` as a float array and its step dt.  ValueError unless it is
-    a finite, strictly increasing, uniform 1-D grid of at least two points;
-    each test is written so that NaN fails it."""
+    a finite, strictly increasing, uniform 1-D grid of at least two points
+    whose steps are finite too; each test is written so that NaN fails it."""
     times = np.asarray(times, dtype=float)
     if times.ndim != 1 or times.size < 2:
         raise ValueError("times must be a 1-D grid with at least two points")
     if not np.isfinite(times).all():
         raise ValueError("times must be finite")
-    dts = np.diff(times)
+    with np.errstate(over="ignore"):
+        dts = np.diff(times)
+    if not np.isfinite(dts).all():
+        raise ValueError("time steps must be finite; one overflows a double")
     if not (dts > 0).all():
         raise ValueError("times must be strictly increasing")
     dt = dts[0]
@@ -382,63 +393,87 @@ def lindblad_evolve(model: LindbladModel, rho0, times) -> Trajectory:
     )
 
 
-def _sme_run(model, meas, eta, rho0, dt, increments, record_out):
-    """Shared Kraus-form core on row-major vec(ρ): `increments[i]` supplies
-    dW for step i when simulating (dY is written to `record_out`), or the
-    recorded dY when filtering (record_out=None).  Returns the states."""
-    d = model.dim
-    rho0 = _check_state(rho0, d)
+def _sme_stack(model, meas, eta, dt) -> tuple[np.ndarray, np.ndarray]:
+    """The step stack of the Kraus-form SME and filter, shape (3, d²+2, d²):
+    block j is [K_j; vec(I)ᵀK_j; ℓᵀK_j], so that its product with vec(ρ) also
+    gives the trace t and ℓ·vec(ρ′) of the unnormalized next state ρ′.  Also
+    returns ℓ, with ℓ·vec(ρ) = √η tr((L+L†)ρ), for the first step's mean."""
     if not (0.0 < eta <= 1.0):
         raise ValueError("efficiency must satisfy 0 < eta <= 1")
     if not (0 <= meas < len(model.lindblads)):
         raise ValueError("measurement index outside the model's Lindblad list")
+    d = model.dim
     m0 = np.eye(d) + dt * _drift(model)
     s = np.sqrt(eta) * model.lindblads[meas]
     k2 = np.kron(s, s.conj())
     # sum_k c_k dt L_k⊗L̄_k = dt (sum_k L_k⊗L̄_k − s⊗s̄), as s⊗s̄ = η L⊗L̄
     k0 = np.kron(m0, m0.conj()) + dt * (sum(np.kron(l, l.conj()) for l in model.lindblads) - k2)
-    stack = np.concatenate([k0, np.kron(s, m0.conj()) + np.kron(m0, s.conj()), k2])
-    ell = (s + s.conj().T).T.reshape(-1)  # ell @ vec(ρ) == √η tr((L+L†)ρ)
-    states = np.empty((len(increments) + 1, d * d), dtype=complex)
+    blocks = np.stack([k0, np.kron(s, m0.conj()) + np.kron(m0, s.conj()), k2])
+    ell = (s + s.conj().T).T.reshape(-1)
+    rows = np.stack([np.eye(d).reshape(-1), ell])
+    return np.concatenate([blocks, rows @ blocks], axis=1), ell
+
+
+def _sme_run(model, meas, eta, rho0, dt, increments, simulate):
+    """Shared Kraus-form loop on row-major vec(ρ): `increments[i]` is dW for
+    step i when simulating, whose dY is then the mean √η tr((L+L†)ρ)·dt plus
+    dW, or the recorded dY when filtering.  One product with the
+    :func:`_sme_stack` gives each unnormalized state with its trace t and,
+    divided by t, the next step's mean.  Returns the states, the list of dY
+    when simulating (else None), and the smallest and largest t as
+    diagnostics."""
+    d = model.dim
+    n = d * d
+    rho0 = _check_state(rho0, d)
+    stack, ell = _sme_stack(model, meas, eta, dt)
+    flat = stack.reshape(-1, n)  # a 2-D matrix-vector product costs less than the 3-D dot
+    states = np.empty((len(increments) + 1, n), dtype=complex)
     states[0] = v = rho0.reshape(-1)
-    for i, inc in enumerate(increments.tolist()):
-        if record_out is None:
-            dy = inc
-        else:
-            dy = ell.dot(v).real * dt + inc
-            record_out[i] = dy
-        v = np.array([1.0, dy, dy * dy]).dot(stack.dot(v).reshape(3, -1))
-        v /= v[:: d + 1].sum().real
-        states[i + 1] = v
-    return states.reshape(-1, d, d)
+    record = [] if simulate else None
+    traces = []
+    t, e = 1.0, ell.dot(v).item()
+    for i, dy in enumerate(increments.tolist(), 1):
+        if simulate:
+            dy += e.real / t.real * dt
+            record.append(dy)
+        x = np.array((1.0, dy, dy * dy)).dot(flat.dot(v).reshape(3, -1))
+        t, e = x[n:].tolist()
+        traces.append(t.real)
+        v = states[i]
+        np.divide(x[:n], t.real, out=v)
+    diagnostics = {"min_step_trace": min(traces), "max_step_trace": max(traces)}
+    return states.reshape(-1, d, d), record, diagnostics
 
 
 def sme_simulate(
     model: LindbladModel, meas: int, eta: float, rho0, times, seed: int
 ) -> Trajectory:
     """Diffusive measurement trajectory with its record, seeded and
-    bitwise reproducible."""
+    bitwise reproducible.  ``diagnostics`` holds ``min_step_trace`` and
+    ``max_step_trace``, the range of the trace of each step's state before
+    it is normalized: near 1 when the step resolves the measurement."""
     times_arr, dt = _check_grid(times)
     rng = np.random.default_rng(seed)
     dw = rng.normal(0.0, np.sqrt(dt), size=times_arr.size - 1)
-    record = np.empty(times_arr.size - 1)
-    states = _sme_run(model, meas, eta, rho0, dt, dw, record)
-    return Trajectory(times=times_arr, states=states, record=record, seed=int(seed))
+    states, record, diagnostics = _sme_run(model, meas, eta, rho0, dt, dw, True)
+    return Trajectory(times=times_arr, states=states, record=np.array(record), seed=int(seed),
+                      diagnostics=diagnostics)
 
 
 def filter_estimate(
     model: LindbladModel, record, meas: int, eta: float, rho0, times
 ) -> Trajectory:
     """State filter: the same Kraus-form step as :func:`sme_simulate`,
-    driven by the recorded increments dY."""
+    driven by the recorded increments dY, with the same ``diagnostics``."""
     times_arr, dt = _check_grid(times)
     record = np.asarray(record, dtype=float)
     if record.shape != (times_arr.size - 1,):
         raise ValueError(
             f"record length {record.shape} does not match grid ({times_arr.size - 1} steps)"
         )
-    states = _sme_run(model, meas, eta, rho0, dt, record, None)
-    return Trajectory(times=times_arr, states=states, record=record, seed=None)
+    states, _, diagnostics = _sme_run(model, meas, eta, rho0, dt, record, False)
+    return Trajectory(times=times_arr, states=states, record=record, seed=None,
+                      diagnostics=diagnostics)
 
 
 def ensemble_stats(

@@ -68,12 +68,13 @@ def require_hermitian(a, what: str) -> np.ndarray:
 
 def is_unitary(a: np.ndarray) -> bool:
     """Whether ``a`` is square with max|a†a − I| ≤ 1e-8, the one unitarity
-    rule for targets, joint gates and eigenbases; a NaN entry fails it."""
+    rule for targets, joint gates and eigenbases; a NaN entry fails it, and
+    a 0×0 matrix passes."""
     a = np.asarray(a)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         return False
     eye = np.eye(a.shape[0])
-    return bool(np.max(np.abs(a.conj().T @ a - eye)) <= 1e-8)
+    return bool(np.max(np.abs(a.conj().T @ a - eye), initial=0.0) <= 1e-8)
 
 
 @dataclass(frozen=True)

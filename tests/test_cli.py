@@ -300,6 +300,12 @@ def _non_unitary_target(inputs):
             "--T", 2.0, "--K", 1, "--no-oracle-check"]
 
 
+def _empty_target(inputs):
+    save_json(inputs / "bad.json", {"rows": 0, "cols": 0, "re": [], "im": []})
+    return ["synth", "--target", inputs / "bad.json", "--spectrum", inputs / "spectrum.json",
+            "--T", 2.0, "--K", 1, "--no-oracle-check"]
+
+
 def _quoted_target_entry(inputs):
     obj = load_json(inputs / "target.json")
     save_json(inputs / "bad.json", {**obj, "re": [str(obj["re"][0])] + obj["re"][1:]})
@@ -384,7 +390,8 @@ _NON_FINITE_CASES = [
     "make_argv",
     [_infinite_rows, _undecodable_byte, _non_integer_cutoff, _choi_with("d_out", 3),
      _record_with(b"0.0,x"), _record_with(b"0.0,0.1\xff"), _record_with(b"0.0,0.1\n0.01,0.2"),
-     _undecodable_config, _non_unitary_target, _quoted_target_entry, _boolean_vev_tensor_entry,
+     _undecodable_config, _non_unitary_target, _empty_target, _quoted_target_entry,
+     _boolean_vev_tensor_entry,
      _scalar_field("pulse", "T", "2.0"), _scalar_field("pulse", "K", True),
      _scalar_field("spectrum", "cutoff_raw", "6"), _scalar_field("spectrum", "c2", True),
      _scalar_field("target", "cols", "2"),
@@ -401,7 +408,7 @@ _NON_FINITE_CASES = [
      *[_non_finite(*case) for case in _NON_FINITE_CASES]],
     ids=["rows-1e400", "byte-0xff", "cutoff-kept-x", "d-in-ne-d-out",
          "record-dY-x", "record-byte-0xff", "record-extra-row", "config-byte-0xff",
-         "target-not-unitary", "target-quoted-entry", "d2-boolean-entry",
+         "target-not-unitary", "target-empty", "target-quoted-entry", "d2-boolean-entry",
          "pulse-T-string", "pulse-K-boolean", "spectrum-cutoff-raw-string",
          "spectrum-c2-boolean", "target-cols-string",
          "model-h0-not-hermitian", "model-rho0-trace-2",
@@ -436,6 +443,15 @@ def test_integer_too_large_for_a_double_names_its_field(edge_inputs, capsys, key
                    "--pulse", edge_inputs / "bad.json", "--out-dir", out) == 2
     assert capsys.readouterr().err == f"error: {edge_inputs / 'bad.json'}: {message}\n"
     assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("extra", [[], ["--allow-nonunitary"]], ids=["unitary", "allowed"])
+def test_synth_empty_target_says_it_is_empty(edge_inputs, capsys, extra):
+    # a 0×0 target reached NumPy's empty-reduction error in the unitarity test
+    argv = _empty_target(edge_inputs)
+    assert run_cli(*argv, *extra, "--out-dir", edge_inputs / "out") == 2
+    assert capsys.readouterr().err == (f"error: {edge_inputs / 'bad.json'}: "
+                                       "target is an empty 0x0 matrix\n")
 
 
 def test_channel_choi_of_wrong_size_exits_2(edge_inputs, capsys):
@@ -735,6 +751,40 @@ def test_filter_fit_external_record(tmp_path):
         "--eta", 0.6, "--dt", 2e-3, "--T", 1.0, "--out-dir", tmp_path,
     ) == 0
     assert (tmp_path / "fitted_trajectory.json").exists()
+
+
+# the stiff model of the CI smoke step: ηγ·dt = 1e5 at --dt 1
+_STIFF_MODEL = {
+    "rho0": matrix_to_json(np.diag([0.0, 1.0])),
+    "h0": matrix_to_json(np.array([[5e5, 3e5], [3e5, -5e5]])),
+    "rate_terms": [{"name": "gamma", "op": matrix_to_json(np.array([[0.0, 1.0], [0.0, 0.0]])),
+                    "range": [0.9e5, 1.1e5, 3], "truth": 1e5}],
+    "measurement": 0,
+}
+
+
+@pytest.mark.parametrize("stiff, argv, lo, hi", [
+    (False, ["--eta", 0.1, "--dt", 1e-3, "--T", 2.0, "--seed", 1], 0.98, 1.02),
+    (True, ["--eta", 1.0, "--dt", 1, "--T", 100, "--seed", 0], 1e11, 1e12),
+], ids=["pilot", "stiff"])
+def test_filter_fit_reports_step_traces(tmp_path, stiff, argv, lo, hi):
+    # the range of each filter step's trace before normalization: near 1 on
+    # the pilot design, about 3e11 where the step does not resolve the record
+    model_path = tmp_path / "model.json"
+    if stiff:
+        save_json(model_path, _STIFF_MODEL)
+    else:
+        write_damping_model(model_path)
+    assert run_cli("filter-fit", "--model", model_path, *argv, "--out-dir", tmp_path / "fit") == 0
+    diag = load_json(tmp_path / "fit" / "fit_report.json")["filter_diagnostics"]
+    assert lo < diag["min_step_trace"] <= diag["max_step_trace"] < hi
+    assert "diagnostics" not in load_json(tmp_path / "fit" / "filter_trajectory.json")
+    # the filter of the same record, read back from its file, reports the same range
+    assert run_cli("filter-sim", "--model", model_path, *argv, "--out-dir", tmp_path / "sim") == 0
+    assert "diagnostics" not in load_json(tmp_path / "sim" / "trajectory.json")
+    assert run_cli("filter-fit", "--model", model_path, "--record", tmp_path / "sim" / "record.csv",
+                   *argv, "--out-dir", tmp_path / "refit") == 0
+    assert load_json(tmp_path / "refit" / "fit_report.json")["filter_diagnostics"] == diag
 
 
 def test_filter_fit_prints_plain_numbers(tmp_path, capsys):

@@ -353,9 +353,14 @@ def test_evolve_aborts_or_returns_valid_states(d, seed, n_ops, reach, rate, dt, 
 
 def test_diagnostics_stay_out_of_json():
     traj = lindblad_evolve(damping_model(1.0), RHO_EXCITED, grid(0.5, 1e-2))
-    assert set(traj.diagnostics) == {"max_trace_drift", "min_eigenvalue"}
-    assert "diagnostics" not in traj.to_json()
-    assert Trajectory.from_json(traj.to_json()).diagnostics == {}
+    sim = sme_simulate(damping_model(0.7), 0, 0.4, RHO_EXCITED, grid(0.1, 1e-2), 3)
+    est = filter_estimate(damping_model(0.7), sim.record, 0, 0.4, RHO_EXCITED, sim.times)
+    step_traces = {"min_step_trace", "max_step_trace"}
+    for t, keys in [(traj, {"max_trace_drift", "min_eigenvalue"}), (sim, step_traces),
+                    (est, step_traces)]:
+        assert set(t.diagnostics) == keys
+        assert set(t.to_json()) == {"dim", "times", "states", "record", "seed"}
+        assert Trajectory.from_json(t.to_json()).diagnostics == {}
 
 
 def test_nonuniform_grid_rejected():
@@ -382,6 +387,16 @@ def test_non_finite_time_grid_rejected(use, times):
     # grid gave dt = nan, and the integrators NaN states
     with pytest.raises(ValueError, match="^times must be finite$"):
         _GRID_USERS[use](np.array(times))
+
+
+@pytest.mark.parametrize("use", list(_GRID_USERS))
+def test_overflowing_time_step_rejected(use):
+    # finite times whose difference overflows: np.diff warned, and the grid
+    # was refused as not uniform
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="^time steps must be finite"):
+            _GRID_USERS[use](np.array([-1e308, 1e308]))
 
 
 def test_trajectory_json_roundtrip():
@@ -582,6 +597,55 @@ def test_sme_step_matches_kraus_formula(rng, eta):
     assert abs(sim.record[0] - (drift + dw)) <= 1e-13
     est = filter_estimate(model, [0.37], meas, eta, rho, times)
     assert np.max(np.abs(est.states[1] - kraus_step(0.37))) <= 1e-13
+
+
+def _random_sme_model(rng, d):
+    a = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
+    ops = [0.5 * (rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))) for _ in range(2)]
+    return LindbladModel(0.5 * (a + a.conj().T), tuple(ops))
+
+
+def _reference_sme(model, meas, eta, rho0, dt, record):
+    # the unfolded step: K0 + dY·K1 + dY²·K2 on vec(ρ), normalized by the
+    # diagonal sum, with each step's trace before normalization
+    d = model.dim
+    ops = model.lindblads
+    m0 = np.eye(d) - dt * (1j * model.hamiltonian + 0.5 * sum(l.conj().T @ l for l in ops))
+    s = np.sqrt(eta) * ops[meas]
+    jumps = sum((1.0 - eta if k == meas else 1.0) * np.kron(l, l.conj()) for k, l in enumerate(ops))
+    k0 = np.kron(m0, m0.conj()) + dt * jumps
+    k1, k2 = np.kron(s, m0.conj()) + np.kron(m0, s.conj()), np.kron(s, s.conj())
+    v, states, traces = rho0.reshape(-1), [rho0], []
+    for dy in record:
+        v = (k0 + dy * k1 + dy * dy * k2) @ v
+        traces.append(v[:: d + 1].sum().real)
+        v = v / traces[-1]
+        states.append(v.reshape(d, d))
+    return np.array(states), np.array(traces)
+
+
+@pytest.mark.parametrize("eta", [0.05, 0.4, 1.0])
+@pytest.mark.parametrize("d", [2, 3])
+def test_folded_step_matches_the_unfolded_loop(rng, d, eta):
+    # the trace and ℓ rows ride in the step's one product; the states, the
+    # simulator's dY feedback and the trace diagnostics match the loop that
+    # applies the three d²×d² blocks and sums the diagonal
+    model, meas, rho0 = _random_sme_model(rng, d), 0, random_density(rng, d)
+    dt, n_steps = 0.01, 500
+    times = np.arange(n_steps + 1) * dt
+    est = filter_estimate(model, rng.normal(0.0, 1.0, n_steps), meas, eta, rho0, times)
+    sim = sme_simulate(model, meas, eta, rho0, times, seed=d)
+    l = model.lindblads[meas]
+    dw = np.random.default_rng(d).normal(0.0, np.sqrt(dt), n_steps)
+    mean = np.sqrt(eta) * np.einsum("ij,kji->k", l + l.conj().T, sim.states[:-1]).real * dt
+    assert np.max(np.abs(sim.record - (mean + dw))) <= 1e-13
+    for traj in (est, sim):
+        states, traces = _reference_sme(model, meas, eta, rho0, dt, traj.record)
+        assert np.max(np.abs(traj.states - states)) <= 1e-13
+        assert np.max(np.abs(np.einsum("kii->k", traj.states).real - 1.0)) <= 1e-14
+        lo, hi = traj.diagnostics["min_step_trace"], traj.diagnostics["max_step_trace"]
+        assert lo == pytest.approx(traces.min(), rel=1e-13)
+        assert hi == pytest.approx(traces.max(), rel=1e-13)
 
 
 def test_fixed_seed_reproduces_bitwise():

@@ -73,6 +73,7 @@ def test_predicates(rng):
     assert not is_unitary(h)
     assert not is_unitary(np.where(np.eye(5) == 1, np.nan, q))
     assert not is_unitary(np.zeros((2, 3)))
+    assert is_unitary(np.zeros((0, 0)))  # vacuously, and without an empty-reduction error
 
 
 def test_require_hermitian_scales_its_tolerance_with_the_entries():
