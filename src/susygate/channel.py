@@ -19,7 +19,7 @@ closed-form Jacobian, solved by damped Gauss–Newton.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -34,29 +34,25 @@ from .spectrum import Spectrum, compute_spectrum, diagonalize
 
 @dataclass(frozen=True)
 class QuantumChannel:
-    """Kraus form of a completely positive map: one (r, d_out, d_in) stack."""
+    """Kraus form of a map: one (r, d_out, d_in) stack, whose shape gives the
+    dimensions.  A map in Kraus form is completely positive by construction."""
 
     kraus: np.ndarray
-    d_in: int
-    d_out: int
+    d_out: int = field(init=False)
+    d_in: int = field(init=False)
 
     def __post_init__(self):
         ops = np.asarray(self.kraus, dtype=complex)
-        if ops.ndim != 3 or ops.shape[0] < 1 or ops.shape[1:] != (self.d_out, self.d_in):
-            raise ValueError(
-                f"Kraus stack shape {ops.shape} != (r >= 1, {self.d_out}, {self.d_in})"
-            )
+        if ops.ndim != 3 or ops.shape[0] < 1:
+            raise ValueError(f"Kraus stack shape {ops.shape} != (r >= 1, d_out, d_in)")
         object.__setattr__(self, "kraus", ops)
+        object.__setattr__(self, "d_out", ops.shape[1])
+        object.__setattr__(self, "d_in", ops.shape[2])
 
     def tp_defect(self) -> float:
         """max|sum K†K − I|; zero for a trace-preserving map."""
         s = sum(k.conj().T @ k for k in self.kraus)
         return float(np.max(np.abs(s - np.eye(self.d_in))))
-
-    def cp_defect(self) -> float:
-        """max(0, −min eigenvalue of the Choi matrix); zero for a CP map."""
-        w = np.linalg.eigvalsh(choi(self))
-        return float(max(0.0, -w.min()))
 
 
 def partial_trace(rho: np.ndarray, dims: tuple[int, int], which: str = "anc") -> np.ndarray:
@@ -96,8 +92,7 @@ def kraus_from_unitary(u: np.ndarray, anc_state: np.ndarray) -> QuantumChannel:
         raise ValueError(f"operator shape {u.shape} does not factor over d_anc={d_anc}")
     if not is_unitary(u):
         raise ValueError("joint operator is not unitary to 1e-08")
-    d_sys = u.shape[0] // d_anc
-    return QuantumChannel(_trace_ancilla(u, anc_state), d_sys, d_sys)
+    return QuantumChannel(_trace_ancilla(u, anc_state))
 
 
 def _trace_ancilla(u: np.ndarray, anc_state: np.ndarray) -> np.ndarray:
@@ -185,13 +180,12 @@ class JointSystem:
 
 def dyson_channel(joint: JointSystem, pulse: ControlPulse) -> QuantumChannel:
     """Channel realized by the first-order joint gate followed by tracing
-    out the ancilla from its ground state.  The gate is only approximately
-    unitary, so the channel carries a TP defect of the same order; inspect
-    it via ``tp_defect`` rather than expecting exact trace preservation."""
+    out the ancilla from its ground state.  It is completely positive by
+    construction, but the gate is only approximately unitary, so the channel
+    carries a TP defect of the same order; inspect it via ``tp_defect``."""
     spec = joint.spectrum()
     u_eig = dyson.dyson_gate(spec, pulse, control=joint.control_op())
-    ops = _trace_ancilla(spec.to_fock(u_eig), np.eye(joint.anc_dim)[0])
-    return QuantumChannel(ops, joint.sys_dim, joint.sys_dim)
+    return QuantumChannel(_trace_ancilla(spec.to_fock(u_eig), np.eye(joint.anc_dim)[0]))
 
 
 @dataclass
@@ -199,7 +193,6 @@ class ChannelSynthesisReport:
     pulse: ControlPulse
     distance: float
     tp_defect: float
-    cp_defect: float
     energy: float
     multiplier: float
     converged: bool
@@ -264,13 +257,11 @@ def synthesize_channel(
     beta, converged = gauss_newton(evaluate, np.zeros(n_params), 1e-10)
 
     pulse = ControlPulse(horizon, beta)
-    ch = QuantumChannel(_trace_ancilla(spec.to_fock(u0 + (a @ beta).reshape(dim, dim)), ground),
-                        d, d)
+    ch = QuantumChannel(_trace_ancilla(spec.to_fock(u0 + (a @ beta).reshape(dim, dim)), ground))
     report = ChannelSynthesisReport(
         pulse=pulse,
         distance=float(np.linalg.norm(choi(ch) - target_choi)),
         tp_defect=ch.tp_defect(),
-        cp_defect=ch.cp_defect(),
         energy=pulse.energy(),
         multiplier=float(lam),
         converged=converged,

@@ -184,21 +184,23 @@ HANDLER_PARSED = {"lambda_grid": _parse_grid, "superpotential": _float_list,
                   "pvev": _float_list, "qvev": _float_list}
 
 
-def _gate_target(obj, allow_nonunitary: bool) -> np.ndarray:
-    """Matrix of a gate target file, checked for unitarity unless allowed not to be."""
+def _gate_target(obj, args, kept: int) -> np.ndarray:
+    """Matrix of a gate target file: (kept, kept), and unitary unless allowed not to be."""
     target = matrix_from_json(obj)
     if target.size == 0:
         raise ValueError(f"target is an empty {target.shape[0]}x{target.shape[1]} matrix")
-    if not (allow_nonunitary or is_unitary(target)):
+    if target.shape != (kept, kept):
+        raise ValueError(f"target shape {target.shape} != kept dim {kept} of {args.spectrum}")
+    if not (args.allow_nonunitary or is_unitary(target)):
         raise ValueError("target is not unitary to 1e-8 (set --allow-nonunitary)")
     return target
 
 
 def cmd_synth(args, ws: Workspace):
     grid = None if args.lambda_grid is None else _parse_grid(args.lambda_grid)
-    target = ws.load_json(args.target, functools.partial(
-        _gate_target, allow_nonunitary=args.allow_nonunitary))
     spec = ws.load_json(args.spectrum, spectrum.Spectrum.from_json)
+    target = ws.load_json(args.target, functools.partial(_gate_target, args=args,
+                                                         kept=spec.cutoff_kept))
     prob = gate_synth.SynthesisProblem(
         target=target,
         spec=spec,

@@ -60,8 +60,6 @@ class SusyPair:
     """Partner Hamiltonians generated by a polynomial superpotential, with
     their ascending spectra from the cutoff check."""
 
-    w_coeffs: np.ndarray  # ascending powers, w[j] multiplies q^j
-    cutoff: int
     h_plus: np.ndarray
     h_minus: np.ndarray
     e_plus: np.ndarray
@@ -88,9 +86,9 @@ def _pair_at(w_coeffs: np.ndarray, cutoff: int) -> tuple[np.ndarray, np.ndarray]
 
 
 def susy_pair(w_coeffs, cutoff: int) -> SusyPair:
-    """Build the partner pair and verify that the lowest levels are
-    cutoff-converged (compared against a 1.5× larger truncation).  The
-    partners' spectra from that check are kept on the pair.  That check's
+    """Build the partner pair of W(q) = Σ_j w_coeffs[j]·q^j and verify that
+    its lowest levels are cutoff-converged (compared against a 1.5× larger
+    truncation).  The partners' spectra from that check are kept on the pair.  That check's
     ⌈1.5·cutoff⌉ levels must not exceed ``fock.MAX_CUTOFF``, which bounds the
     cutoff by 2730; a larger one is refused before anything is built."""
     w = np.asarray(w_coeffs, dtype=float).reshape(-1)
@@ -115,8 +113,7 @@ def susy_pair(w_coeffs, cutoff: int) -> SusyPair:
                 f"sector {name}: lowest-{n_check} levels drift {drift:.2e} "
                 f"between cutoffs {cutoff} and {bigger}; raise the cutoff"
             )
-    return SusyPair(w_coeffs=w, cutoff=cutoff, h_plus=h_plus, h_minus=h_minus,
-                    e_plus=e_plus, e_minus=e_minus)
+    return SusyPair(h_plus=h_plus, h_minus=h_minus, e_plus=e_plus, e_minus=e_minus)
 
 
 @dataclass

@@ -237,6 +237,20 @@ def test_fit_of_a_fast_rotation_exits_0(tmp_path, capsys):
     Trajectory.from_json(load_json(out / "fitted_trajectory.json")).validate()
 
 
+@pytest.mark.parametrize("error, code, line", [
+    (MemoryError("cannot allocate"), 3, "numerical failure: out of memory (cannot allocate)"),
+    (KeyError("energies"), 2, "error: missing key 'energies'"),
+], ids=["memory", "key"])
+def test_main_reports_memory_and_key_errors(tmp_path, capsys, monkeypatch, error, code, line):
+    def fail(*args, **kwargs):
+        raise error
+
+    monkeypatch.setattr(cli.spectrum, "compute_spectrum", fail)
+    assert run_cli("spectrum", "--dim", 2, "--out-dir", tmp_path) == code
+    assert capsys.readouterr().err == line + "\n"
+    assert not (tmp_path / "manifest.json").exists()
+
+
 def test_missing_key_is_named(edge_inputs, capsys):
     # a matrix file where a pulse belongs has no "T"
     assert run_cli("gate", "--spectrum", edge_inputs / "spectrum.json",
@@ -302,6 +316,13 @@ def _non_unitary_target(inputs):
 
 def _empty_target(inputs):
     save_json(inputs / "bad.json", {"rows": 0, "cols": 0, "re": [], "im": []})
+    return ["synth", "--target", inputs / "bad.json", "--spectrum", inputs / "spectrum.json",
+            "--T", 2.0, "--K", 1, "--no-oracle-check"]
+
+
+def _target_of_wrong_shape(inputs):
+    # the edge spectrum keeps 2 levels
+    save_json(inputs / "bad.json", matrix_to_json(np.eye(3)))
     return ["synth", "--target", inputs / "bad.json", "--spectrum", inputs / "spectrum.json",
             "--T", 2.0, "--K", 1, "--no-oracle-check"]
 
@@ -390,7 +411,8 @@ _NON_FINITE_CASES = [
     "make_argv",
     [_infinite_rows, _undecodable_byte, _non_integer_cutoff, _choi_with("d_out", 3),
      _record_with(b"0.0,x"), _record_with(b"0.0,0.1\xff"), _record_with(b"0.0,0.1\n0.01,0.2"),
-     _undecodable_config, _non_unitary_target, _empty_target, _quoted_target_entry,
+     _undecodable_config, _non_unitary_target, _empty_target, _target_of_wrong_shape,
+     _quoted_target_entry,
      _boolean_vev_tensor_entry,
      _scalar_field("pulse", "T", "2.0"), _scalar_field("pulse", "K", True),
      _scalar_field("spectrum", "cutoff_raw", "6"), _scalar_field("spectrum", "c2", True),
@@ -404,18 +426,22 @@ _NON_FINITE_CASES = [
      _model_with("rate_terms", [{**_RATE_TERM, "range": [0.3, True, 3]}]),
      _model_with("rate_terms", [{**_RATE_TERM, "truth": "0.7"}]),
      _model_with("measurement", 0.9), _infinite_range_end,
+     _model_with("rate_terms", [{**_RATE_TERM,
+                                 "range": [[0.3, 0.5, 0.7], [1.1, 1.3, 1.5], 3]}]),
      _choi_of_dim(-2, 4), _choi_of_dim(0, 0), _choi_of_dim(1, 1),
      *[_non_finite(*case) for case in _NON_FINITE_CASES]],
     ids=["rows-1e400", "byte-0xff", "cutoff-kept-x", "d-in-ne-d-out",
          "record-dY-x", "record-byte-0xff", "record-extra-row", "config-byte-0xff",
-         "target-not-unitary", "target-empty", "target-quoted-entry", "d2-boolean-entry",
+         "target-not-unitary", "target-empty", "target-3x3-kept-2", "target-quoted-entry",
+         "d2-boolean-entry",
          "pulse-T-string", "pulse-K-boolean", "spectrum-cutoff-raw-string",
          "spectrum-c2-boolean", "target-cols-string",
          "model-h0-not-hermitian", "model-rho0-trace-2",
          "model-measurement-1", "model-rate-range-negative",
          "choi-d-in-string", "choi-d-out-2.9", "model-range-lo-string",
          "model-range-hi-boolean", "model-truth-string", "model-measurement-0.9",
-         "model-range-hi-1e400", "choi-dim-minus-2", "choi-dim-0", "choi-dim-1",
+         "model-range-hi-1e400", "model-range-bounds-of-three", "choi-dim-minus-2",
+         "choi-dim-0", "choi-dim-1",
          *[f"{c.replace(' --', '-')}-{f[2:]}-{'.'.join(map(str, leaf))}-{t}"
            for c, f, leaf, t in _NON_FINITE_CASES]],
 )
@@ -452,6 +478,16 @@ def test_synth_empty_target_says_it_is_empty(edge_inputs, capsys, extra):
     assert run_cli(*argv, *extra, "--out-dir", edge_inputs / "out") == 2
     assert capsys.readouterr().err == (f"error: {edge_inputs / 'bad.json'}: "
                                        "target is an empty 0x0 matrix\n")
+
+
+@pytest.mark.parametrize("extra", [[], ["--allow-nonunitary"]], ids=["unitary", "allowed"])
+def test_synth_target_of_wrong_shape_names_both_files(edge_inputs, capsys, extra):
+    argv = _target_of_wrong_shape(edge_inputs)
+    out = edge_inputs / "out"
+    assert run_cli(*argv, *extra, "--out-dir", out) == 2
+    assert capsys.readouterr().err == (f"error: {edge_inputs / 'bad.json'}: target shape (3, 3) "
+                                       f"!= kept dim 2 of {edge_inputs / 'spectrum.json'}\n")
+    assert not (out / "manifest.json").exists()
 
 
 def test_channel_choi_of_wrong_size_exits_2(edge_inputs, capsys):
@@ -617,6 +653,8 @@ def test_channel_subcommand(tmp_path):
     ) == 0
     report = load_json(tmp_path / "channel_report.json")
     assert report["distance"] < 1e-6
+    assert sorted(report) == ["converged", "distance", "energy", "multiplier", "n_evaluations",
+                              "pulse", "tp_defect"]
 
 
 # --- susy / vev ---------------------------------------------------------------------

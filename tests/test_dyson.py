@@ -52,6 +52,17 @@ def test_pulse_requires_odd_coedff_count():
         ControlPulse(1.0, np.array([1.0, 2.0]))
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda spec: ControlPulse.from_json({"T": 2.0, "K": 2, "coeffs": [0.1, 0.2, 0.3]}),
+     "^pulse JSON: K inconsistent with coeffs length$"),
+    (lambda spec: dyson.design_matrix(spec, 2.0, 1, control=np.eye(3)),
+     r"^control operator shape \(3, 3\) != raw dim 32$"),
+], ids=["pulse-K", "control-3x3"])
+def test_pulse_file_and_control_operator_are_checked(harmonic_spec, call, message):
+    with pytest.raises(ValueError, match=message):
+        call(harmonic_spec)
+
+
 def test_pulse_json_roundtrip():
     p = ControlPulse(3.0, np.array([0.1, 0.2, 0.3, -0.4, 0.5]))
     q = ControlPulse.from_json(p.to_json())

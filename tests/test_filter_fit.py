@@ -1,6 +1,7 @@
 import json
 import tracemalloc
 import warnings
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -399,6 +400,22 @@ def test_overflowing_time_step_rejected(use):
             _GRID_USERS[use](np.array([-1e308, 1e308]))
 
 
+@pytest.mark.parametrize("use", list(_GRID_USERS))
+def test_decreasing_time_grid_rejected(use):
+    with pytest.raises(ValueError, match="^times must be strictly increasing$"):
+        _GRID_USERS[use](np.array([0.0, -0.1, -0.2]))
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: LindbladModel(np.eye(2), (LOWER3,)), "^Lindblad operator shape mismatch$"),
+    (lambda: lindblad_evolve(damping_model(1.0), RHO_TOP3, grid(0.1, 1e-2)),
+     r"^state shape \(3, 3\) != \(2, 2\)$"),
+], ids=["lindblad-3x3", "state-3x3"])
+def test_model_and_initial_state_shapes_are_checked(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_trajectory_json_roundtrip():
     times = grid(0.5, 1e-2)
     traj = lindblad_evolve(damping_model(1.0), RHO_EXCITED, times)
@@ -426,6 +443,14 @@ def test_validate_checks_every_state(state, message):
     else:
         with pytest.raises(ValueError, match=message):
             traj.validate()
+
+
+def test_validate_checks_lengths():
+    traj = sme_simulate(damping_model(0.7), 0, 0.4, RHO_EXCITED, grid(0.1, 1e-2), 3)
+    with pytest.raises(ValueError, match="^states/times length mismatch$"):
+        replace(traj, states=traj.states[1:]).validate()
+    with pytest.raises(ValueError, match="^record length must be n_times - 1$"):
+        replace(traj, record=traj.record[1:]).validate()
 
 
 def test_validate_makes_one_eigenvalue_call(monkeypatch):
@@ -749,6 +774,8 @@ def test_family_builds_models():
     assert np.allclose(model.lindblads[0], 0.7 * LOWER)
     with pytest.raises(ValueError, match=">= 0"):
         family.at([-0.1])
+    with pytest.raises(ValueError, match="^expected 1 parameters, got 2$"):
+        family.at([0.49, 0.1])
 
 
 def test_family_rejects_non_hermitian_terms():
@@ -760,6 +787,7 @@ def test_family_rejects_non_hermitian_terms():
         ({"h_terms": (np.eye(3),)}, r"h0's shape \(2, 2\)"),
         ({"rate_bases": (LOWER3,)}, r"h0's shape \(2, 2\)"),
         ({"lindblads": (LOWER3,)}, r"h0's shape \(2, 2\)"),
+        ({"param_names": ("a", "b")}, "^param_names length != number of free parameters$"),
     ]:
         with pytest.raises(ValueError, match=message):
             ModelFamily(**{"h0": np.eye(2), **kwargs})
@@ -894,6 +922,8 @@ def test_fit_empty_grid_rejected():
     est = lindblad_evolve(family.at([0.7]), RHO_EXCITED, times)
     with pytest.raises(ValueError, match="grid"):
         fit_parameters(est, family, [np.array([])])
+    with pytest.raises(ValueError, match="^grid must supply 1 parameter ranges$"):
+        fit_parameters(est, family, [np.array([0.5]), np.array([0.5])])
 
 
 def test_two_parameter_fit():

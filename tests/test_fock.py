@@ -36,6 +36,12 @@ def test_cutoff_above_limit_rejected_before_allocating(op):
         op(MAX_CUTOFF + 1)
 
 
+@pytest.mark.parametrize("op", [position_op, momentum_op])
+def test_quadratures_need_two_levels(op):
+    with pytest.raises(ValueError, match="^cutoff must be >= 2$"):
+        op(1)
+
+
 def test_position_momentum_entries():
     q = position_op(2)
     assert np.allclose(q, np.array([[0, 1], [1, 0]]) / np.sqrt(2))
@@ -159,3 +165,5 @@ class TestGradedAlgebra:
             even_part(np.eye(3), GradedSpace(1, 1))
         with pytest.raises(ValueError):
             tau(np.zeros((2, 3)), GradedSpace(1, 1))
+        with pytest.raises(ValueError, match="^sector dimensions must be non-negative$"):
+            GradedSpace(-1, 2)

@@ -270,6 +270,17 @@ def test_nonunitary_target_rejected(spec):
         )
 
 
+@pytest.mark.parametrize("change, message", [
+    ({"target": np.eye(3)}, r"^target shape \(3, 3\) != kept dim 4$"),
+    ({"lam": None}, "^set exactly one of lam and budget$"),
+    ({"budget": 1.0}, "^set exactly one of lam and budget$"),
+], ids=["target-3x3", "neither-penalty", "both-penalties"])
+def test_problem_refuses_wrong_shape_and_penalty_count(spec, change, message):
+    with pytest.raises(ValueError, match=message):
+        SynthesisProblem(**{"target": np.eye(4), "spec": spec, "horizon": 2.0,
+                            "n_harmonics": 2, "lam": 0.0, **change})
+
+
 def test_match_phase_absorbs_global_phase(spec):
     target = np.exp(0.8j) * u0(spec, 2.0)
     report = synthesize(

@@ -1,4 +1,5 @@
 import inspect
+from dataclasses import fields
 
 import susygate
 from susygate import channel, dyson, filter_fit, fock, spectrum, susy_toy
@@ -46,6 +47,7 @@ def test_deleted_names_stay_deleted():
         (fock, "is_hermitian"),
         (fock, "is_psd"),
         (channel, "_warn_if_not_state"),
+        (channel.QuantumChannel, "cp_defect"),
     ]:
         assert not hasattr(owner, name), name
     for name in ("effective_hamiltonian", "channel_distance", "creation_op", "is_hermitian",
@@ -55,3 +57,8 @@ def test_deleted_names_stay_deleted():
         "c1", "c2", "n_max",
     ]
     assert list(inspect.signature(fock.is_unitary).parameters) == ["a"]
+    # a channel is its Kraus stack; the SUSY pair does not echo its inputs
+    assert list(inspect.signature(channel.QuantumChannel).parameters) == ["kraus"]
+    assert "cp_defect" not in {f.name for f in fields(channel.ChannelSynthesisReport)}
+    assert [f.name for f in fields(susy_toy.SusyPair)] == ["h_plus", "h_minus", "e_plus",
+                                                           "e_minus"]

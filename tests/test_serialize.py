@@ -33,6 +33,16 @@ def test_entry_count_validated():
         matrix_from_json({"rows": 2, "cols": 2, "re": [1.0], "im": [0.0]})
 
 
+@pytest.mark.parametrize("call, message", [
+    (lambda: matrix_to_json(np.zeros((2, 2, 2))), r"^expected a 2-D array, got shape \(2, 2, 2\)$"),
+    (lambda: matrix_from_json({"rows": -1, "cols": -2, "re": [0.0, 0.0], "im": [0.0, 0.0]}),
+     "^matrix dimensions must be non-negative$"),
+], ids=["3-d-array", "negative-dims"])
+def test_matrix_schema_refuses_bad_shapes(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_not_a_matrix_object():
     with pytest.raises(ValueError, match="matrix"):
         matrix_from_json({"rows": 2})

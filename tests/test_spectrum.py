@@ -154,6 +154,31 @@ def test_spectrum_json_refuses_non_unitary_modes():
             Spectrum.from_json({**obj, "modes": matrix_to_json(bad)})
 
 
+@pytest.mark.parametrize("change, message", [
+    (lambda obj: {"energies": obj["energies"][:-1]}, "^energies length != cutoff_raw$"),
+    (lambda obj: {"modes": matrix_to_json(np.eye(7))}, "^modes must be square of size cutoff_raw$"),
+    (lambda obj: {"cutoff_kept": 9}, r"^cutoff_kept must lie in \[1, cutoff_raw\]$"),
+    (lambda obj: {"energies": obj["energies"][::-1]}, "^energies not ascending$"),
+], ids=["energies-short", "modes-7x7", "kept-9-of-8", "energies-descending"])
+def test_spectrum_json_refuses_inconsistent_fields(change, message):
+    obj = compute_spectrum(0.01, 0.005, kept=2, raw_dim=8).to_json()
+    with pytest.raises(ValueError, match=message):
+        Spectrum.from_json({**obj, **change(obj)})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: diagonalize(np.eye(3), kept=4), r"^kept=4 outside \[1, 3\]$"),
+    (lambda: diagonalize(np.eye(3), kept=0), r"^kept=0 outside \[1, 3\]$"),
+    (lambda: compute_spectrum(0.0, 0.0, kept=2, basis="fock"), "^unknown basis 'fock'"),
+    (lambda: compute_spectrum(0.0, -0.1, kept=2, raw_dim=16, basis="pt"),
+     "^perturbative energies not ascending"),
+    (lambda: perturbative_energies(0.0, 0.0, -1), "^n_max must be >= 0$"),
+], ids=["kept-above", "kept-0", "basis", "pt-not-ascending", "n-max-negative"])
+def test_spectrum_builders_refuse_bad_arguments(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 # --- perturbative energies --------------------------------------------------
 
 def test_pt_harmonic_limit():

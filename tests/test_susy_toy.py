@@ -111,6 +111,8 @@ def test_cutoff_whose_check_exceeds_the_limit_is_refused_up_front(monkeypatch):
 def test_degree_guard():
     with pytest.raises(ValueError, match="degree"):
         susy_pair([0.0, 1.0], cutoff=16)
+    with pytest.raises(ValueError, match="^superpotential coefficients must be finite$"):
+        susy_pair([0.0, 0.0, np.nan], cutoff=16)
 
 
 # --- index and classification ------------------------------------------------------
