@@ -178,14 +178,23 @@ class JointSystem:
         return diagonalize(self.hamiltonian(), kept=self.dim, c1=self.c1, c2=self.c2)
 
 
+def _affine_kraus(joint: JointSystem, horizon: float, n_harmonics: int):
+    """(K0, K) with K0 + Σ_j β_j K_j the Kraus stack of the first-order joint
+    gate at pulse coefficients β, traced from the ancilla's ground state."""
+    spec = joint.spectrum()
+    a = dyson.design_matrix(spec, horizon, n_harmonics, control=joint.control_op())
+    gates = np.concatenate([dyson.u0(spec, horizon)[None], a.T.reshape(-1, joint.dim, joint.dim)])
+    stack = _trace_ancilla(spec.to_fock(gates), np.eye(joint.anc_dim)[0])
+    return stack[0], stack[1:]
+
+
 def dyson_channel(joint: JointSystem, pulse: ControlPulse) -> QuantumChannel:
     """Channel realized by the first-order joint gate followed by tracing
     out the ancilla from its ground state.  It is completely positive by
     construction, but the gate is only approximately unitary, so the channel
     carries a TP defect of the same order; inspect it via ``tp_defect``."""
-    spec = joint.spectrum()
-    u_eig = dyson.dyson_gate(spec, pulse, control=joint.control_op())
-    return QuantumChannel(_trace_ancilla(spec.to_fock(u_eig), np.eye(joint.anc_dim)[0]))
+    k0, ks = _affine_kraus(joint, pulse.horizon, pulse.n_harmonics)
+    return QuantumChannel(k0 + np.tensordot(pulse.coeffs, ks, axes=1))
 
 
 @dataclass
@@ -212,13 +221,12 @@ def synthesize_channel(
     """Damped Gauss–Newton on |Choi(β) − target|_F² + λ·energy(β) from β = 0,
     with the ancilla prepared in its ground state (as in :func:`dyson_channel`).
 
-    The joint gate is affine in β, so the stacked Kraus vectors are too:
-    Choi(β) = C C† with C = C0 + Σ_j β_j C_j, and dChoi/dβ_j = C_j C† + C C_j†
-    exactly.  :func:`~susygate.solver.gauss_newton` takes minimum-norm
-    least-squares steps, so β never moves along directions the Choi matrix
-    ignores; it stops at a step below 1e-10·(1 + |β|), and ``converged`` is
-    False only when its iteration cap ran out.
-    """
+    The Kraus stack is affine in β (:func:`_affine_kraus`), so are its columns:
+    Choi(β) = C C† with C = C0 + Σ_j β_j C_j, dChoi/dβ_j = C_j C† + C C_j†.
+    :func:`~susygate.solver.gauss_newton` takes minimum-norm least-squares
+    steps, so β never moves along directions the Choi matrix ignores; it
+    stops at a step below 1e-10·(1 + |β|), and ``converged`` is False only
+    when its iteration cap ran out.  The report is of that stack at β*."""
     target_choi = np.asarray(target_choi, dtype=complex)
     d = joint.sys_dim
     if target_choi.shape != (d * d, d * d):
@@ -227,15 +235,8 @@ def synthesize_channel(
         raise ValueError(f"energy multiplier must be finite and non-negative, got {lam!r}")
     if not (0 < horizon < np.inf and 0 <= n_harmonics <= dyson.MAX_HARMONICS):
         raise ValueError(f"need a finite horizon T > 0 and 0 <= K <= {dyson.MAX_HARMONICS}")
-    spec = joint.spectrum()
-    dim = joint.dim
-    a = dyson.design_matrix(spec, horizon, n_harmonics, control=joint.control_op())
-    u0 = dyson.u0(spec, horizon)
-    ground = np.eye(joint.anc_dim)[0]
-    factors = _kraus_columns(_trace_ancilla(
-        spec.to_fock(np.concatenate([u0[None], a.T.reshape(-1, dim, dim)])), ground
-    ))
-    c0, cs = factors[0], factors[1:]
+    k0, ks = _affine_kraus(joint, horizon, n_harmonics)
+    c0, cs = _kraus_columns(k0), _kraus_columns(ks)
     n_params = 2 * n_harmonics + 1
     sqrt_w = np.sqrt(lam * dyson.energy_weights(horizon, n_harmonics))
 
@@ -257,7 +258,7 @@ def synthesize_channel(
     beta, converged = gauss_newton(evaluate, np.zeros(n_params), 1e-10)
 
     pulse = ControlPulse(horizon, beta)
-    ch = QuantumChannel(_trace_ancilla(spec.to_fock(u0 + (a @ beta).reshape(dim, dim)), ground))
+    ch = QuantumChannel(k0 + np.tensordot(beta, ks, axes=1))
     report = ChannelSynthesisReport(
         pulse=pulse,
         distance=float(np.linalg.norm(choi(ch) - target_choi)),

@@ -17,7 +17,8 @@ state check, a NaN or infinite result, out of memory); a run that exits 3
 prints one ``numerical failure:`` line and writes no manifest.  NumPy's
 floating-point warnings are never printed: a non-finite result is refused
 when it is written.
-Seed resolution order: --seed flag, config file, SUSYGATE_SEED, then 0.
+Seed resolution order: --seed flag, config file, SUSYGATE_SEED, then 0; a
+seed that is not a non-negative integer exits 2 with a line naming its source.
 """
 
 from __future__ import annotations
@@ -121,9 +122,7 @@ class Workspace:
 
 
 def cmd_spectrum(args, ws: Workspace):
-    spec = spectrum.compute_spectrum(
-        args.c1, args.c2, kept=args.dim, raw_dim=args.raw_dim, basis=args.basis
-    )
+    spec = spectrum.compute_spectrum(args.c1, args.c2, kept=args.dim, raw_dim=args.raw_dim)
     ws.save_json("spectrum.json", spec.to_json())
     ws.save_csv(
         "energies.csv",
@@ -358,6 +357,8 @@ def _times(horizon: float, dt: float) -> np.ndarray:
     if not np.isfinite(horizon / dt):
         raise ValueError(f"horizon/dt must be finite, got T={horizon!r}, dt={dt!r}")
     n = int(round(horizon / dt))
+    if n < 1:
+        raise ValueError(f"T={horizon!r} is shorter than one step of dt={dt!r}")
     if n > MAX_STEPS:
         raise ValueError(f"T/dt = {n} steps exceeds the limit of {MAX_STEPS}")
     if abs(n * dt - horizon) > 1e-9 * max(horizon, 1.0):
@@ -580,7 +581,6 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, argparse.ArgumentPars
     p = add("spectrum", cmd_spectrum, anharmonic, help="diagonalize the anharmonic Hamiltonian")
     p.add_argument("--dim", type=int, required=True, help="kept levels (gate dimension)")
     p.add_argument("--raw-dim", type=int, default=None)
-    p.add_argument("--basis", choices=["exact", "pt"], default="exact")
 
     p = add("gate", cmd_gate, help="first-order gate for a stored pulse")
     p.add_argument("--spectrum", required=True)
@@ -641,9 +641,8 @@ def build_parser() -> tuple[argparse.ArgumentParser, dict, argparse.ArgumentPars
 
 def _config_argv(subparser: argparse.ArgumentParser, data: bytes) -> list[str]:
     """Option tokens for the ``key=value`` lines of a config file.  Each value
-    is checked here against its option's type and choices, or its handler's
-    parser, so that a bad one names the file and line; argparse still parses
-    the tokens."""
+    is checked here by its option's type, or its handler's parser, so that a
+    bad one names the file and line; argparse still parses the tokens."""
     actions = {opt.lstrip("-"): a for a in subparser._actions for opt in a.option_strings}
     argv = []
     for line_no, line in enumerate(data.decode().splitlines(), 1):
@@ -657,19 +656,17 @@ def _config_argv(subparser: argparse.ArgumentParser, data: bytes) -> list[str]:
             raise LineError(line_no, f"unknown option {key!r}")
         action = actions[key]
         if action.const is not True:
-            try:
-                parsed = value if action.type is None else action.type(value)
-            except ValueError:
-                raise LineError(line_no, f"{key}: invalid {action.type.__name__} value: "
-                                         f"{value!r}") from None
+            if action.type is not None:
+                try:
+                    action.type(value)
+                except ValueError:
+                    raise LineError(line_no, f"{key}: invalid {action.type.__name__} value: "
+                                             f"{value!r}") from None
             if action.dest in HANDLER_PARSED:
                 try:
                     HANDLER_PARSED[action.dest](value)
                 except ValueError as exc:
                     raise LineError(line_no, f"{key}: {exc}") from None
-            if action.choices is not None and parsed not in action.choices:
-                raise LineError(line_no, f"{key}: invalid choice: {value!r} (choose from "
-                                         f"{', '.join(map(repr, action.choices))})")
             argv.append(f"--{key}={value}")
         elif value.lower() in ("1", "true", "yes"):  # store_true switch
             argv.append(f"--{key}")
@@ -689,8 +686,13 @@ def main(argv=None) -> int:
                 argv[1:] = read_input(found.config, decode) + rest
         args = parser.parse_args(argv)
         t0 = time.monotonic()
-        if "seed" in vars(args) and args.seed is None:
-            args.seed = int(os.environ.get("SUSYGATE_SEED") or 0)
+        if "seed" in vars(args):
+            source, seed = "--seed", args.seed
+            if seed is None:
+                source, seed = "SUSYGATE_SEED", os.environ.get("SUSYGATE_SEED") or "0"
+            if not str(seed).strip().isdecimal():
+                raise ValueError(f"{source} must be a non-negative integer, got {seed!r}")
+            args.seed = int(seed)
         ws = Workspace(Path(args.out_dir))
         # save_json refuses every non-finite result, so NumPy's warnings would repeat it
         with np.errstate(all="ignore"):

@@ -168,16 +168,14 @@ def design_matrix(
     return core.reshape(k * k, 2 * n_harmonics + 1)
 
 
-def dyson_gate(
-    spec: Spectrum, pulse: ControlPulse, control: np.ndarray | None = None
-) -> np.ndarray:
+def dyson_gate(spec: Spectrum, pulse: ControlPulse) -> np.ndarray:
     """First-order gate on the kept block; affine in the pulse coefficients.
 
     Not exactly unitary: the defect is O(|b|²) (quantified against
     ``propagate_oracle`` in tests).
     """
     k = spec.cutoff_kept
-    a = design_matrix(spec, pulse.horizon, pulse.n_harmonics, control)
+    a = design_matrix(spec, pulse.horizon, pulse.n_harmonics)
     return u0(spec, pulse.horizon) + (a @ pulse.coeffs).reshape(k, k)
 
 
@@ -359,8 +357,8 @@ def propagate_oracle(spec: Spectrum, pulse: ControlPulse) -> tuple[np.ndarray, i
     :class:`OracleConvergenceError`.
 
     The Hamiltonian is rebuilt from the spectrum's recorded (c1, c2) at the
-    raw cutoff, independent of the stored eigenvalues, and the control
-    operator is the position operator.
+    raw cutoff, independent of the stored eigenvalues (``compute_spectrum``
+    diagonalizes that same H0), and the control operator is Q.
 
     Returns (gate, steps, error): the kept-block propagator, the step count
     of its grid and the error estimate it stopped on.

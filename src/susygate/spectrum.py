@@ -1,10 +1,10 @@
 """Eigen-decomposition of the anharmonic Hamiltonian
 H0 = (P² + Q²)/2 + c1·Q³ + c2·Q⁴ on a truncated Fock space.
 
-Exact (dense diagonalization of the truncation) and low-order
-Rayleigh-Schrödinger energies are both provided.  The perturbative branch is
-computed from Q³/Q⁴ matrix elements, never from hard-coded coefficient
-tables, so closed forms can serve as independent oracles in tests.
+Gate design runs on the exact (dense) diagonalization of the truncation.
+Low-order Rayleigh-Schrödinger energies are provided beside it as an
+independent check: they are computed from Q³/Q⁴ matrix elements, never from
+hard-coded coefficient tables, so closed forms can serve as oracles in tests.
 
 A diagonalization keeps two cutoffs: ``cutoff_raw`` is the matrix dimension
 actually diagonalized, ``cutoff_kept`` the block later used for gate design.
@@ -29,7 +29,7 @@ class MetastableWarning(UserWarning):
     is still returned (it approximates the metastable well)."""
 
 
-PERTURBATIVE_COEFF_MAX = 0.1  # validity guard for the perturbative branch
+PERTURBATIVE_COEFF_MAX = 0.1  # validity guard for the perturbative energies
 
 
 def default_raw_dim(kept: int) -> int:
@@ -134,31 +134,15 @@ def diagonalize(h: np.ndarray, kept: int, c1: float = 0.0, c2: float = 0.0) -> S
     return Spectrum(w, _fix_phases(v), m, kept, float(c1), float(c2))
 
 
-def compute_spectrum(
-    c1: float,
-    c2: float,
-    kept: int,
-    raw_dim: int | None = None,
-    basis: str = "exact",
-) -> Spectrum:
-    """Build and decompose H0: ``basis="exact"`` diagonalizes the truncation,
-    ``basis="pt"`` uses perturbative energies with zeroth-order modes."""
+def compute_spectrum(c1: float, c2: float, kept: int, raw_dim: int | None = None) -> Spectrum:
+    """Diagonalize ``build_h0(c1, c2, raw)``, raw = ``raw_dim`` or
+    ``default_raw_dim(kept)``: the modes are those of the H0 (c1, c2) rebuild."""
     raw = default_raw_dim(kept) if raw_dim is None else int(raw_dim)
     if raw < kept:
         raise ValueError("raw_dim must be >= kept")
-    if basis == "exact":
-        if raw < 4:
-            raise ValueError("raw_dim must be >= 4 (quartic term needs reach)")
-        return diagonalize(build_h0(c1, c2, raw), kept, c1, c2)
-    if basis == "pt":
-        energies = perturbative_energies(c1, c2, raw - 1)
-        if np.any(np.diff(energies) <= 0):
-            raise ValueError(
-                "perturbative energies not ascending at this raw_dim; "
-                "reduce raw_dim or the coefficients"
-            )
-        return Spectrum(energies, np.eye(raw, dtype=complex), raw, kept, c1, c2)
-    raise ValueError(f"unknown basis {basis!r} (expected 'exact' or 'pt')")
+    if raw < 4:
+        raise ValueError("raw_dim must be >= 4 (quartic term needs reach)")
+    return diagonalize(build_h0(c1, c2, raw), kept, c1, c2)
 
 
 def perturbative_energies(c1: float, c2: float, n_max: int) -> np.ndarray:
@@ -175,7 +159,7 @@ def perturbative_energies(c1: float, c2: float, n_max: int) -> np.ndarray:
     if not (abs(c1) <= PERTURBATIVE_COEFF_MAX and abs(c2) <= PERTURBATIVE_COEFF_MAX):
         raise ValueError(
             f"|c1|, |c2| must be <= {PERTURBATIVE_COEFF_MAX} for the "
-            "perturbative branch"
+            "perturbative energies"
         )
     if n_max < 0:
         raise ValueError("n_max must be >= 0")

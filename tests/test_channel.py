@@ -353,6 +353,7 @@ def test_synthesis_diagonalizes_and_builds_design_once(monkeypatch):
     assert calls == {"diagonalize": 1, "design_matrix": 1}
     monkeypatch.undo()
     assert report.distance == float(np.linalg.norm(choi(dyson_channel(joint, pulse)) - target))
+    assert report.tp_defect == dyson_channel(joint, pulse).tp_defect()
 
 
 @pytest.mark.parametrize(

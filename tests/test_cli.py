@@ -758,6 +758,46 @@ def test_filter_sim_seed_env_fallback(tmp_path, monkeypatch):
     assert manifest["seed"] == 77
 
 
+# the subcommands that simulate a trajectory, each with a time grid and a seed
+_TRAJECTORY_COMMANDS = ["filter-sim", "filter-fit", "demo"]
+
+
+def _trajectory_argv(command, tmp_path, *flags):
+    model = [] if command == "demo" else ["--model", write_damping_model(
+        tmp_path / "model.json", grid=(0.3, 1.1, 3))]
+    return [command, *model, *flags, "--out-dir", tmp_path / "out"]
+
+
+@pytest.mark.parametrize("horizon", ["0", "-1", "1e-320"])
+@pytest.mark.parametrize("command", _TRAJECTORY_COMMANDS)
+def test_horizon_shorter_than_one_step_names_t(tmp_path, capsys, command, horizon):
+    argv = _trajectory_argv(command, tmp_path, f"--T={horizon}", "--dt", 0.01, "--seed", 1)
+    assert run_cli(*argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: T={float(horizon)!r} is shorter than one step of dt=0.01\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("flag, env, line", [
+    ([], "abc", "SUSYGATE_SEED must be a non-negative integer, got 'abc'"),
+    ([], "1.5", "SUSYGATE_SEED must be a non-negative integer, got '1.5'"),
+    ([], "-3", "SUSYGATE_SEED must be a non-negative integer, got '-3'"),
+    (["--seed=-1"], "5", "--seed must be a non-negative integer, got -1"),
+], ids=["env-abc", "env-1.5", "env-minus-3", "flag-minus-1"])
+@pytest.mark.parametrize("command", _TRAJECTORY_COMMANDS)
+def test_bad_seed_names_its_source(tmp_path, capsys, monkeypatch, command, flag, env, line):
+    monkeypatch.setenv("SUSYGATE_SEED", env)
+    assert run_cli(*_trajectory_argv(command, tmp_path, "--T", 0.05, "--dt", 0.01, *flag)) == 2
+    assert capsys.readouterr().err == f"error: {line}\n"
+    assert not (tmp_path / "out" / "manifest.json").exists()
+
+
+def test_seedless_subcommand_ignores_seed_variable(tmp_path, monkeypatch):
+    monkeypatch.setenv("SUSYGATE_SEED", "abc")
+    assert run_cli("spectrum", "--dim", 2, "--out-dir", tmp_path) == 0
+    assert load_json(tmp_path / "manifest.json")["seed"] is None
+
+
 def test_filter_fit_subcommand(tmp_path):
     model_path = write_damping_model(tmp_path / "model.json", grid=(0.3, 1.1, 5))
     assert run_cli(
@@ -1125,11 +1165,8 @@ def test_config_switch_and_choice_go_through_argparse(tmp_path, stored_spectrum,
     config = load_json(tmp_path / "manifest.json")["config"]
     assert (config["no_oracle_check"], config["match_phase"], config["K"]) == (True, False, 1)
     capsys.readouterr()
-    # a value of the wrong type or outside its choices names the file and line
+    # a value of the wrong type names the file and line
     bad = tmp_path / "bad.cfg"
-    bad.write_text("dim=3\nbasis=fourier\n")
-    assert run_cli("spectrum", "--config", bad, "--out-dir", tmp_path) == 2
-    assert f"error: {bad}:2: basis: invalid choice: 'fourier'" in capsys.readouterr().err
     bad.write_text("dim=x\n")
     assert run_cli("spectrum", "--config", bad, "--out-dir", tmp_path) == 2
     assert f"error: {bad}:1: dim: invalid int value: 'x'" in capsys.readouterr().err
@@ -1488,7 +1525,7 @@ def write_edge_inputs(tmp_path):
     dy = np.random.default_rng(0).normal(0.0, 0.1, times.size - 1)
     rows = "".join(f"{t:.2f},{y:.4f}\n" for t, y in zip(times, dy))
     (tmp_path / "record.csv").write_text("t,dY\n" + rows)
-    (tmp_path / "spectrum.cfg").write_text("# spectrum options\nc1=0.03\nc2=0.01\nbasis=exact\n")
+    (tmp_path / "spectrum.cfg").write_text("# spectrum options\nc1=0.03\nc2=0.01\nraw-dim=6\n")
     return tmp_path
 
 
@@ -1713,11 +1750,22 @@ def _draw_argv(draw, inputs):
     def num(valid):
         return pick([valid], _BAD_FLOATS)
 
-    command = draw(st.sampled_from(["spectrum", "gate", "synth", "channel", "susy", "vev"]))
+    command = draw(st.sampled_from(["spectrum", "gate", "synth", "channel", "susy", "vev",
+                                    "filter-sim", "filter-fit", "demo"]))
     if command == "spectrum":
         return ["spectrum", "--dim", pick([2, 3], [-1, 0]), "--raw-dim", pick([4, 8], [-1, 0]),
-                "--basis", draw(st.sampled_from(["exact", "pt"])),
                 f"--c1={num('0.03')}", f"--c2={num('0.01')}"]
+    if command in ("filter-sim", "filter-fit", "demo"):
+        # a 5-step grid, so that each run takes milliseconds
+        argv = [command, f"--T={num('0.05')}", f"--dt={num('0.01')}", f"--eta={num('0.4')}",
+                f"--seed={pick([0, 7], [-1])}"]
+        if command != "demo":
+            argv += ["--model", inputs / "model.json"]
+        if command == "filter-sim":
+            argv.append(f"--ensemble={pick([0, 2], [-1])}")
+        if command == "filter-fit":
+            argv.append(f"--xtol={num('1e-4')}")
+        return argv
     if command == "gate":
         argv = ["gate", "--spectrum", inputs / "spectrum.json", "--pulse", inputs / "pulse.json"]
         return argv + (["--oracle"] if draw(st.booleans()) else [])

@@ -57,6 +57,11 @@ def test_deleted_names_stay_deleted():
         "c1", "c2", "n_max",
     ]
     assert list(inspect.signature(fock.is_unitary).parameters) == ["a"]
+    # the spectrum is always the exact diagonalization, and the gate's drive is Q
+    assert list(inspect.signature(spectrum.compute_spectrum).parameters) == [
+        "c1", "c2", "kept", "raw_dim",
+    ]
+    assert list(inspect.signature(dyson.dyson_gate).parameters) == ["spec", "pulse"]
     # a channel is its Kraus stack; the SUSY pair does not echo its inputs
     assert list(inspect.signature(channel.QuantumChannel).parameters) == ["kraus"]
     assert "cp_defect" not in {f.name for f in fields(channel.ChannelSynthesisReport)}

@@ -2,6 +2,8 @@ from collections import defaultdict
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from susygate.serialize import matrix_from_json, matrix_to_json
 from susygate.spectrum import (
@@ -169,11 +171,8 @@ def test_spectrum_json_refuses_inconsistent_fields(change, message):
 @pytest.mark.parametrize("call, message", [
     (lambda: diagonalize(np.eye(3), kept=4), r"^kept=4 outside \[1, 3\]$"),
     (lambda: diagonalize(np.eye(3), kept=0), r"^kept=0 outside \[1, 3\]$"),
-    (lambda: compute_spectrum(0.0, 0.0, kept=2, basis="fock"), "^unknown basis 'fock'"),
-    (lambda: compute_spectrum(0.0, -0.1, kept=2, raw_dim=16, basis="pt"),
-     "^perturbative energies not ascending"),
     (lambda: perturbative_energies(0.0, 0.0, -1), "^n_max must be >= 0$"),
-], ids=["kept-above", "kept-0", "basis", "pt-not-ascending", "n-max-negative"])
+], ids=["kept-above", "kept-0", "n-max-negative"])
 def test_spectrum_builders_refuse_bad_arguments(call, message):
     with pytest.raises(ValueError, match=message):
         call()
@@ -209,11 +208,17 @@ def test_pt_validity_guard():
         perturbative_energies(0.2, 0.0, 3)
 
 
-def test_pt_basis_spectrum():
-    exact = compute_spectrum(0.0, 0.0, kept=4)
-    pt = compute_spectrum(0.0, 0.0, kept=4, basis="pt")
-    assert np.allclose(pt.kept_energies, exact.kept_energies, atol=1e-12)
-    assert np.array_equal(pt.modes, np.eye(32))
+@pytest.mark.filterwarnings("ignore::susygate.spectrum.MetastableWarning")
+@settings(max_examples=50, deadline=None)
+@given(c1=st.floats(-0.05, 0.05), c2=st.floats(-0.05, 0.05), kept=st.integers(1, 6),
+       extra=st.integers(0, 30))
+def test_spectrum_diagonalizes_the_h0_its_coefficients_build(c1, c2, kept, extra):
+    # the oracle rebuilds H0 from (c1, c2): the modes and energies must be its own
+    raw = max(kept, 4) + extra
+    spec = compute_spectrum(c1, c2, kept, raw)
+    h0 = build_h0(c1, c2, raw)
+    rebuilt = spec.modes @ np.diag(spec.energies) @ spec.modes.conj().T
+    assert np.linalg.norm(rebuilt - h0) <= 1e-10 * np.linalg.norm(h0)
 
 
 # --- scaling invariants -----------------------------------------------------
